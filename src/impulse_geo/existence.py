@@ -23,7 +23,9 @@ with the convention ``c / 0 = +inf``, and the IVP has a unique solution on
 
 Sup norms and Lipschitz constants are estimated by sampling over the balls
 enlarged by a safety factor; this is a declared heuristic, not proof-grade
-interval arithmetic, and the certificate records the grid used.  The
+interval arithmetic, and the certificate records the grid used.  Both the
+sampling and the iteration evaluate the fields on whole grids at once,
+through the batch forms of the model and the profile.  The
 iteration itself is carried out by :func:`picard_solve` on a uniform grid
 with composite Simpson quadrature; it is contractive in the iterated sense
 only, with n-step constants
@@ -83,11 +85,14 @@ class ExistenceCertificate:
     safety: float
 
     def contains_x(self, x, slack=1e-9):
-        return float(np.linalg.norm(np.asarray(x) - self.x0)) <= self.b + slack
+        """Whether ``x``, a point or every row of a batch, lies in ``I1``."""
+        dist = np.linalg.norm(np.asarray(x) - self.x0, axis=-1)
+        return bool(np.all(dist <= self.b + slack))
 
     def contains_xdot(self, z, slack=1e-9):
-        return (float(np.linalg.norm(np.asarray(z) - self.xdot0))
-                <= self.i2_radius + slack)
+        """Whether ``z``, a point or every row of a batch, lies in ``I2``."""
+        dist = np.linalg.norm(np.asarray(z) - self.xdot0, axis=-1)
+        return bool(np.all(dist <= self.i2_radius + slack))
 
 
 def _ball_grid(center, radius, per_axis):
@@ -98,8 +103,31 @@ def _ball_grid(center, radius, per_axis):
     return pts[keep]
 
 
-def _f2_at(model, profile, p):
-    return 0.5 * metric_gradient(profile, model, p)
+def _central_difference(field, pts, inside):
+    """Central-difference Jacobians ``J[b, ..., axis]`` of a batch field.
+
+    ``field`` maps ``(B, n)`` points to ``(B, ...)`` values.  Each axis uses
+    the cube-root step scaled by the coordinate's magnitude.  Where the
+    ``+step`` or ``-step`` neighbour of a point fails the chart test
+    ``inside``, that axis contributes a zero column.
+    """
+    m, n = pts.shape
+    steps = _FD_STEP * np.maximum(1.0, np.abs(pts))
+    # neighbours indexed [axis, sign, point]: +step first, then -step
+    shifted = np.tile(pts, (2 * n, 1)).reshape(n, 2, m, n)
+    for axis in range(n):
+        shifted[axis, 0, :, axis] += steps[:, axis]
+        shifted[axis, 1, :, axis] -= steps[:, axis]
+    shifted = shifted.reshape(-1, n)
+    ok = inside(shifted).reshape(n, 2, m).all(axis=1)
+    use = np.broadcast_to(ok[:, None], (n, 2, m)).ravel()
+    values = field(shifted[use])
+    vals = np.zeros((2 * n * m,) + values.shape[1:])
+    vals[use] = values
+    vals = vals.reshape((n, 2, m) + values.shape[1:])
+    scale = (2.0 * steps.T).reshape((n, m) + (1,) * (values.ndim - 1))
+    jac = (vals[:, 0] - vals[:, 1]) / scale
+    return np.moveaxis(jac, 0, -1)
 
 
 def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
@@ -119,64 +147,39 @@ def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
     xdot0 = np.asarray(xdot0, dtype=float)
     model.require_inside(x0)
 
-    nominal = _ball_grid(x0, b, grid)
-    for p in nominal:
-        if not model.contains(p):
-            raise ChartDomainError(
-                "ball I1 leaves the chart domain; shrink b")
+    if not model.inside(_ball_grid(x0, b, grid)).all():
+        raise ChartDomainError("ball I1 leaves the chart domain; shrink b")
     padded = _ball_grid(x0, safety * b, grid)
-    pts = np.array([p for p in padded if model.contains(p)])
+    pts = padded[model.inside(padded)]
 
     n = model.dim
     m = len(pts)
-    f2 = np.empty((m, n))
-    for i, p in enumerate(pts):
-        f2[i] = _f2_at(model, profile, p)
-    norm_f2 = float(np.max(np.linalg.norm(f2, axis=1)))
 
+    def fields(ys):
+        # F2 and Gamma side by side: (B, n + n**3)
+        f2 = 0.5 * metric_gradient(profile, model, ys)
+        return np.concatenate(
+            [f2, model.christoffel(ys).reshape(len(ys), -1)], axis=1)
+
+    values = fields(pts)
+    f2 = values[:, :n]
+    gammas = values[:, n:].reshape(m, n, n, n)
+    jac = _central_difference(fields, pts, model.inside)
+    norm_f2 = float(np.max(np.linalg.norm(f2, axis=1)))
     # Lipschitz of F2 over I1: largest sampled Jacobian (Frobenius bound)
-    lip_f2 = 0.0
-    for p in pts:
-        jac = np.zeros((n, n))
-        for axis in range(n):
-            step = _FD_STEP * max(1.0, abs(p[axis]))
-            pp = p.copy()
-            pp[axis] += step
-            pm = p.copy()
-            pm[axis] -= step
-            if not (model.contains(pp) and model.contains(pm)):
-                continue
-            jac[:, axis] = (_f2_at(model, profile, pp)
-                            - _f2_at(model, profile, pm)) / (2.0 * step)
-        lip_f2 = max(lip_f2, float(np.linalg.norm(jac)))
+    lip_f2 = float(np.max(np.linalg.norm(jac[:, :n], axis=(1, 2))))
 
     i2_radius = c_seed + k * norm_f2
     zs = _ball_grid(xdot0, safety * i2_radius, grid)
 
-    gammas = np.empty((m, n, n, n))
-    for i, p in enumerate(pts):
-        gammas[i] = model.christoffel_at(p)
     # F1[y, z]^k = -Gamma^k_ij(y) z^i z^j over the product grid
     f1 = -np.einsum("mkij,pi,pj->mpk", gammas, zs, zs)
     norm_f1 = float(np.max(np.linalg.norm(f1, axis=2)))
 
     # joint Lipschitz of F1 on I3: d/dz analytic, d/dy by differencing Gamma
+    dgam = jac[:, n:].reshape(m, n, n, n, n)
+    jy = -np.einsum("mkija,pi,pj->mpka", dgam, zs, zs)
     jz = -2.0 * np.einsum("mklj,pj->mpkl", gammas, zs)
-    jy = np.empty((m, len(zs), n, n))
-    for axis in range(n):
-        dgam = np.empty_like(gammas)
-        for i, p in enumerate(pts):
-            step = _FD_STEP * max(1.0, abs(p[axis]))
-            pp = p.copy()
-            pp[axis] += step
-            pm = p.copy()
-            pm[axis] -= step
-            if model.contains(pp) and model.contains(pm):
-                dgam[i] = (model.christoffel_at(pp)
-                           - model.christoffel_at(pm)) / (2.0 * step)
-            else:
-                dgam[i] = 0.0
-        jy[..., axis] = -np.einsum("mkij,pi,pj->mpk", dgam, zs, zs)
     jfull = np.concatenate([jy, jz], axis=3)
     lip_f1 = float(np.max(np.sqrt(np.sum(jfull * jfull, axis=(2, 3)))))
 
@@ -243,7 +246,6 @@ class PicardResult:
 def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol, max_iter,
                     certificate):
     m = len(t)
-    n = len(x0)
     delta = np.asarray(net.eval(eps, t), dtype=float)
     active = np.nonzero(delta != 0.0)[0]
     x = x0 + np.outer(t + eps, xdot0)
@@ -253,13 +255,11 @@ def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol, max_iter,
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        integrand = np.empty((m, n))
-        for i in range(m):
-            gamma = model.christoffel_at(x[i])
-            integrand[i] = -np.einsum("kij,i,j->k", gamma, xd[i], xd[i])
-        for i in active:
-            grad = model.inverse_metric_at(x[i]) @ profile.df(x[i])
-            integrand[i] += (0.5 * delta[i]) * grad
+        # F1 on every node (which also tests every node against the chart)
+        # and F2 on the nodes where the impulse is active
+        integrand = -np.einsum("bkij,bi,bj->bk", model.christoffel(x), xd, xd)
+        integrand[active] += (0.5 * delta[active])[:, None] * metric_gradient(
+            profile, model, x[active])
         xd_new = xdot0 + cumulative_simpson(integrand, x=t, axis=0, initial=0.0)
         x_new = x0 + cumulative_simpson(xd_new, x=t, axis=0, initial=0.0)
         shift = (float(np.max(np.abs(x_new - x)))
@@ -267,10 +267,10 @@ def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol, max_iter,
         shifts.append(shift)
         x, xd = x_new, xd_new
         if certificate is not None:
-            if not all(certificate.contains_x(x[i]) for i in range(0, m, max(1, m // 64))):
+            if not certificate.contains_x(x):
                 raise CertificateViolation(
                     "iterate left the ball I1; b was chosen too small")
-            if not all(certificate.contains_xdot(xd[i]) for i in range(0, m, max(1, m // 64))):
+            if not certificate.contains_xdot(xd):
                 raise CertificateViolation(
                     "iterate velocity left I2; c was chosen too small")
         if shift <= tol:

@@ -7,6 +7,12 @@ a declared completeness flag.  Chart transitions are out of scope; a
 geodesic leaving the chart domain is an integration failure, never a silent
 extrapolation.
 
+Fields come in two forms: per point (``christoffel_at``,
+``inverse_metric_at``, ``contains``) and on ``(B, n)`` batches of points
+(``christoffel``, ``inverse_metric``, ``inside``).  The built-in models
+evaluate batches in closed form; user models loop over the per-point forms,
+with the same results.
+
 Built-in models
 ---------------
 ``euclidean(n)``
@@ -53,6 +59,11 @@ class ManifoldModel:
         self._christoffel = christoffel
         self._chart_domain = chart_domain
         self._exact_distance = exact_distance
+        # closed-form batch callbacks of the built-in models; None means
+        # the batch forms loop over the per-point ones
+        self._batch_christoffel = None
+        self._batch_inverse_metric = None
+        self._batch_chart_domain = None
 
     def __repr__(self):
         return f"ManifoldModel({self.name!r}, dim={self.dim})"
@@ -109,16 +120,64 @@ class ManifoldModel:
         t = dh + dh.transpose(1, 0, 2) - dh.transpose(1, 2, 0)
         return 0.5 * np.einsum("kl,ijl->kij", hinv, t)
 
+    def inside(self, xs):
+        """Chart test on a ``(B, n)`` batch: a ``(B,)`` boolean mask."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValueError(f"expected a (B, {self.dim}) batch of points")
+        ok = np.all(np.isfinite(xs), axis=1)
+        if self._chart_domain is None:
+            return ok
+        if self._batch_chart_domain is not None:
+            return ok & self._batch_chart_domain(xs)
+        return np.array([self.contains(x) for x in xs], dtype=bool)
+
+    def _require_batch_inside(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        ok = self.inside(xs)
+        if not ok.all():
+            raise ChartDomainError(
+                f"point {xs[np.argmin(ok)]} outside chart domain of {self.name}")
+        return xs
+
+    def inverse_metric(self, xs):
+        """Inverse metrics ``(B, n, n)`` on a ``(B, n)`` batch of points."""
+        if self._batch_inverse_metric is None:
+            return _stack_rows(self.inverse_metric_at, xs, (self.dim,) * 2)
+        return self._batch_inverse_metric(self._require_batch_inside(xs))
+
+    def christoffel(self, xs):
+        """Christoffel symbols ``Gamma[b, k, i, j]`` on a ``(B, n)`` batch."""
+        if self._batch_christoffel is None:
+            return _stack_rows(self.christoffel_at, xs, (self.dim,) * 3)
+        return self._batch_christoffel(self._require_batch_inside(xs))
+
     def norm_at(self, x, w):
         """Riemannian norm ``sqrt(h(w, w))`` of a tangent vector at ``x``."""
         h = self.metric_at(x)
         return math.sqrt(max(0.0, float(w @ h @ w)))
 
 
+def _stack_rows(point_form, xs, shape):
+    """Per-point fallback of a batch form: ``point_form`` row by row."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty((len(xs),) + shape)
+    for b, x in enumerate(xs):
+        out[b] = point_form(x)
+    return out
+
+
+def _with_batch_forms(model, christoffel, inverse_metric, chart_domain=None):
+    model._batch_christoffel = christoffel
+    model._batch_inverse_metric = inverse_metric
+    model._batch_chart_domain = chart_domain
+    return model
+
+
 def euclidean(n):
     eye = np.eye(n)
     zero = np.zeros((n, n, n))
-    return ManifoldModel(
+    model = ManifoldModel(
         n,
         lambda x: eye.copy(),
         inverse_metric=lambda x: eye.copy(),
@@ -126,6 +185,11 @@ def euclidean(n):
         complete=True,
         name=f"euclidean({n})",
         exact_distance=lambda a, b: float(np.linalg.norm(np.subtract(a, b))),
+    )
+    return _with_batch_forms(
+        model,
+        lambda xs: np.zeros((len(xs), n, n, n)),
+        lambda xs: np.tile(eye, (len(xs), 1, 1)),
     )
 
 
@@ -144,17 +208,32 @@ def hyperbolic_half_plane():
         g[1, 1, 1] = -inv_y
         return g
 
+    def batch_inverse(xs):
+        out = np.zeros((len(xs), 2, 2))
+        out[:, 0, 0] = out[:, 1, 1] = xs[:, 1] ** 2
+        return out
+
+    def batch_christoffel(xs):
+        inv_y = 1.0 / xs[:, 1]
+        g = np.zeros((len(xs), 2, 2, 2))
+        g[:, 0, 0, 1] = g[:, 0, 1, 0] = -inv_y
+        g[:, 1, 0, 0] = inv_y
+        g[:, 1, 1, 1] = -inv_y
+        return g
+
     def dist(a, b):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         arg = 1.0 + float((a - b) @ (a - b)) / (2.0 * a[1] * b[1])
         return math.acosh(max(1.0, arg))
 
-    return ManifoldModel(
+    model = ManifoldModel(
         2, metric, inverse_metric=inverse, christoffel=christoffel,
         chart_domain=lambda x: x[1] > 0.0, complete=True,
         name="hyperbolic_half_plane", exact_distance=dist,
     )
+    return _with_batch_forms(model, batch_christoffel, batch_inverse,
+                             lambda xs: xs[:, 1] > 0.0)
 
 
 def _sphere_embed(x):
@@ -183,15 +262,30 @@ def sphere_stereographic():
                 g[k, i, i] -= w[k]
         return g
 
+    def batch_inverse(xs):
+        c = 2.0 / (1.0 + np.einsum("bi,bi->b", xs, xs))
+        return np.eye(2) / (c * c)[:, None, None]
+
+    def batch_christoffel(xs):
+        w = -2.0 * xs / (1.0 + np.einsum("bi,bi->b", xs, xs))[:, None]
+        g = np.zeros((len(xs), 2, 2, 2))
+        for k in range(2):
+            for i in range(2):
+                g[:, k, i, k] += w[:, i]
+                g[:, k, k, i] += w[:, i]
+                g[:, k, i, i] -= w[:, k]
+        return g
+
     def dist(a, b):
         pa = _sphere_embed(np.asarray(a, dtype=float))
         pb = _sphere_embed(np.asarray(b, dtype=float))
         return math.acos(min(1.0, max(-1.0, float(pa @ pb))))
 
-    return ManifoldModel(
+    model = ManifoldModel(
         2, metric, inverse_metric=inverse, christoffel=christoffel,
         complete=True, name="sphere_stereographic", exact_distance=dist,
     )
+    return _with_batch_forms(model, batch_christoffel, batch_inverse)
 
 
 def from_metric(dim, metric, *, chart_domain=None, inverse_metric=None,

@@ -2,7 +2,8 @@
 regularizations.
 
 A :class:`WaveProfile` is a scalar function ``f`` on chart coordinates
-together with its coordinate differential ``df``.  A :class:`DeltaNet` is a
+together with its coordinate differential ``df``, which also takes
+``(B, n)`` batches of points.  A :class:`DeltaNet` is a
 family ``delta_eps`` of smooth functions regularizing the unit impulse at
 ``u = 0``; the built-in nets satisfy the three strict-net properties by
 construction:
@@ -79,11 +80,16 @@ class WaveProfile:
     finite differences of ``f`` with the usual cube-root step; the accuracy
     loss is acceptable for ``f`` but would not be for the impulse family,
     whose derivative is therefore always analytic for built-in nets.
+
+    ``df`` maps a point ``(n,)`` to ``(n,)`` and a batch ``(B, n)`` to
+    ``(B, n)``.  Built-in profiles differentiate a batch in closed form;
+    other profiles evaluate it point by point, with the same results.
     """
 
     def __init__(self, f, df=None, *, name="custom", params=None):
         self._f = f
         self._df = df
+        self._batch_df = None
         self.analytic_grad = df is not None
         self.name = name
         self.params = dict(params or {})
@@ -96,6 +102,13 @@ class WaveProfile:
 
     def df(self, x):
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            if self._batch_df is not None:
+                return np.asarray(self._batch_df(x), dtype=float)
+            out = np.empty_like(x)
+            for b, p in enumerate(x):
+                out[b] = self.df(p)
+            return out
         if self._df is not None:
             return np.asarray(self._df(x), dtype=float)
         out = np.empty_like(x)
@@ -109,17 +122,24 @@ class WaveProfile:
         return out
 
 
+def _with_batch_df(profile, batch_df):
+    profile._batch_df = batch_df
+    return profile
+
+
 def constant_profile(value=1.0):
     v = float(value)
-    return WaveProfile(lambda x: v, lambda x: np.zeros_like(x),
+    prof = WaveProfile(lambda x: v, lambda x: np.zeros_like(x),
                        name="constant", params={"value": v})
+    return _with_batch_df(prof, np.zeros_like)
 
 
 def linear_profile(coeffs, offset=0.0):
     a = np.asarray(coeffs, dtype=float)
     b = float(offset)
-    return WaveProfile(lambda x: float(a @ x) + b, lambda x: a.copy(),
+    prof = WaveProfile(lambda x: float(a @ x) + b, lambda x: a.copy(),
                        name="linear", params={"coeffs": tuple(a), "offset": b})
+    return _with_batch_df(prof, lambda xs: np.tile(a, (len(xs), 1)))
 
 
 def quadratic_form_profile(matrix, center=None):
@@ -135,9 +155,14 @@ def quadratic_form_profile(matrix, center=None):
         y = x if c is None else x - c
         return 2.0 * (q @ y)
 
-    return WaveProfile(f, df, name="quadratic_form",
+    def batch_df(xs):
+        ys = xs if c is None else xs - c
+        return 2.0 * np.einsum("kj,bj->bk", q, ys)
+
+    prof = WaveProfile(f, df, name="quadratic_form",
                        params={"matrix": tuple(map(tuple, q)),
                                "center": None if c is None else tuple(c)})
+    return _with_batch_df(prof, batch_df)
 
 
 def radial_power_profile(amplitude, exponent, center=None):
@@ -158,9 +183,18 @@ def radial_power_profile(amplitude, exponent, center=None):
             return np.zeros_like(y)
         return a * p * r ** (p - 2.0) * y
 
-    return WaveProfile(f, df, name="radial_power",
+    def batch_df(xs):
+        ys = _y(xs)
+        r = np.linalg.norm(ys, axis=1)
+        out = np.zeros_like(ys)
+        nz = r != 0.0
+        out[nz] = (a * p * r[nz] ** (p - 2.0))[:, None] * ys[nz]
+        return out
+
+    prof = WaveProfile(f, df, name="radial_power",
                        params={"amplitude": a, "exponent": p,
                                "center": None if c is None else tuple(c)})
+    return _with_batch_df(prof, batch_df)
 
 
 def gaussian_bump_profile(amplitude, center, width):
@@ -176,13 +210,25 @@ def gaussian_bump_profile(amplitude, center, width):
         y = x - c
         return (-a / (w * w)) * math.exp(-0.5 * float(y @ y) / (w * w)) * y
 
-    return WaveProfile(f, df, name="gaussian_bump",
+    def batch_df(xs):
+        ys = xs - c
+        r2 = np.einsum("bi,bi->b", ys, ys)
+        return ((-a / (w * w)) * np.exp(-0.5 * r2 / (w * w)))[:, None] * ys
+
+    prof = WaveProfile(f, df, name="gaussian_bump",
                        params={"amplitude": a, "center": tuple(c), "width": w})
+    return _with_batch_df(prof, batch_df)
 
 
 def metric_gradient(profile, model, x):
-    """Metric gradient ``(grad f)^k = h^{km} d_m f`` at ``x``."""
+    """Metric gradient ``(grad f)^k = h^{km} d_m f`` at ``x``.
+
+    ``x`` is a point ``(n,)`` or a batch ``(B, n)``; a batch goes through
+    the batch forms of the model and the profile.
+    """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return np.einsum("bkm,bm->bk", model.inverse_metric(x), profile.df(x))
     return model.inverse_metric_at(x) @ profile.df(x)
 
 

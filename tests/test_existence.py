@@ -160,10 +160,25 @@ def test_picard_flat_linear_one_corrective_iteration():
         assert abs(res.x[i, 1]) < 1e-15
 
 
-def test_picard_agrees_with_integrator_on_overlap():
-    model = geometry.hyperbolic_half_plane()
-    prof = profiles.gaussian_bump_profile(1.0, [0.8, 1.2], 0.8)
-    data = InitialData([0.0, 1.0], [0.6, 0.4])
+def overlap_case(case):
+    """Model, Gaussian-bump profile and data of a Picard/RK overlap case."""
+    if case == "hyperbolic":
+        return (geometry.hyperbolic_half_plane(),
+                profiles.gaussian_bump_profile(1.0, [0.8, 1.2], 0.8),
+                InitialData([0.0, 1.0], [0.6, 0.4]))
+    bump = profiles.gaussian_bump_profile(1.0, [0.3, -0.2], 0.7)
+    data = InitialData([0.0, 0.2], [0.5, 0.3])
+    if case == "sphere":
+        return geometry.sphere_stereographic(), bump, data
+    # the same sphere and bump, with no batch forms and no analytic df
+    user = geometry.from_metric(
+        2, lambda x: 4.0 / (1.0 + float(x @ x)) ** 2 * np.eye(2))
+    return user, profiles.WaveProfile(bump.f), data
+
+
+@pytest.mark.parametrize("case", ["hyperbolic", "sphere", "sphere-fallback"])
+def test_picard_agrees_with_integrator_on_overlap(case):
+    model, prof, data = overlap_case(case)
     base = dynamics.background_path(model, data.x0, data.xdot0, -1.0, 0.0)
     cert = existence.certify(model, prof, base.x_at(0.0), base.xdot_at(0.0),
                              b=0.3, c=1.0, k=NET.l1_bound)
@@ -180,6 +195,23 @@ def test_picard_agrees_with_integrator_on_overlap():
     err_x = np.max(np.abs(path.x_at(ts) - res.x[sub]))
     err_xd = np.max(np.abs(path.xdot_at(ts) - res.xdot[sub]))
     assert max(err_x, err_xd) < 1e-6
+    if case == "sphere-fallback":
+        # the per-point fallbacks match the built-in batch forms within the
+        # finite-difference tolerance
+        ref_model, ref_prof, _ = overlap_case("sphere")
+        est = existence.estimate_sup_norms(model, prof, cert.x0, cert.xdot0,
+                                           0.3, 1.0)
+        ref_est = existence.estimate_sup_norms(ref_model, ref_prof, cert.x0,
+                                               cert.xdot0, 0.3, 1.0)
+        for key in ("norm_F1", "norm_F2", "lip_F1", "lip_F2", "i2_radius"):
+            assert getattr(est, key) == pytest.approx(getattr(ref_est, key),
+                                                      rel=1e-6)
+        ref = existence.picard_solve(ref_model, ref_prof, NET, eps,
+                                     entry.x_at(-eps), entry.xdot_at(-eps),
+                                     cert.alpha, tol=1e-10)
+        assert ref.grid_size == res.grid_size
+        assert np.max(np.abs(ref.x - res.x)) < 1e-6
+        assert np.max(np.abs(ref.xdot - res.xdot)) < 1e-6
 
 
 def test_picard_requires_eps_within_budget():
@@ -198,6 +230,29 @@ def test_picard_certificate_violation_for_tiny_ball():
                                np.array([1.0 - eps, 0.0]),
                                np.array([1.0, 0.0]), alpha=2.0 / 3.0,
                                certificate=cert)
+
+
+def test_picard_certificate_checks_every_node():
+    # the straight path is farthest from x0 at the last node; b lies between
+    # that distance (0.91667) and the largest distance on every 31st node
+    # (0.90867), so only a check of every node catches the exit from I1
+    eps = 1.0 / 6.0
+    x0 = np.array([1.0 - eps, 0.0])
+    xdot0 = np.array([1.0, 0.0])
+    cert = existence.certify(EU, LINEAR, x0, xdot0, b=0.91267, c=1.0, k=1.0)
+    with pytest.raises(CertificateViolation, match="I1"):
+        existence.picard_solve(EU, LINEAR, NET, eps, x0, xdot0,
+                               alpha=2.0 / 3.0, max_refinements=0,
+                               certificate=cert)
+
+
+def test_picard_iterate_leaving_chart_raises():
+    # the straight-line seed crosses x2 = 0 at t = 0.1 - eps
+    model = geometry.hyperbolic_half_plane()
+    with pytest.raises(ChartDomainError):
+        existence.picard_solve(model, profiles.constant_profile(0.0), NET,
+                               0.1, np.array([0.0, 0.1]),
+                               np.array([0.0, -1.0]), 1.0)
 
 
 @pytest.mark.parametrize("scen", scenarios.builtin_scenarios(),

@@ -141,6 +141,40 @@ def test_chart_domain_errors():
     assert not model.contains(bad)
 
 
+@pytest.mark.parametrize("model", models(), ids=lambda m: m.name)
+def test_batch_forms_match_point_forms(model):
+    rng = np.random.default_rng(41)
+    xs = np.array([random_point(model, rng) for _ in range(200)])
+    assert model.inside(xs).all()
+    gammas = model.christoffel(xs)
+    inverses = model.inverse_metric(xs)
+    assert gammas.shape == (200, 2, 2, 2) and inverses.shape == (200, 2, 2)
+    for x, gamma, inv in zip(xs, gammas, inverses):
+        np.testing.assert_allclose(gamma, model.christoffel_at(x),
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(inv, model.inverse_metric_at(x),
+                                   rtol=1e-14, atol=0.0)
+
+
+def test_batch_forms_reject_points_outside_chart():
+    hyp = geometry.hyperbolic_half_plane()
+    xs = np.array([[0.0, 1.0], [0.5, 0.0], [1.0, 2.0]])
+    assert hyp.inside(xs).tolist() == [True, False, True]
+    for form in (hyp.christoffel, hyp.inverse_metric):
+        with pytest.raises(ChartDomainError):
+            form(xs)
+    user = geometry.from_metric(2, lambda x: np.eye(2) / x[1] ** 2,
+                                chart_domain=lambda x: x[1] > 0.0)
+    with pytest.raises(ChartDomainError):
+        user.christoffel(xs)
+    for model in models() + [user]:
+        bad = np.array([[0.1, 1.0], [np.nan, 1.0]])
+        assert model.inside(bad).tolist() == [True, False]
+        for form in (model.christoffel, model.inverse_metric):
+            with pytest.raises(ChartDomainError):
+                form(bad)
+
+
 def test_background_straight_line():
     model = geometry.euclidean(2)
     path = geometry.background_geodesic(model, [0.0, 0.0], [1.0, 0.0],

@@ -139,6 +139,26 @@ def test_metric_gradient_constant_profile_vanishes():
         assert np.all(g == 0.0)
 
 
+def builtin_profiles():
+    return [profiles.constant_profile(3.7),
+            profiles.linear_profile([1.0, -2.0], offset=0.5),
+            profiles.quadratic_form_profile([[1.0, 0.3], [0.3, -2.0]],
+                                            center=[0.2, 0.1]),
+            profiles.radial_power_profile(1.5, 2.5, center=[0.3, -0.4]),
+            profiles.gaussian_bump_profile(1.0, [0.8, 1.2], 0.8)]
+
+
+@pytest.mark.parametrize("prof", builtin_profiles(), ids=lambda p: p.name)
+def test_batch_df_matches_point_df(prof):
+    rng = np.random.default_rng(42)
+    xs = rng.uniform(-2.0, 2.0, size=(200, 2))
+    xs[0] = [0.3, -0.4]  # the radial power's centre, where df is zero
+    grads = prof.df(xs)
+    assert grads.shape == (200, 2)
+    for x, g in zip(xs, grads):
+        np.testing.assert_allclose(g, prof.df(x), rtol=1e-14, atol=0.0)
+
+
 def test_custom_profile_difference_gradient():
     prof = profiles.WaveProfile(lambda x: math.sin(x[0]) * x[1] ** 2)
     assert not prof.analytic_grad
@@ -148,6 +168,9 @@ def test_custom_profile_difference_gradient():
         exact = np.array([math.cos(x[0]) * x[1] ** 2,
                           2 * math.sin(x[0]) * x[1]])
         assert np.max(np.abs(prof.df(x) - exact)) < 1e-6
+    # a batch takes the point-by-point fallback
+    xs = rng.uniform(-2, 2, size=(7, 2))
+    assert np.array_equal(prof.df(xs), np.array([prof.df(x) for x in xs]))
 
 
 def growth_setup():
