@@ -84,12 +84,66 @@ def _require_keys(section, mapping, allowed):
 
 
 def _check_named(section, mapping, registry):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"section '{section}' must be an object")
     name = mapping.get("name")
     if name not in registry:
         raise ConfigError(
             f"unknown {section} name {name!r} "
             f"(known: {', '.join(sorted(registry))})")
     _require_keys(section, mapping, registry[name] | {"name"})
+
+
+def _number(key, value):
+    """A JSON number (not a boolean) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(key, values, dim=None):
+    """A list of numbers as floats, of ``dim`` entries where it is a vector
+    on the manifold."""
+    if not isinstance(values, list) or dim not in (None, len(values)):
+        size = "" if dim is None else f"{dim} "
+        raise ConfigError(f"{key} must be a list of {size}numbers")
+    return [_number(key, v) for v in values]
+
+
+def _rows(key, rows, dim, count=None):
+    """A list of ``dim``-vectors, ``count`` of them if given."""
+    if not isinstance(rows, list) or count not in (None, len(rows)):
+        raise ConfigError(f"{key} must be a list of lists of {dim} numbers")
+    for row in rows:
+        _numbers(key, row, dim)
+
+
+def _check_sections(raw, dim):
+    """Numbers and vector lengths in the profile, growth, tolerances,
+    existence and output sections."""
+    profile = raw.get("profile") or {}
+    if profile.get("name") == "linear":
+        _numbers("profile.coeffs", profile.get("coeffs", [1.0, 0.0]), dim)
+    for key, value in profile.items():
+        if key == "matrix":
+            _rows("profile.matrix", value, dim, count=dim)
+        elif key == "center" and value is not None:
+            _numbers("profile.center", value, dim)
+        elif key not in ("name", "center", "coeffs"):
+            _number(f"profile.{key}", value)
+    for key, value in (raw.get("growth") or {}).items():
+        if key == "directions":
+            _rows("growth.directions", value, dim)
+        elif key in ("center", "radii"):
+            _numbers(f"growth.{key}", value, dim if key == "center" else None)
+        else:
+            _number(f"growth.{key}", value)
+    for section in ("tolerances", "existence"):
+        for key, value in raw.get(section, {}).items():
+            _number(f"{section}.{key}", value)
+    for key, value in raw.get("output", {}).items():
+        if not isinstance(value, str):
+            raise ConfigError(f"output.{key} must be a file path")
 
 
 def parse_config(text):
@@ -111,10 +165,9 @@ def parse_config(text):
     if manifold is None:
         raise ConfigError("config must declare a manifold")
     _check_named("manifold", manifold, KNOWN_MANIFOLDS)
-    if manifold["name"] == "euclidean":
-        dim = manifold.get("dim", 2)
-        if not isinstance(dim, int) or dim < 1:
-            raise ConfigError("manifold dim must be a positive integer")
+    dim = manifold.get("dim", 2)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ConfigError("manifold dim must be a positive integer")
 
     profile = raw.get("profile")
     if profile is not None:
@@ -129,19 +182,21 @@ def parse_config(text):
     if data is not None:
         _require_keys("data", data, _DATA_KEYS)
         for key in ("x0", "xdot0"):
-            if key not in data or not isinstance(data[key], list):
-                raise ConfigError(f"data.{key} must be a list of numbers")
+            _numbers(f"data.{key}", data.get(key))
+        for key in ("v0", "vdot0"):
+            if key in data:
+                _number(f"data.{key}", data[key])
 
     eps = raw.get("eps")
     eps_schedule = raw.get("eps_schedule")
     if eps is not None and eps_schedule is not None:
         raise ConfigError("give either eps or eps_schedule, not both")
-    if eps is not None and not 0.0 < float(eps) <= 0.5:
+    if eps is not None and not 0.0 < _number("eps", eps) <= 0.5:
         raise ConfigError("eps must lie in (0, 0.5]")
     if eps_schedule is not None:
         if not isinstance(eps_schedule, list) or not eps_schedule:
             raise ConfigError("eps_schedule must be a non-empty list")
-        vals = [float(e) for e in eps_schedule]
+        vals = _numbers("eps_schedule", eps_schedule)
         if any(not 0.0 < e <= 0.5 for e in vals):
             raise ConfigError("every eps in the schedule must lie in (0, 0.5]")
         if any(b >= a for a, b in zip(vals, vals[1:])):
@@ -154,6 +209,11 @@ def parse_config(text):
             _require_keys(section, raw[section], allowed)
     if raw.get("growth") is not None:
         _require_keys("growth", raw["growth"], _GROWTH_KEYS)
+    _check_sections(raw, dim)
+    samples = int(_number("samples", raw.get("samples", 201)))
+    if samples < 1:
+        raise ConfigError("samples must be positive")
+    workers = raw.get("workers")
 
     cfg = ScenarioConfig(
         schema_version=SCHEMA_VERSION,
@@ -163,14 +223,15 @@ def parse_config(text):
         data=data,
         eps=None if eps is None else float(eps),
         eps_schedule=None if eps_schedule is None else [float(e) for e in eps_schedule],
-        u_end=float(raw.get("u_end", 1.0)),
-        u_probes=None if raw.get("u_probes") is None else [float(p) for p in raw["u_probes"]],
+        u_end=_number("u_end", raw.get("u_end", 1.0)),
+        u_probes=(None if raw.get("u_probes") is None
+                  else _numbers("u_probes", raw["u_probes"])),
         tolerances=dict(raw.get("tolerances", {})),
         existence=dict(raw.get("existence", {})),
         growth=raw.get("growth"),
-        samples=int(raw.get("samples", 201)),
-        seed=int(raw.get("seed", 0)),
-        workers=raw.get("workers"),
+        samples=samples,
+        seed=int(_number("seed", raw.get("seed", 0))),
+        workers=None if workers is None else int(_number("workers", workers)),
         output=dict(raw.get("output", {})),
     )
     return cfg
@@ -222,7 +283,7 @@ def build_profile(cfg):
             raise ConfigError("radial_power profile needs an exponent")
         return profiles.radial_power_profile(
             params.get("amplitude", 1.0), params["exponent"], params.get("center"))
-    if "center" not in params:
+    if params.get("center") is None:
         raise ConfigError("gaussian_bump profile needs a center")
     return profiles.gaussian_bump_profile(
         params.get("amplitude", 1.0), params["center"], params.get("width", 1.0))

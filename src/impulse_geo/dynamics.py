@@ -168,19 +168,9 @@ def rhs(state, model, profile, net, eps):
     Outside the support of the regularized impulse the forcing terms are
     identically zero and the background system is returned.
     """
-    x, xd = state.x, state.xdot
-    gamma = model.christoffel_at(x)
-    xdd = -np.einsum("kij,i,j->k", gamma, xd, xd)
-    vdd = 0.0
-    if net is not None and eps is not None and abs(state.u) < net.support_radius(eps):
-        d = net.eval(eps, state.u)
-        dd = net.deriv(eps, state.u)
-        if d != 0.0 or dd != 0.0:
-            df = profile.df(x)
-            grad = model.inverse_metric_at(x) @ df
-            xdd = xdd + 0.5 * d * grad
-            vdd = -float(df @ xd) * d - 0.5 * profile.f(x) * dd
-    return StateRate(xd.copy(), xdd, state.vdot, vdd)
+    n = model.dim
+    y = _system(model, profile, net, eps)(state.u, state.as_vector())
+    return StateRate(y[:n], y[n:2 * n], float(y[2 * n]), float(y[2 * n + 1]))
 
 
 def lagrangian_energy(state, model, profile=None, net=None, eps=None):
@@ -198,9 +188,13 @@ def lagrangian_energy(state, model, profile=None, net=None, eps=None):
     return e
 
 
-def _system(model, profile, net, eps, impulse):
+def _system(model, profile, net, eps):
+    """The geodesic field ``fun(u, y)`` on raw state vectors; the
+    background field when ``net`` or ``eps`` is None.  The forcing is
+    skipped outside ``|u| < support_radius(eps)``, where it vanishes
+    identically."""
     n = model.dim
-    radius = net.support_radius(eps) if impulse else 0.0
+    radius = 0.0 if net is None or eps is None else net.support_radius(eps)
 
     def fun(u, y):
         x = y[:n]
@@ -208,7 +202,7 @@ def _system(model, profile, net, eps, impulse):
         gamma = model.christoffel_at(x)
         acc = -np.einsum("kij,i,j->k", gamma, xd, xd)
         vdd = 0.0
-        if impulse and -radius < u < radius:
+        if -radius < u < radius:
             d = net.eval(eps, u)
             dd = net.deriv(eps, u)
             if d != 0.0 or dd != 0.0:
@@ -246,7 +240,7 @@ def background_path(model, x0, xdot0, u_start, u_end, *, v0=0.0, vdot0=0.0,
     xdot0 = np.asarray(xdot0, dtype=float)
     model.require_inside(x0)
     y0 = np.concatenate([x0, xdot0, [v0, vdot0]])
-    fun = _system(model, None, None, None, impulse=False)
+    fun = _system(model, None, None, None)
     dense, stats = solve_rk45(fun, u_start, u_end, y0, rtol=rtol, atol=atol,
                               blowup=blowup, phase="background")
     diag = PathDiagnostics(stats["n_steps"], stats["n_rejected"], stats["n_rhs"])
@@ -257,14 +251,14 @@ def background_path(model, x0, xdot0, u_start, u_end, *, v0=0.0, vdot0=0.0,
 
 def integrate_impulsive_geodesic(model, profile, net, eps, data, u_end, *,
                                  rtol=1e-10, atol=1e-10, blowup=1e8,
-                                 strip_step_divisor=50, bypass_outside=True):
+                                 strip_step_divisor=50):
     """Integrate the full geodesic system from ``u = -1`` through the strip.
 
     Three phases are integrated with forced boundaries at ``-eps`` and
     ``+eps``.  Inside the strip the step size is capped at
     ``support_radius(eps) / strip_step_divisor`` so the adaptive controller
-    cannot step over the peaked forcing.  With ``bypass_outside`` (default)
-    the impulse terms are skipped outside the strip, where they vanish
+    cannot step over the peaked forcing.  All three phases share one field,
+    which skips the impulse terms outside the strip, where they vanish
     identically anyway.
 
     Raises :class:`IntegrationFailure` if the blow-up guard trips or the
@@ -281,18 +275,17 @@ def integrate_impulsive_geodesic(model, profile, net, eps, data, u_end, *,
 
     radius = net.support_radius(eps)
     cap = radius / strip_step_divisor
-    outer = _system(model, profile, net, eps, impulse=not bypass_outside)
-    inner = _system(model, profile, net, eps, impulse=True)
+    fun = _system(model, profile, net, eps)
     plan = [
-        ("pre", -1.0, -eps, outer, math.inf),
-        ("strip", -eps, eps, inner, cap),
-        ("post", eps, u_end, outer, math.inf),
+        ("pre", -1.0, -eps, math.inf),
+        ("strip", -eps, eps, cap),
+        ("post", eps, u_end, math.inf),
     ]
 
     pieces = []
     diag = PathDiagnostics()
     y = data.as_vector()
-    for name, a, b, fun, max_step in plan:
+    for name, a, b, max_step in plan:
         try:
             dense, stats = solve_rk45(fun, a, b, y, rtol=rtol, atol=atol,
                                       max_step=max_step, blowup=blowup,

@@ -42,6 +42,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .errors import CertificateViolation, ChartDomainError, NumericalError
+from .geometry import central_difference
 from .profiles import metric_gradient
 
 __all__ = [
@@ -49,9 +50,6 @@ __all__ = [
     "alpha_bound", "certify", "PicardResult", "picard_solve",
     "weissinger_coefficient", "weissinger_budget",
 ]
-
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
 
 @dataclass
 class SupNormEstimate:
@@ -103,33 +101,6 @@ def _ball_grid(center, radius, per_axis):
     return pts[keep]
 
 
-def _central_difference(field, pts, inside):
-    """Central-difference Jacobians ``J[b, ..., axis]`` of a batch field.
-
-    ``field`` maps ``(B, n)`` points to ``(B, ...)`` values.  Each axis uses
-    the cube-root step scaled by the coordinate's magnitude.  Where the
-    ``+step`` or ``-step`` neighbour of a point fails the chart test
-    ``inside``, that axis contributes a zero column.
-    """
-    m, n = pts.shape
-    steps = _FD_STEP * np.maximum(1.0, np.abs(pts))
-    # neighbours indexed [axis, sign, point]: +step first, then -step
-    shifted = np.tile(pts, (2 * n, 1)).reshape(n, 2, m, n)
-    for axis in range(n):
-        shifted[axis, 0, :, axis] += steps[:, axis]
-        shifted[axis, 1, :, axis] -= steps[:, axis]
-    shifted = shifted.reshape(-1, n)
-    ok = inside(shifted).reshape(n, 2, m).all(axis=1)
-    use = np.broadcast_to(ok[:, None], (n, 2, m)).ravel()
-    values = field(shifted[use])
-    vals = np.zeros((2 * n * m,) + values.shape[1:])
-    vals[use] = values
-    vals = vals.reshape((n, 2, m) + values.shape[1:])
-    scale = (2.0 * steps.T).reshape((n, m) + (1,) * (values.ndim - 1))
-    jac = (vals[:, 0] - vals[:, 1]) / scale
-    return np.moveaxis(jac, 0, -1)
-
-
 def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
                        grid=9, safety=1.1):
     """Sample-based sup norms and Lipschitz constants of F1 and F2.
@@ -161,13 +132,13 @@ def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
         return np.concatenate(
             [f2, model.christoffel(ys).reshape(len(ys), -1)], axis=1)
 
-    values = fields(pts)
+    # jac[b, axis, :] is zero along an axis whose neighbour leaves the chart
+    values, jac = central_difference(fields, pts, model.inside)
     f2 = values[:, :n]
     gammas = values[:, n:].reshape(m, n, n, n)
-    jac = _central_difference(fields, pts, model.inside)
     norm_f2 = float(np.max(np.linalg.norm(f2, axis=1)))
     # Lipschitz of F2 over I1: largest sampled Jacobian (Frobenius bound)
-    lip_f2 = float(np.max(np.linalg.norm(jac[:, :n], axis=(1, 2))))
+    lip_f2 = float(np.max(np.linalg.norm(jac[:, :, :n], axis=(1, 2))))
 
     i2_radius = c_seed + k * norm_f2
     zs = _ball_grid(xdot0, safety * i2_radius, grid)
@@ -177,8 +148,8 @@ def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
     norm_f1 = float(np.max(np.linalg.norm(f1, axis=2)))
 
     # joint Lipschitz of F1 on I3: d/dz analytic, d/dy by differencing Gamma
-    dgam = jac[:, n:].reshape(m, n, n, n, n)
-    jy = -np.einsum("mkija,pi,pj->mpka", dgam, zs, zs)
+    dgam = jac[:, :, n:].reshape(m, n, n, n, n)
+    jy = -np.einsum("makij,pi,pj->mpka", dgam, zs, zs)
     jz = -2.0 * np.einsum("mklj,pj->mpkl", gammas, zs)
     jfull = np.concatenate([jy, jz], axis=3)
     lip_f1 = float(np.max(np.sqrt(np.sum(jfull * jfull, axis=(2, 3)))))

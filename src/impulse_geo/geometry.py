@@ -10,8 +10,10 @@ extrapolation.
 Fields come in two forms: per point (``christoffel_at``,
 ``inverse_metric_at``, ``contains``) and on ``(B, n)`` batches of points
 (``christoffel``, ``inverse_metric``, ``inside``).  The built-in models
-evaluate batches in closed form; user models loop over the per-point forms,
-with the same results.
+evaluate batches in closed form.  Models given only by a metric take their
+Christoffel symbols from one batched central difference of the metric
+(:func:`central_difference`), for a single point as for a batch; their
+other batch forms loop over the per-point ones, with the same results.
 
 Built-in models
 ---------------
@@ -103,22 +105,24 @@ class ManifoldModel:
         self.require_inside(x)
         if self._christoffel is not None:
             return np.asarray(self._christoffel(x), dtype=float)
-        return self._fd_christoffel(x)
+        return self._fd_christoffel(x[None])[0]
 
-    def _fd_christoffel(self, x):
-        n = self.dim
-        dh = np.empty((n, n, n))  # dh[l, i, j] = d_l h_ij
-        for axis in range(n):
-            step = _FD_STEP * max(1.0, abs(x[axis]))
-            xp = x.copy()
-            xp[axis] += step
-            xm = x.copy()
-            xm[axis] -= step
-            dh[axis] = (self.metric_at(xp) - self.metric_at(xm)) / (2.0 * step)
-        hinv = self.inverse_metric_at(x)
-        # T[i, j, l] = d_i h_jl + d_j h_il - d_l h_ij
-        t = dh + dh.transpose(1, 0, 2) - dh.transpose(1, 2, 0)
-        return 0.5 * np.einsum("kl,ijl->kij", hinv, t)
+    def _fd_christoffel(self, xs):
+        """Christoffel symbols of a checked ``(B, n)`` batch from the metric."""
+        # dh[b, l, i, j] = d_l h_ij; a neighbour outside the chart raises
+        h, dh = central_difference(self._metrics, xs)
+        if self._inverse_metric is None:
+            hinv = np.linalg.inv(h)
+        else:
+            hinv = np.array([self._inverse_metric(x) for x in xs], dtype=float)
+        # T[b, i, j, l] = d_i h_jl + d_j h_il - d_l h_ij
+        t = dh + dh.transpose(0, 2, 1, 3) - dh.transpose(0, 2, 3, 1)
+        return 0.5 * np.einsum("bkl,bijl->bkij", hinv, t)
+
+    def _metrics(self, xs):
+        """The metric callback on a ``(B, n)`` batch inside the chart."""
+        xs = self._require_batch_inside(xs)
+        return np.array([self._metric(x) for x in xs], dtype=float)
 
     def inside(self, xs):
         """Chart test on a ``(B, n)`` batch: a ``(B,)`` boolean mask."""
@@ -148,14 +152,51 @@ class ManifoldModel:
 
     def christoffel(self, xs):
         """Christoffel symbols ``Gamma[b, k, i, j]`` on a ``(B, n)`` batch."""
-        if self._batch_christoffel is None:
-            return _stack_rows(self.christoffel_at, xs, (self.dim,) * 3)
-        return self._batch_christoffel(self._require_batch_inside(xs))
+        if self._batch_christoffel is not None:
+            return self._batch_christoffel(self._require_batch_inside(xs))
+        if self._christoffel is None:
+            return self._fd_christoffel(self._require_batch_inside(xs))
+        return _stack_rows(self.christoffel_at, xs, (self.dim,) * 3)
 
     def norm_at(self, x, w):
         """Riemannian norm ``sqrt(h(w, w))`` of a tangent vector at ``x``."""
         h = self.metric_at(x)
         return math.sqrt(max(0.0, float(w @ h @ w)))
+
+
+def central_difference(field, pts, inside=None):
+    """``(field(pts), J)`` with ``J[b, axis, ...]`` the central difference
+    of a batch field along ``axis`` at ``pts[b]``.
+
+    ``field`` maps ``(B, n)`` points to ``(B, ...)`` values and is called
+    once, on the points and their ``2n`` neighbours together.  Each axis
+    steps by the cube-root step scaled by the coordinate's magnitude.  With
+    a chart test ``inside``, an axis whose ``+step`` or ``-step`` neighbour
+    fails it gets a zero column, and the field never sees that neighbour.
+    """
+    m, n = pts.shape
+    steps = _FD_STEP * np.maximum(1.0, np.abs(pts))
+    # rows: the points, then their neighbours indexed [point, sign, axis]
+    ys = np.empty(((2 * n + 1) * m, n))
+    ys[:m] = pts
+    nbrs = ys[m:].reshape(m, 2, n, n)
+    nbrs[...] = pts[:, None, None, :]
+    diag = nbrs.reshape(m, 2, n * n)[:, :, ::n + 1]  # nbrs[b, sign, a, a]
+    diag[:, 0] += steps
+    diag[:, 1] -= steps
+    if inside is None:
+        vals = field(ys)
+    else:
+        ok = inside(ys[m:]).reshape(m, 2, n).all(axis=1)
+        use = np.concatenate([np.ones(m, dtype=bool),
+                              np.broadcast_to(ok[:, None], (m, 2, n)).ravel()])
+        values = field(ys[use])
+        vals = np.zeros((len(ys),) + values.shape[1:])
+        vals[use] = values
+    tail = vals.shape[1:]
+    nb = vals[m:].reshape((m, 2, n) + tail)
+    scale = (2.0 * steps).reshape((m, n) + (1,) * len(tail))
+    return vals[:m], (nb[:, 0] - nb[:, 1]) / scale
 
 
 def _stack_rows(point_form, xs, shape):

@@ -35,8 +35,6 @@ __all__ = [
     "GrowthSample", "GrowthReport", "classify_growth",
 ]
 
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
 # 1 / integral of exp(-1/(1-s^2)) over (-1, 1); normalizes the standard bump
 _BUMP_NORM = 2.2522836210435810105
 
@@ -83,7 +81,8 @@ class WaveProfile:
 
     ``df`` maps a point ``(n,)`` to ``(n,)`` and a batch ``(B, n)`` to
     ``(B, n)``.  Built-in profiles differentiate a batch in closed form;
-    other profiles evaluate it point by point, with the same results.
+    other profiles evaluate ``df`` point by point, or ``f`` on the points of
+    one batched central difference, with the same results.
     """
 
     def __init__(self, f, df=None, *, name="custom", params=None):
@@ -102,24 +101,16 @@ class WaveProfile:
 
     def df(self, x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            if self._batch_df is not None:
-                return np.asarray(self._batch_df(x), dtype=float)
-            out = np.empty_like(x)
-            for b, p in enumerate(x):
-                out[b] = self.df(p)
-            return out
-        if self._df is not None:
+        if self._df is None:
+            _, jac = geometry.central_difference(
+                lambda ys: np.array([self._f(y) for y in ys], dtype=float),
+                np.atleast_2d(x))
+            return jac if x.ndim == 2 else jac[0]
+        if x.ndim == 1:
             return np.asarray(self._df(x), dtype=float)
-        out = np.empty_like(x)
-        for axis in range(x.size):
-            step = _FD_STEP * max(1.0, abs(x[axis]))
-            xp = x.copy()
-            xp[axis] += step
-            xm = x.copy()
-            xm[axis] -= step
-            out[axis] = (self._f(xp) - self._f(xm)) / (2.0 * step)
-        return out
+        if self._batch_df is not None:
+            return np.asarray(self._batch_df(x), dtype=float)
+        return np.array([self._df(p) for p in x], dtype=float).reshape(x.shape)
 
 
 def _with_batch_df(profile, batch_df):
@@ -263,42 +254,45 @@ class DeltaNet:
         return float(self._support(float(eps)))
 
 
-def _scaled_net(shape_scalar, shape_array, dshape_scalar, dshape_array,
-                l1_bound, name):
+def _bump_net(parts, l1_bound, name):
+    """Net with shape ``sum of w * bump((s - c) / r) / r`` over the
+    ``(w, c, r)`` parts, each a unit-integral bump.
+
+    Floats take the ``math`` bump (tested with ``isinstance`` first: the
+    integrator passes floats, and ``np.isscalar`` costs about a bump),
+    arrays the numpy one.  Sums start at ``-0.0``, which adds exactly.
+    """
     def ev(eps, u):
-        if np.isscalar(u):
-            return shape_scalar(u / eps) / eps
-        return shape_array(np.asarray(u, dtype=float) / eps) / eps
+        if isinstance(u, float) or np.isscalar(u):
+            s, bump = u / eps, _bump_scalar
+        else:
+            s, bump = np.asarray(u, dtype=float) / eps, _bump_array
+        total = -0.0
+        for w, c, r in parts:
+            total = total + w * bump((s - c) / r) / r
+        return total / eps
 
     def dv(eps, u):
-        if np.isscalar(u):
-            return dshape_scalar(u / eps) / (eps * eps)
-        return dshape_array(np.asarray(u, dtype=float) / eps) / (eps * eps)
+        if isinstance(u, float) or np.isscalar(u):
+            s, bump_prime = u / eps, _bump_prime_scalar
+        else:
+            s, bump_prime = np.asarray(u, dtype=float) / eps, _bump_prime_array
+        total = -0.0
+        for w, c, r in parts:
+            total = total + w * bump_prime((s - c) / r) / (r * r)
+        return total / (eps * eps)
 
     return DeltaNet(ev, dv, lambda eps: eps, l1_bound, name=name)
 
 
 def mollifier_net():
     """Symmetric nonnegative mollifier, unit integral for every eps (K = 1)."""
-    return _scaled_net(_bump_scalar, _bump_array,
-                       _bump_prime_scalar, _bump_prime_array, 1.0, "mollifier")
+    return _bump_net(((1.0, 0.0, 1.0),), 1.0, "mollifier")
 
 
 def asymmetric_net():
     """Nonnegative net with shape supported in (-1, 0.5), unit integral (K = 1)."""
-    def shape_s(s):
-        return _bump_scalar((s + 0.25) / 0.75) / 0.75
-
-    def shape_a(s):
-        return _bump_array((np.asarray(s) + 0.25) / 0.75) / 0.75
-
-    def dshape_s(s):
-        return _bump_prime_scalar((s + 0.25) / 0.75) / 0.75 ** 2
-
-    def dshape_a(s):
-        return _bump_prime_array((np.asarray(s) + 0.25) / 0.75) / 0.75 ** 2
-
-    return _scaled_net(shape_s, shape_a, dshape_s, dshape_a, 1.0, "asymmetric")
+    return _bump_net(((1.0, -0.25, 0.75),), 1.0, "asymmetric")
 
 
 def signed_net():
@@ -307,23 +301,7 @@ def signed_net():
     Both component shapes have unit integral, so the difference integrates
     to one exactly while dipping negative near s = 0.6.
     """
-    def shape_s(s):
-        return 1.25 * _bump_scalar(s) - 0.25 * _bump_scalar((s - 0.6) / 0.3) / 0.3
-
-    def shape_a(s):
-        s = np.asarray(s)
-        return 1.25 * _bump_array(s) - 0.25 * _bump_array((s - 0.6) / 0.3) / 0.3
-
-    def dshape_s(s):
-        return (1.25 * _bump_prime_scalar(s)
-                - 0.25 * _bump_prime_scalar((s - 0.6) / 0.3) / 0.09)
-
-    def dshape_a(s):
-        s = np.asarray(s)
-        return (1.25 * _bump_prime_array(s)
-                - 0.25 * _bump_prime_array((s - 0.6) / 0.3) / 0.09)
-
-    return _scaled_net(shape_s, shape_a, dshape_s, dshape_a, 1.5, "signed")
+    return _bump_net(((1.25, 0.0, 1.0), (-0.25, 0.6, 0.3)), 1.5, "signed")
 
 
 @dataclass

@@ -191,6 +191,30 @@ def test_cli_validation_exit_codes(tmp_path):
     assert main(["integrate", "--config", cfg2]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("eps", "wide"),
+    ("u_end", "far"),
+    ("samples", "many"),
+    ("seed", "zero"),
+    ("workers", "two"),
+    ("u_probes", [0.5, "late"]),
+    ("eps_schedule", [0.1, "small"]),
+    ("data", {"x0": [0.0, "origin"], "xdot0": [1.0, 0.0]}),
+    ("tolerances", {"rtol": "tight"}),
+    ("manifold", "euclidean"),
+    ("profile", {"name": "linear", "coeffs": [1.0, 0.0, 0.0]}),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_cli_malformed_values_exit_2(tmp_path, capsys, key, value):
+    payload = dict(BASE)
+    payload[key] = value
+    if key == "eps_schedule":
+        del payload["eps"]
+    with pytest.raises(ConfigError):
+        config.parse_config(json.dumps(payload))
+    assert main(["integrate", "--config", write_cfg(tmp_path, payload)]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_cli_rejects_unsupported_output_pairing(tmp_path):
     payload = dict(BASE)
     del payload["eps"]

@@ -146,19 +146,6 @@ def test_tolerance_halving_moves_endpoint_less_than_tenfold_tolerance():
     assert diff < 1e-7
 
 
-def test_bypass_equivalence():
-    eps = 0.1
-    data = InitialData([0.0, 1.0], [0.5, 0.2])
-    model = geometry.hyperbolic_half_plane()
-    prof = profiles.gaussian_bump_profile(1.0, [0.8, 1.2], 0.8)
-    a = integrate_impulsive_geodesic(model, prof, NET, eps, data, 1.0,
-                                     bypass_outside=True)
-    b = integrate_impulsive_geodesic(model, prof, NET, eps, data, 1.0,
-                                     bypass_outside=False)
-    us = np.linspace(-1.0, 1.0, 101)
-    assert np.max(np.abs(a.sample(us) - b.sample(us))) <= 1e-12
-
-
 def test_interpolant_consistent_with_reintegration_at_half_tolerance():
     model = geometry.hyperbolic_half_plane()
     prof = profiles.gaussian_bump_profile(1.0, [0.8, 1.2], 0.8)

@@ -12,6 +12,13 @@ def models():
             geometry.sphere_stereographic()]
 
 
+def sphere_from_metric():
+    """The round sphere given only by its metric: FD Christoffel symbols."""
+    return geometry.from_metric(
+        2, lambda x: 4.0 / (1.0 + float(x @ x)) ** 2 * np.eye(2),
+        name="sphere_from_metric")
+
+
 def random_point(model, rng):
     if model.name.startswith("euclidean"):
         return rng.uniform(-2.0, 2.0, size=model.dim)
@@ -141,7 +148,8 @@ def test_chart_domain_errors():
     assert not model.contains(bad)
 
 
-@pytest.mark.parametrize("model", models(), ids=lambda m: m.name)
+@pytest.mark.parametrize("model", models() + [sphere_from_metric()],
+                         ids=lambda m: m.name)
 def test_batch_forms_match_point_forms(model):
     rng = np.random.default_rng(41)
     xs = np.array([random_point(model, rng) for _ in range(200)])
@@ -167,6 +175,14 @@ def test_batch_forms_reject_points_outside_chart():
                                 chart_domain=lambda x: x[1] > 0.0)
     with pytest.raises(ChartDomainError):
         user.christoffel(xs)
+    # inside the chart, but the -step neighbour of the x2 difference is not;
+    # the integrator relies on this error to retry a smaller step there
+    edge = np.array([0.0, 3e-6])
+    assert user.contains(edge)
+    with pytest.raises(ChartDomainError):
+        user.christoffel_at(edge)
+    with pytest.raises(ChartDomainError):
+        user.christoffel(edge[None])
     for model in models() + [user]:
         bad = np.array([[0.1, 1.0], [np.nan, 1.0]])
         assert model.inside(bad).tolist() == [True, False]
