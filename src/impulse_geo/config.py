@@ -134,6 +134,8 @@ def _check_sections(raw, dim):
     for key, value in (raw.get("growth") or {}).items():
         if key == "directions":
             _rows("growth.directions", value, dim)
+            if any(not any(row) for row in value):
+                raise ConfigError("growth.directions must be nonzero vectors")
         elif key in ("center", "radii"):
             _numbers(f"growth.{key}", value, dim if key == "center" else None)
         else:

@@ -13,6 +13,12 @@ background geodesic system, and :func:`integrate_impulsive_geodesic`
 integrates the three phases separately with forced step boundaries at
 ``u = -eps`` and ``u = +eps``.
 
+A single trajectory uses the per-point field.  A convergence study runs
+one trajectory per width as one ensemble (:func:`_integrate_ensemble`):
+its field takes the ``(B, n)`` batch forms of the model and the profile,
+with a width and a parameter ``u`` per row, and its acceleration is the
+one the Picard iteration integrates (:func:`batch_acceleration`).
+
 The raw state vector layout is ``[x (n), xdot (n), v, vdot]``.
 """
 
@@ -220,6 +226,58 @@ def _system(model, profile, net, eps):
     return fun
 
 
+def batch_acceleration(model, profile, x, xd, forced, delta):
+    """``-Gamma(xd, xd)`` on a ``(B, n)`` batch, plus ``1/2 delta grad f``
+    on the rows ``forced``, where ``delta`` holds the impulse values.
+
+    Returns the acceleration and ``df`` on the forced rows.  Every row is
+    computed from its own inputs only: the forcing is indexed, never
+    multiplied by a zero mask, which would turn an infinite gradient on a
+    row outside the strip into NaN.
+    """
+    acc = -np.einsum("bkij,bi,bj->bk", model.christoffel(x), xd, xd)
+    if not len(forced):
+        return acc, None
+    xf = x[forced]
+    df = profile.df(xf)
+    grad = np.einsum("bkm,bm->bk", model.inverse_metric(xf), df)
+    acc[forced] += (0.5 * delta)[:, None] * grad
+    return acc, df
+
+
+def _ensemble_system(model, profile, net, eps):
+    """The geodesic field ``fun(u, Y, rows)`` of an ensemble: row ``i`` of
+    the ``(m, 2n + 2)`` raw states ``Y`` sits at ``u[i]`` and has the width
+    ``eps[rows[i]]``.  Per row it computes what :func:`_system` computes;
+    the impulse is evaluated per strip row, on floats, as there."""
+    n = model.dim
+    eps = [float(e) for e in eps]
+    radius = np.array([net.support_radius(e) for e in eps])
+
+    def fun(u, y, rows):
+        x = y[:, :n]
+        xd = y[:, n:2 * n]
+        r = radius[rows]
+        strip = np.nonzero((-r < u) & (u < r))[0]
+        d = np.array([net.eval(eps[rows[i]], float(u[i])) for i in strip])
+        dd = np.array([net.deriv(eps[rows[i]], float(u[i])) for i in strip])
+        on = (d != 0.0) | (dd != 0.0)
+        forced, d, dd = strip[on], d[on], dd[on]
+        acc, df = batch_acceleration(model, profile, x, xd, forced, d)
+        out = np.empty_like(y)
+        out[:, :n] = xd
+        out[:, n:2 * n] = acc
+        out[:, 2 * n] = y[:, 2 * n + 1]
+        out[:, 2 * n + 1] = 0.0
+        if len(forced):
+            slope = np.einsum("bi,bi->b", df, xd[forced])
+            out[forced, 2 * n + 1] = (-slope * d
+                                      - 0.5 * profile.f(x[forced]) * dd)
+        return out
+
+    return fun
+
+
 def _energy_diagnostics(path, model, profile, net, eps):
     us = path.node_parameters()
     e0 = lagrangian_energy(path.state_at(us[0]), model, profile, net, eps)
@@ -249,6 +307,23 @@ def background_path(model, x0, xdot0, u_start, u_end, *, v0=0.0, vdot0=0.0,
     return path
 
 
+def _check_inputs(model, eps, data, u_end):
+    if not all(0.0 < e <= 0.5 for e in eps):
+        raise ValueError("eps must lie in (0, 1/2]")
+    if not all(u > e for e, u in zip(eps, u_end)):
+        raise ValueError("u_end must exceed eps")
+    if len(data.x0) != model.dim:
+        raise ValueError("initial data dimension does not match the manifold")
+    model.require_inside(data.x0)
+
+
+def _phase_plan(eps, u_end, cap):
+    """``(phase, start, end, step cap)`` of the three phases, for one width
+    or, with arrays, for each row of an ensemble."""
+    return [("pre", -1.0, -eps, math.inf), ("strip", -eps, eps, cap),
+            ("post", eps, u_end, math.inf)]
+
+
 def integrate_impulsive_geodesic(model, profile, net, eps, data, u_end, *,
                                  rtol=1e-10, atol=1e-10, blowup=1e8,
                                  strip_step_divisor=50):
@@ -265,22 +340,10 @@ def integrate_impulsive_geodesic(model, profile, net, eps, data, u_end, *,
     trajectory leaves the chart; the exception records the failing phase and
     the path integrated so far.
     """
-    if not 0.0 < eps <= 0.5:
-        raise ValueError("eps must lie in (0, 1/2]")
-    if not u_end > eps:
-        raise ValueError("u_end must exceed eps")
-    if len(data.x0) != model.dim:
-        raise ValueError("initial data dimension does not match the manifold")
-    model.require_inside(data.x0)
-
-    radius = net.support_radius(eps)
-    cap = radius / strip_step_divisor
+    _check_inputs(model, [eps], data, [u_end])
     fun = _system(model, profile, net, eps)
-    plan = [
-        ("pre", -1.0, -eps, math.inf),
-        ("strip", -eps, eps, cap),
-        ("post", eps, u_end, math.inf),
-    ]
+    plan = _phase_plan(eps, u_end,
+                       net.support_radius(eps) / strip_step_divisor)
 
     pieces = []
     diag = PathDiagnostics()
@@ -306,3 +369,59 @@ def integrate_impulsive_geodesic(model, profile, net, eps, data, u_end, *,
                         diagnostics=diag)
     _energy_diagnostics(path, model, profile, net, eps)
     return path
+
+
+def _integrate_ensemble(model, profile, net, eps, data, u_end, *,
+                        rtol=1e-10, atol=1e-10, blowup=1e8,
+                        strip_step_divisor=50):
+    """Integrate one impulsive geodesic per width ``eps[r]`` from the same
+    data, each to ``u_end[r]`` (or a common ``u_end``).
+
+    Each phase of :func:`integrate_impulsive_geodesic` (pre ``[-1, -eps]``,
+    strip ``[-eps, eps]`` with its step cap, post ``[eps, u_end]``) is one
+    ensemble call of :func:`solve_rk45` over the rows still alive.  Returns
+    one entry per width: a :class:`GeodesicPath` with that row's step
+    counts (energy diagnostics are not computed), or the row's
+    :class:`IntegrationFailure`.  A row does not depend on the other
+    widths of the batch.
+    """
+    eps = [float(e) for e in eps]
+    u_end = np.broadcast_to(np.asarray(u_end, dtype=float), (len(eps),))
+    _check_inputs(model, eps, data, u_end)
+    e = np.array(eps)
+    cap = np.array([net.support_radius(w) for w in eps]) / strip_step_divisor
+    plan = _phase_plan(e, u_end, cap)
+    results = [None] * len(eps)
+    pieces = [[] for _ in eps]
+    diags = [PathDiagnostics() for _ in eps]
+    y = np.tile(data.as_vector(), (len(eps), 1))
+    live = np.arange(len(eps))
+    for name, a, b, max_step in plan:
+        a, b, max_step = (np.broadcast_to(v, e.shape)[live]
+                          for v in (a, b, max_step))
+        fun = _ensemble_system(model, profile, net, e[live])
+        outcomes, stats = solve_rk45(fun, a, b, y[live], rtol=rtol, atol=atol,
+                                     max_step=max_step, blowup=blowup,
+                                     phase=name)
+        for r, dense, counts in zip(live, outcomes, stats["rows"]):
+            diags[r].n_steps += counts["n_steps"]
+            diags[r].n_rejected += counts["n_rejected"]
+            diags[r].n_rhs += counts["n_rhs"]
+            if isinstance(dense, IntegrationFailure):
+                done = pieces[r] + ([dense.partial]
+                                     if dense.partial is not None else [])
+                if done:
+                    dense.partial = GeodesicPath(model.dim, done,
+                                                 phase_marks=(-eps[r], eps[r]))
+                results[r] = dense
+            else:
+                pieces[r].append(dense)
+                y[r] = dense.ys[-1]
+        live = np.array([r for r in live if results[r] is None], dtype=int)
+        if not live.size:
+            break
+    for r in live:
+        results[r] = GeodesicPath(model.dim, pieces[r],
+                                  phase_marks=(-eps[r], eps[r]),
+                                  diagnostics=diags[r])
+    return results

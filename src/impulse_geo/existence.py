@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
+from .dynamics import batch_acceleration
 from .errors import CertificateViolation, ChartDomainError, NumericalError
 from .geometry import central_difference
 from .profiles import metric_gradient
@@ -228,9 +229,8 @@ def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol, max_iter,
         iterations += 1
         # F1 on every node (which also tests every node against the chart)
         # and F2 on the nodes where the impulse is active
-        integrand = -np.einsum("bkij,bi,bj->bk", model.christoffel(x), xd, xd)
-        integrand[active] += (0.5 * delta[active])[:, None] * metric_gradient(
-            profile, model, x[active])
+        integrand, _ = batch_acceleration(model, profile, x, xd, active,
+                                          delta[active])
         xd_new = xdot0 + cumulative_simpson(integrand, x=t, axis=0, initial=0.0)
         x_new = x0 + cumulative_simpson(xd_new, x=t, axis=0, initial=0.0)
         shift = (float(np.max(np.abs(x_new - x)))

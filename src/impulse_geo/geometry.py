@@ -12,8 +12,9 @@ Fields come in two forms: per point (``christoffel_at``,
 (``christoffel``, ``inverse_metric``, ``inside``).  The built-in models
 evaluate batches in closed form.  Models given only by a metric take their
 Christoffel symbols from one batched central difference of the metric
-(:func:`central_difference`), for a single point as for a batch; their
-other batch forms loop over the per-point ones, with the same results.
+(:func:`central_difference`), for a single point as for a batch, and their
+inverse metrics from one batched inverse (or the inverse-metric callback
+per point); their chart test loops over ``contains``.
 
 Built-in models
 ---------------
@@ -111,10 +112,8 @@ class ManifoldModel:
         """Christoffel symbols of a checked ``(B, n)`` batch from the metric."""
         # dh[b, l, i, j] = d_l h_ij; a neighbour outside the chart raises
         h, dh = central_difference(self._metrics, xs)
-        if self._inverse_metric is None:
-            hinv = np.linalg.inv(h)
-        else:
-            hinv = np.array([self._inverse_metric(x) for x in xs], dtype=float)
+        hinv = (np.linalg.inv(h) if self._inverse_metric is None
+                else self._inverse_rows(xs))
         # T[b, i, j, l] = d_i h_jl + d_j h_il - d_l h_ij
         t = dh + dh.transpose(0, 2, 1, 3) - dh.transpose(0, 2, 3, 1)
         return 0.5 * np.einsum("bkl,bijl->bkij", hinv, t)
@@ -123,6 +122,10 @@ class ManifoldModel:
         """The metric callback on a ``(B, n)`` batch inside the chart."""
         xs = self._require_batch_inside(xs)
         return np.array([self._metric(x) for x in xs], dtype=float)
+
+    def _inverse_rows(self, xs):
+        """The inverse-metric callback on a checked ``(B, n)`` batch."""
+        return np.array([self._inverse_metric(x) for x in xs], dtype=float)
 
     def inside(self, xs):
         """Chart test on a ``(B, n)`` batch: a ``(B,)`` boolean mask."""
@@ -146,9 +149,11 @@ class ManifoldModel:
 
     def inverse_metric(self, xs):
         """Inverse metrics ``(B, n, n)`` on a ``(B, n)`` batch of points."""
-        if self._batch_inverse_metric is None:
-            return _stack_rows(self.inverse_metric_at, xs, (self.dim,) * 2)
-        return self._batch_inverse_metric(self._require_batch_inside(xs))
+        if self._batch_inverse_metric is not None:
+            return self._batch_inverse_metric(self._require_batch_inside(xs))
+        if self._inverse_metric is None:
+            return np.linalg.inv(self._metrics(xs))
+        return self._inverse_rows(self._require_batch_inside(xs))
 
     def christoffel(self, xs):
         """Christoffel symbols ``Gamma[b, k, i, j]`` on a ``(B, n)`` batch."""

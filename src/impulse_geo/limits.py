@@ -209,6 +209,39 @@ class ConvergenceTable:
         return rows
 
 
+def _u_end(u_probes, eps):
+    """Where a study integrates to: past every probe and the strip."""
+    return float(max(u_probes.max(), eps)) + 0.1
+
+
+def _study_rows(model, profile, net, data, schedule, u_probes, probes_xdot,
+                limit, rtol, atol):
+    """Errors against ``limit`` for every width of ``schedule``, integrated
+    as one ensemble: per width ``(err_x, err_xdot, err_v)`` or the row's
+    :class:`IntegrationFailure`.  A row does not depend on the others, so
+    each equals the same width studied alone."""
+    paths = dynamics._integrate_ensemble(
+        model, profile, net, schedule, data,
+        [_u_end(u_probes, eps) for eps in schedule],
+        rtol=rtol, atol=atol)
+    rows = []
+    for eps, path in zip(schedule, paths):
+        if isinstance(path, IntegrationFailure):
+            rows.append(path)
+            continue
+        probes_out = (u_probes[np.abs(u_probes) > eps] if probes_xdot is None
+                      else probes_xdot)
+        ex = float(np.max(np.linalg.norm(path.x_at(u_probes)
+                                         - limit.x_at(u_probes), axis=1)))
+        exd = float(np.max(np.linalg.norm(path.xdot_at(probes_out)
+                                          - limit.xdot_at(probes_out),
+                                          axis=1)))
+        ev = float(np.max(np.abs(path.v_at(probes_out)
+                                 - limit.v_at(probes_out))))
+        rows.append((ex, exd, ev))
+    return rows
+
+
 def study_errors(model, profile, net, data, eps, u_probes, limit=None, *,
                  probes_xdot=None, rtol=1e-10, atol=1e-10):
     """Errors of one regularized trajectory against the sharp limit.
@@ -218,25 +251,21 @@ def study_errors(model, profile, net, data, eps, u_probes, limit=None, *,
     velocity and v columns use ``probes_xdot`` (in a study: the probes
     clearing the widest strip of the schedule, so the columns are
     comparable across rows); they do not converge at the shock itself.
+    This is the one-width case of :func:`convergence_study`, with the same
+    bits per width.
     """
     u_probes = np.asarray(u_probes, dtype=float)
-    if probes_xdot is None:
-        probes_out = u_probes[np.abs(u_probes) > eps]
-    else:
-        probes_out = np.asarray(probes_xdot, dtype=float)
-    u_max = float(max(u_probes.max(), eps)) + 0.1
+    if probes_xdot is not None:
+        probes_xdot = np.asarray(probes_xdot, dtype=float)
     if limit is None:
-        limit = limit_geodesic(model, profile, data, u_end=u_max,
-                               rtol=rtol, atol=atol)
-    path = dynamics.integrate_impulsive_geodesic(
-        model, profile, net, eps, data, u_end=u_max, rtol=rtol, atol=atol)
-    ex = float(np.max(np.linalg.norm(path.x_at(u_probes)
-                                     - limit.x_at(u_probes), axis=1)))
-    exd = float(np.max(np.linalg.norm(path.xdot_at(probes_out)
-                                      - limit.xdot_at(probes_out), axis=1)))
-    ev = float(np.max(np.abs(path.v_at(probes_out)
-                             - limit.v_at(probes_out))))
-    return ex, exd, ev
+        limit = limit_geodesic(model, profile, data,
+                               u_end=_u_end(u_probes, eps), rtol=rtol,
+                               atol=atol)
+    row, = _study_rows(model, profile, net, data, [float(eps)], u_probes,
+                       probes_xdot, limit, rtol, atol)
+    if isinstance(row, IntegrationFailure):
+        raise row
+    return row
 
 
 def convergence_study(model, profile, net, data, eps_schedule, u_probes, *,
@@ -245,8 +274,9 @@ def convergence_study(model, profile, net, data, eps_schedule, u_probes, *,
 
     The probes must avoid ``u = 0``; probes inside the widest strip are
     excluded from the velocity and v columns, which must keep at least one
-    probe clear of ``[-max(eps), max(eps)]``.  Rows whose integration fails
-    are flagged and the study continues.
+    probe clear of ``[-max(eps), max(eps)]``.  All widths are integrated
+    as one ensemble; rows whose integration fails are flagged and the
+    others are unaffected.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if any(e <= 0 for e in eps_schedule):
@@ -264,25 +294,14 @@ def convergence_study(model, profile, net, data, eps_schedule, u_probes, *,
             "no probe clears the widest strip; the velocity and v errors "
             "need probes with |u| > max(eps_schedule)")
 
-    u_max = float(max(u_probes.max(), eps_max)) + 0.1
-    limit = limit_geodesic(model, profile, data, u_end=u_max,
-                           rtol=rtol, atol=atol)
-    err_x, err_xdot, err_v, failed = [], [], [], []
-    for eps in eps_schedule:
-        try:
-            ex, exd, ev = study_errors(model, profile, net, data, eps,
-                                       u_probes, limit=limit,
-                                       probes_xdot=probes_out,
-                                       rtol=rtol, atol=atol)
-            err_x.append(ex)
-            err_xdot.append(exd)
-            err_v.append(ev)
-            failed.append(False)
-        except IntegrationFailure:
-            err_x.append(math.nan)
-            err_xdot.append(math.nan)
-            err_v.append(math.nan)
-            failed.append(True)
+    limit = limit_geodesic(model, profile, data,
+                           u_end=_u_end(u_probes, eps_max), rtol=rtol,
+                           atol=atol)
+    rows = _study_rows(model, profile, net, data, eps_schedule, u_probes,
+                       probes_out, limit, rtol, atol)
+    failed = [isinstance(row, IntegrationFailure) for row in rows]
+    errs = [(math.nan,) * 3 if bad else row for row, bad in zip(rows, failed)]
+    err_x, err_xdot, err_v = zip(*errs)
     return ConvergenceTable.from_rows(eps_schedule, err_x, err_xdot, err_v,
                                       failed, tuple(u_probes),
                                       tuple(probes_out))

@@ -16,6 +16,22 @@ Two guards reflect how chart-based geometry fails in practice:
   carrying the last accepted state;
 * an accepted state whose magnitude exceeds the blow-up bound aborts
   immediately.
+
+A ``(B, D)`` initial state integrates B independent trajectories as one
+ensemble (the vectorized form of the same controller, see Hairer, Norsett
+and Wanner, *Solving ODEs I*, II.4-6).  ``t0``, ``t1`` and ``max_step``
+may then be given per row, and the right-hand side is called as
+``fun(t, Y, rows)`` on the ``(m,)`` parameters and ``(m, D)`` states of the
+live rows ``rows`` (indices into ``y0``).  Every row keeps its own step
+size, end point, step cap, accept/reject decision, stage-failure halving,
+blow-up and step-limit checks and dense output; the step-size arithmetic
+runs per row in Python floats, exactly as for a single trajectory.  A row
+whose stage raises :class:`~impulse_geo.errors.ChartDomainError` is
+re-evaluated alone, so a failure marks only the rows it concerns.  A row
+that fails becomes that row's :class:`IntegrationFailure` and drops out;
+the ensemble call itself never raises for one row.  Provided ``fun``
+computes each row independently of the others, every row is bit-identical
+to the same row integrated in any other batch.
 """
 
 import math
@@ -122,22 +138,32 @@ def _rms(v):
     return float(np.sqrt(np.mean(v * v)))
 
 
-def _initial_step(fun, t0, y0, f0, t_end, rtol, atol, max_step):
+def _first_guess(t0, y0, f0, t_end, rtol, atol, max_step):
+    """The trial step ``h0`` of the initial-step heuristic, with the error
+    scale and the scaled slope norm ``d1`` that its second half needs."""
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t_end - t0, max_step)
-    try:
-        f1 = _checked(fun, t0 + h0, y0 + h0 * f0)
-        d2 = _rms((f1 - f0) / scale) / h0
-    except _StageFailure:
-        return max(h0 * 1e-3, 1e-12)
+    return min(h0, t_end - t0, max_step), scale, d1
+
+
+def _second_guess(h0, d1, d2, t0, t_end, max_step):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, t_end - t0, max_step)
+
+
+def _initial_step(fun, t0, y0, f0, t_end, rtol, atol, max_step):
+    h0, scale, d1 = _first_guess(t0, y0, f0, t_end, rtol, atol, max_step)
+    try:
+        f1 = _checked(fun, t0 + h0, y0 + h0 * f0)
+        d2 = _rms((f1 - f0) / scale) / h0
+    except _StageFailure:
+        return max(h0 * 1e-3, 1e-12)
+    return _second_guess(h0, d1, d2, t0, t_end, max_step)
 
 
 def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
@@ -148,7 +174,15 @@ def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
     ``[t0, t1]`` and ``stats`` is a dict with step counts.  Raises
     :class:`IntegrationFailure` on blow-up, chart escape or step collapse;
     the exception carries the last accepted state and the partial path.
+
+    A ``(B, D)`` state ``y0`` is an ensemble (see the module docstring):
+    ``path`` is then a list holding, per row, a :class:`DensePath` or the
+    row's :class:`IntegrationFailure`; ``stats`` holds the counts summed
+    over the rows and, under ``"rows"``, one count dict per row.
     """
+    if np.ndim(y0) == 2:
+        return _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step,
+                               first_step, blowup, phase)
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
     y = np.asarray(y0, dtype=float).copy()
@@ -219,3 +253,159 @@ def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
 
     stats = {"n_steps": n_accepted, "n_rejected": n_rejected, "n_rhs": n_rhs}
     return DensePath(ts, ys, coeffs), stats
+
+
+def _rows_checked(fun, t, y, rows):
+    """``fun`` on the live rows ``rows`` and a mask of the rows it could
+    evaluate.  A :class:`ChartDomainError` is resolved row by row, so it
+    marks only the rows that raise it."""
+    try:
+        f = np.asarray(fun(t, y, rows), dtype=float)
+    except ChartDomainError:
+        if len(rows) == 1:
+            return np.full(y.shape, np.nan), np.zeros(1, dtype=bool)
+        parts = [_rows_checked(fun, t[i:i + 1], y[i:i + 1], rows[i:i + 1])
+                 for i in range(len(rows))]
+        return (np.concatenate([p[0] for p in parts]),
+                np.concatenate([p[1] for p in parts]))
+    return f, np.all(np.isfinite(f), axis=1)
+
+
+def _per_row(value, b):
+    return [float(v) for v in np.broadcast_to(np.asarray(value, float), (b,))]
+
+
+def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, first_step,
+                    blowup, phase):
+    """The ensemble form of :func:`solve_rk45` on a ``(B, D)`` state.
+
+    Stage arithmetic runs on the live rows at once; times, step sizes,
+    error norms and controller factors are per-row Python floats, computed
+    as in the single-trajectory loop.
+    """
+    y = np.array(y0, dtype=float)
+    b = len(y)
+    t0s, t1s, caps = (_per_row(v, b) for v in (t0, t1, max_step))
+    if not all(e > s for s, e in zip(t0s, t1s)):
+        raise ValueError("t1 must exceed t0")
+    out = [None] * b
+    ts = [[s] for s in t0s]
+    ys = [[row.copy()] for row in y]
+    coeffs = [[] for _ in range(b)]
+    n_accepted, n_rejected, n_rhs = [0] * b, [0] * b, [1] * b
+    stage_failed = [False] * b
+    t = list(t0s)
+
+    f, ok = _rows_checked(fun, np.array(t), y, np.arange(b))
+    for r in np.nonzero(~ok)[0]:
+        out[r] = IntegrationFailure(
+            "chart_escape", t[r], y[r].copy(), phase,
+            "right-hand side undefined at the initial state")
+    live = [r for r in range(b) if out[r] is None]
+
+    h = [0.0] * b if first_step is None else _per_row(first_step, b)
+    if first_step is None and live:
+        guesses = [_first_guess(t[r], y[r], f[r], t1s[r], rtol, atol, caps[r])
+                   for r in live]
+        idx = np.array(live, dtype=int)
+        h0 = np.array([g[0] for g in guesses])
+        f1, ok = _rows_checked(fun, np.array(t)[idx] + h0,
+                               y[idx] + h0[:, None] * f[idx], idx)
+        for j, (r, (h0r, scale, d1)) in enumerate(zip(live, guesses)):
+            if ok[j]:
+                d2 = _rms((f1[j] - f[r]) / scale) / h0r
+                h[r] = _second_guess(h0r, d1, d2, t[r], t1s[r], caps[r])
+            else:
+                h[r] = max(h0r * 1e-3, 1e-12)
+    for r in live:
+        h[r] = min(max(h[r], 1e-12), caps[r], t1s[r] - t0s[r])
+
+    def fail(r, reason, u, state, msg=None):
+        partial = (DensePath(ts[r], ys[r], coeffs[r]) if len(ts[r]) >= 2
+                   else None)
+        out[r] = IntegrationFailure(reason, u, state, phase, msg,
+                                    partial=partial)
+
+    while live:
+        trial = []
+        for r in live:
+            if not t1s[r] - t[r] > 1e-14 * max(1.0, abs(t0s[r]), abs(t1s[r])):
+                out[r] = DensePath(ts[r], ys[r], coeffs[r])
+            elif n_accepted[r] + n_rejected[r] >= _MAX_STEPS:
+                fail(r, "step_limit", t[r], y[r].copy())
+            else:
+                h[r] = min(h[r], caps[r], t1s[r] - t[r])
+                if h[r] < 1e-14 * max(1.0, abs(t[r])):
+                    fail(r, "chart_escape" if stage_failed[r]
+                         else "step_underflow", t[r], y[r].copy())
+                else:
+                    trial.append(r)
+        live = trial
+        if not live:
+            break
+        idx = np.array(live)
+        hv = np.array([h[r] for r in live])
+        tv = np.array([t[r] for r in live])
+        yv = y[idx]
+        k = [f[idx]]
+        for s, ai in enumerate(_A):
+            yi = yv + hv[:, None] * sum(a * kk for a, kk in zip(ai, k))
+            if s < len(_C):
+                ui = tv + _C[s] * hv
+            else:
+                # the propagated solution; snap onto the end point
+                t1v = np.array([t1s[r] for r in idx])
+                ui = tv + hv
+                ui = np.where(t1v - ui < 1e-12 * np.maximum(1.0, np.abs(t1v)),
+                              t1v, ui)
+            fi, ok = _rows_checked(fun, ui, yi, idx)
+            if not ok.all():
+                for r in idx[~ok]:
+                    stage_failed[r] = True
+                    n_rejected[r] += 1
+                    h[r] *= 0.5
+                idx, hv, tv, yv, yi, ui, fi = (
+                    arr[ok] for arr in (idx, hv, tv, yv, yi, ui, fi))
+                k = [kk[ok] for kk in k]
+                if not len(idx):
+                    break
+            k.append(fi)
+        else:
+            y_new, t_new = yi, ui
+            err = hv[:, None] * sum(e * kk for e, kk in zip(_ERR, k))
+            ratio = err / (atol + rtol * np.maximum(np.abs(yv), np.abs(y_new)))
+            err_norms = np.sqrt(np.mean(ratio * ratio, axis=1))
+            big = np.max(np.abs(y_new), axis=1) > blowup
+            dense = np.einsum("sbd,sj->bdj", np.asarray(k), _P)
+            for j, r in enumerate(idx.tolist()):
+                n_rhs[r] += 7
+                err_norm = float(err_norms[j])
+                if err_norm <= 1.0:
+                    if big[j]:
+                        fail(r, "blow_up", float(t_new[j]), y_new[j],
+                             f"state magnitude exceeded {blowup:g}")
+                        continue
+                    coeffs[r].append(dense[j])
+                    t[r] = float(t_new[j])
+                    y[r] = y_new[j]
+                    f[r] = k[-1][j]
+                    ts[r].append(t[r])
+                    ys[r].append(y_new[j].copy())
+                    n_accepted[r] += 1
+                    stage_failed[r] = False
+                    factor = _MAX_FACTOR if err_norm == 0.0 else min(
+                        _MAX_FACTOR,
+                        max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
+                    h[r] *= factor
+                else:
+                    n_rejected[r] += 1
+                    h[r] *= min(1.0, max(_MIN_FACTOR,
+                                         _SAFETY * err_norm ** -0.2))
+        live = [r for r in live if out[r] is None]
+
+    rows = [{"n_steps": n_accepted[r], "n_rejected": n_rejected[r],
+             "n_rhs": n_rhs[r]} for r in range(b)]
+    stats = {key: sum(row[key] for row in rows)
+             for key in ("n_steps", "n_rejected", "n_rhs")}
+    stats["rows"] = rows
+    return out, stats

@@ -2,8 +2,8 @@
 regularizations.
 
 A :class:`WaveProfile` is a scalar function ``f`` on chart coordinates
-together with its coordinate differential ``df``, which also takes
-``(B, n)`` batches of points.  A :class:`DeltaNet` is a
+together with its coordinate differential ``df``; both also take ``(B, n)``
+batches of points.  A :class:`DeltaNet` is a
 family ``delta_eps`` of smooth functions regularizing the unit impulse at
 ``u = 0``; the built-in nets satisfy the three strict-net properties by
 construction:
@@ -79,15 +79,17 @@ class WaveProfile:
     loss is acceptable for ``f`` but would not be for the impulse family,
     whose derivative is therefore always analytic for built-in nets.
 
-    ``df`` maps a point ``(n,)`` to ``(n,)`` and a batch ``(B, n)`` to
-    ``(B, n)``.  Built-in profiles differentiate a batch in closed form;
-    other profiles evaluate ``df`` point by point, or ``f`` on the points of
-    one batched central difference, with the same results.
+    ``f`` maps a point ``(n,)`` to a float and a batch ``(B, n)`` to
+    ``(B,)``; ``df`` maps a point to ``(n,)`` and a batch to ``(B, n)``.
+    Built-in profiles evaluate a batch in closed form; other profiles
+    evaluate ``f`` and ``df`` point by point, or ``f`` on the points of one
+    batched central difference, with the same results.
     """
 
     def __init__(self, f, df=None, *, name="custom", params=None):
         self._f = f
         self._df = df
+        self._batch_f = None
         self._batch_df = None
         self.analytic_grad = df is not None
         self.name = name
@@ -97,7 +99,12 @@ class WaveProfile:
         return f"WaveProfile({self.name!r})"
 
     def f(self, x):
-        return float(self._f(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return float(self._f(x))
+        if self._batch_f is not None:
+            return np.asarray(self._batch_f(x), dtype=float)
+        return np.array([self._f(p) for p in x], dtype=float)
 
     def df(self, x):
         x = np.asarray(x, dtype=float)
@@ -113,7 +120,8 @@ class WaveProfile:
         return np.array([self._df(p) for p in x], dtype=float).reshape(x.shape)
 
 
-def _with_batch_df(profile, batch_df):
+def _with_batch_forms(profile, batch_f, batch_df):
+    profile._batch_f = batch_f
     profile._batch_df = batch_df
     return profile
 
@@ -122,7 +130,8 @@ def constant_profile(value=1.0):
     v = float(value)
     prof = WaveProfile(lambda x: v, lambda x: np.zeros_like(x),
                        name="constant", params={"value": v})
-    return _with_batch_df(prof, np.zeros_like)
+    return _with_batch_forms(prof, lambda xs: np.full(len(xs), v),
+                             np.zeros_like)
 
 
 def linear_profile(coeffs, offset=0.0):
@@ -130,7 +139,9 @@ def linear_profile(coeffs, offset=0.0):
     b = float(offset)
     prof = WaveProfile(lambda x: float(a @ x) + b, lambda x: a.copy(),
                        name="linear", params={"coeffs": tuple(a), "offset": b})
-    return _with_batch_df(prof, lambda xs: np.tile(a, (len(xs), 1)))
+    return _with_batch_forms(prof,
+                             lambda xs: np.einsum("bi,i->b", xs, a) + b,
+                             lambda xs: np.tile(a, (len(xs), 1)))
 
 
 def quadratic_form_profile(matrix, center=None):
@@ -146,6 +157,12 @@ def quadratic_form_profile(matrix, center=None):
         y = x if c is None else x - c
         return 2.0 * (q @ y)
 
+    def batch_f(xs):
+        # two two-operand contractions: with "bi,ij,bj->b" a row's rounding
+        # depends on the rest of the batch
+        ys = xs if c is None else xs - c
+        return np.einsum("bk,bk->b", ys, np.einsum("kj,bj->bk", q, ys))
+
     def batch_df(xs):
         ys = xs if c is None else xs - c
         return 2.0 * np.einsum("kj,bj->bk", q, ys)
@@ -153,7 +170,7 @@ def quadratic_form_profile(matrix, center=None):
     prof = WaveProfile(f, df, name="quadratic_form",
                        params={"matrix": tuple(map(tuple, q)),
                                "center": None if c is None else tuple(c)})
-    return _with_batch_df(prof, batch_df)
+    return _with_batch_forms(prof, batch_f, batch_df)
 
 
 def radial_power_profile(amplitude, exponent, center=None):
@@ -174,6 +191,9 @@ def radial_power_profile(amplitude, exponent, center=None):
             return np.zeros_like(y)
         return a * p * r ** (p - 2.0) * y
 
+    def batch_f(xs):
+        return a * np.linalg.norm(_y(xs), axis=1) ** p
+
     def batch_df(xs):
         ys = _y(xs)
         r = np.linalg.norm(ys, axis=1)
@@ -185,7 +205,7 @@ def radial_power_profile(amplitude, exponent, center=None):
     prof = WaveProfile(f, df, name="radial_power",
                        params={"amplitude": a, "exponent": p,
                                "center": None if c is None else tuple(c)})
-    return _with_batch_df(prof, batch_df)
+    return _with_batch_forms(prof, batch_f, batch_df)
 
 
 def gaussian_bump_profile(amplitude, center, width):
@@ -201,6 +221,10 @@ def gaussian_bump_profile(amplitude, center, width):
         y = x - c
         return (-a / (w * w)) * math.exp(-0.5 * float(y @ y) / (w * w)) * y
 
+    def batch_f(xs):
+        ys = xs - c
+        return a * np.exp(-0.5 * np.einsum("bi,bi->b", ys, ys) / (w * w))
+
     def batch_df(xs):
         ys = xs - c
         r2 = np.einsum("bi,bi->b", ys, ys)
@@ -208,7 +232,7 @@ def gaussian_bump_profile(amplitude, center, width):
 
     prof = WaveProfile(f, df, name="gaussian_bump",
                        params={"amplitude": a, "center": tuple(c), "width": w})
-    return _with_batch_df(prof, batch_df)
+    return _with_batch_forms(prof, batch_f, batch_df)
 
 
 def metric_gradient(profile, model, x):

@@ -115,17 +115,27 @@ def test_cli_sweep_csv_and_svg(tmp_path):
 
 
 def test_cli_sweep_workers_agree(tmp_path):
-    payload = dict(BASE)
-    del payload["eps"]
-    payload["eps_schedule"] = [0.125, 0.0625]
-    payload["u_probes"] = [-0.5, 0.5, 1.0]
-    payload["output"] = {"csv": str(tmp_path / "a.csv")}
-    cfg = write_cfg(tmp_path, payload)
-    assert main(["sweep", "--config", cfg]) == 0
-    serial = (tmp_path / "a.csv").read_bytes()
-    assert main(["sweep", "--config", cfg, "--workers", "2",
-                 "--csv", str(tmp_path / "b.csv")]) == 0
-    assert (tmp_path / "b.csv").read_bytes() == serial
+    # flat and linear (Gamma = 0), then curved with a bump profile, where
+    # any dependence of a row on the other widths would change its bits;
+    # two workers split three widths into shares of two and one
+    hyperbolic = {
+        "manifold": {"name": "hyperbolic_half_plane"},
+        "profile": {"name": "gaussian_bump", "amplitude": 1.0,
+                    "center": [0.8, 1.2], "width": 0.8},
+        "data": {"x0": [0.0, 1.0], "xdot0": [0.6, 0.4]},
+        "eps_schedule": [0.125, 0.0625, 0.03125],
+    }
+    for tag, changes in (("flat", {}), ("hyperbolic", hyperbolic)):
+        payload = {**BASE, "eps_schedule": [0.125, 0.0625], **changes}
+        del payload["eps"]
+        payload["u_probes"] = [-0.5, 0.5, 1.0]
+        payload["output"] = {"csv": str(tmp_path / f"{tag}-a.csv")}
+        cfg = write_cfg(tmp_path, payload, f"{tag}.json")
+        assert main(["sweep", "--config", cfg]) == 0
+        serial = (tmp_path / f"{tag}-a.csv").read_bytes()
+        assert main(["sweep", "--config", cfg, "--workers", "2",
+                     "--csv", str(tmp_path / f"{tag}-b.csv")]) == 0
+        assert (tmp_path / f"{tag}-b.csv").read_bytes() == serial
 
 
 def test_cli_env_workers_override(tmp_path, monkeypatch):
@@ -203,16 +213,28 @@ def test_cli_validation_exit_codes(tmp_path):
     ("tolerances", {"rtol": "tight"}),
     ("manifold", "euclidean"),
     ("profile", {"name": "linear", "coeffs": [1.0, 0.0, 0.0]}),
+    ("growth", {"center": [0.0, 0.0], "directions": [[1.0, 0.0], [0.0, 0.0]],
+                "radii": [1.0, 2.0]}),
+    # a flag, checked after the overrides: u_end must exceed eps = 0.01
+    ("--u-end", "0.01"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_cli_malformed_values_exit_2(tmp_path, capsys, key, value):
     payload = dict(BASE)
-    payload[key] = value
-    if key == "eps_schedule":
-        del payload["eps"]
-    with pytest.raises(ConfigError):
-        config.parse_config(json.dumps(payload))
-    assert main(["integrate", "--config", write_cfg(tmp_path, payload)]) == 2
+    flags = []
+    if key.startswith("--"):
+        flags = [key, value]
+    else:
+        payload[key] = value
+        if key == "eps_schedule":
+            del payload["eps"]
+        with pytest.raises(ConfigError):
+            config.parse_config(json.dumps(payload))
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["integrate", "--config", cfg] + flags) == 2
     assert "validation error" in capsys.readouterr().err
+    if key == "growth":
+        assert main(["classify-growth", "--config", cfg]) == 2
+        assert "validation error" in capsys.readouterr().err
 
 
 def test_cli_rejects_unsupported_output_pairing(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -6,7 +8,8 @@ from impulse_geo import dynamics, geometry, profiles, scenarios
 from impulse_geo.dynamics import (GeodesicState, InitialData,
                                   integrate_impulsive_geodesic,
                                   lagrangian_energy, rhs)
-from impulse_geo.errors import IntegrationFailure
+from impulse_geo.errors import ChartDomainError, IntegrationFailure
+from impulse_geo.odesolve import solve_rk45
 
 
 EU = geometry.euclidean(2)
@@ -184,3 +187,93 @@ def test_sample_rejects_out_of_range():
     path = integrate_impulsive_geodesic(EU, LINEAR, NET, 0.1, data, 1.0)
     with pytest.raises(ValueError):
         path.sample(1.5)
+
+
+def _toy_point_field(t, y):
+    """A forced pendulum, a state leaving a chart at y0 = 3 and, in the
+    last component, y' = y^2, which blows up from y(0) > 0 at t = 1/y(0)."""
+    if y[0] > 3.0:
+        raise ChartDomainError("left the toy chart")
+    return np.array([y[1], -math.sin(y[0]) + 0.1 * math.cos(3.0 * t), y[3],
+                     y[2] * y[2]])
+
+
+def test_ensemble_rows_repeat_single_trajectories():
+    # with a field that loops over the rows, every row of an ensemble call
+    # repeats the single-trajectory loop bit for bit, failures included
+    def fun(t, ys, rows):
+        return np.array([_toy_point_field(float(u), y) for u, y in zip(t, ys)])
+
+    rng = np.random.default_rng(5)
+    y0 = np.column_stack([rng.uniform(-1, 1, 6), rng.uniform(-2, 2, 6),
+                          rng.uniform(-1, 1, 6),
+                          [0.5, 0.2, 1.5, -0.3, 3.0, 0.1]])
+    y0[2, 1] = 4.0  # leaves the chart
+    t1 = rng.uniform(1.0, 3.0, 6)
+    caps = [math.inf, 0.05, math.inf, 0.1, math.inf, math.inf]
+    outcomes, stats = solve_rk45(fun, 0.0, t1, y0, max_step=caps)
+    reasons = []
+    for r, got in enumerate(outcomes):
+        try:
+            want, want_stats = solve_rk45(_toy_point_field, 0.0, t1[r], y0[r],
+                                          max_step=caps[r])
+        except IntegrationFailure as exc:
+            assert isinstance(got, IntegrationFailure)
+            assert (got.reason, got.u, got.phase) == (exc.reason, exc.u,
+                                                      exc.phase)
+            assert np.array_equal(got.state, exc.state)
+            assert np.array_equal(got.partial.ys, exc.partial.ys)
+            reasons.append(exc.reason)
+            continue
+        assert stats["rows"][r] == want_stats
+        for attr in ("ts", "ys", "coeffs"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    assert sorted(reasons) == ["blow_up", "chart_escape"]
+    for key in ("n_steps", "n_rejected", "n_rhs"):
+        assert stats[key] == sum(row[key] for row in stats["rows"])
+        assert type(stats[key]) is int
+
+
+def test_ensemble_chart_escape_row_fails_alone():
+    # flat metric on the chart x1 < 0.5: the first row reaches the edge at
+    # u = -0.5; its difference neighbours fail first, and only its own row
+    flat = geometry.from_metric(2, lambda x: np.eye(2),
+                                chart_domain=lambda x: x[0] < 0.5)
+    bump = profiles.gaussian_bump_profile(1.0, [0.2, 0.1], 0.5)
+    y0 = np.array([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                   [0.0, 0.0, 0.2, 0.3, 0.0, 0.1],
+                   [-0.3, 0.1, 0.1, -0.2, 0.5, 0.0]])
+
+    def run(rows):
+        fun = dynamics._ensemble_system(flat, bump, NET, [0.1] * len(rows))
+        return solve_rk45(fun, -1.0, 0.3, y0[rows], phase="pre")
+
+    (escaped, *kept), stats = run([0, 1, 2])
+    assert isinstance(escaped, IntegrationFailure)
+    assert escaped.reason == "chart_escape" and escaped.phase == "pre"
+    assert escaped.u == pytest.approx(-0.5, abs=1e-5)
+    assert stats["rows"][0]["n_steps"] > 0
+    alone, _ = run([1, 2])
+    for got, want in zip(kept, alone):
+        for attr in ("ts", "ys", "coeffs"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
+def test_ensemble_field_matches_point_field():
+    # rows inside and outside their own strips, on a curved chart; each row
+    # agrees with the per-point field and does not depend on the batch
+    hyp = geometry.hyperbolic_half_plane()
+    bump = profiles.gaussian_bump_profile(1.0, [0.8, 1.2], 0.8)
+    eps = [0.1, 0.05, 0.2, 0.1, 0.02]
+    us = np.array([-0.05, 0.3, 0.1, -0.5, 0.0])
+    rng = np.random.default_rng(8)
+    ys = np.column_stack([rng.uniform(-0.5, 0.5, 5), rng.uniform(0.5, 1.5, 5),
+                          rng.uniform(-1, 1, (5, 4))])
+    rows = np.arange(5)
+    batch = dynamics._ensemble_system(hyp, bump, NET, eps)(us, ys, rows)
+    for i in rows:
+        point = dynamics._system(hyp, bump, NET, eps[i])(float(us[i]), ys[i])
+        np.testing.assert_allclose(batch[i], point, rtol=1e-13, atol=1e-15)
+        one = dynamics._ensemble_system(hyp, bump, NET, [eps[i]])(
+            us[i:i + 1], ys[i:i + 1], np.array([0]))
+        assert np.array_equal(one[0], batch[i])

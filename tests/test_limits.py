@@ -3,6 +3,7 @@ import pytest
 
 from impulse_geo import dynamics, geometry, limits, profiles
 from impulse_geo.dynamics import InitialData, integrate_impulsive_geodesic
+from impulse_geo.errors import IntegrationFailure
 
 
 EU = geometry.euclidean(2)
@@ -214,3 +215,68 @@ def test_convergence_study_flags_failed_rows():
                                      [-1.0, 0.5])
     assert bool(table.failed[0])
     assert not bool(table.failed[1])
+
+
+def _sphere_metric(x):
+    c = 2.0 / (1.0 + float(x @ x))
+    return (c * c) * np.eye(2)
+
+
+SPHERE_FM = geometry.from_metric(2, _sphere_metric, complete=True,
+                                 name="sphere_from_metric")
+
+
+@pytest.mark.parametrize("model, prof, data", [
+    (HYP, BUMP_HYP, DATA_HYP),
+    (SPHERE_FM, profiles.gaussian_bump_profile(1.0, [1.0, 0.0], 0.8),
+     InitialData([0.0, 0.5], [1.0, 0.0])),
+], ids=["hyperbolic_bump", "sphere_from_metric"])
+def test_convergence_rows_do_not_depend_on_the_batch(model, prof, data):
+    schedule = [0.2, 0.1, 0.05]
+    probes = [-0.5, 0.5, 1.0]
+    table = limits.convergence_study(model, prof, NET, data, schedule, probes)
+    assert not np.any(table.failed)
+    for i, eps in enumerate(schedule):
+        alone = limits.study_errors(model, prof, NET, data, eps, probes)
+        assert alone == (table.err_x[i], table.err_xdot[i], table.err_v[i])
+    # the same widths permuted, and a subset: every path repeats bit for bit
+    ref = dynamics._integrate_ensemble(model, prof, NET, schedule, data, 1.1)
+    for order in ([0.05, 0.2, 0.1], [0.1]):
+        paths = dynamics._integrate_ensemble(model, prof, NET, order, data,
+                                             1.1)
+        for eps, path in zip(order, paths):
+            want = ref[schedule.index(eps)]
+            assert len(path.pieces) == len(want.pieces) == 3
+            for got, exp in zip(path.pieces, want.pieces):
+                for attr in ("ts", "ys", "coeffs"):
+                    assert np.array_equal(getattr(got, attr),
+                                          getattr(exp, attr))
+    # and the ensemble agrees with the single-trajectory integrator
+    single = integrate_impulsive_geodesic(model, prof, NET, 0.1, data, 1.1)
+    us = np.linspace(-1.0, 1.1, 43)
+    np.testing.assert_allclose(ref[1].sample(us), single.sample(us),
+                               rtol=0.0, atol=1e-10)
+    assert ref[1].diagnostics.n_steps > 0
+
+
+def test_failed_row_fails_alone():
+    # the blow-up row of test_convergence_study_flags_failed_rows next to
+    # a good row: the good row is the same as in a study of its own
+    prof = profiles.radial_power_profile(1e9, 4.0, [1.0, 0.0])
+    data = InitialData([0.0, 0.0], [1.0, 0.0])
+    both = limits.convergence_study(EU, prof, NET, data, [0.4, 1e-4],
+                                    [-1.0, 0.5])
+    alone = limits.convergence_study(EU, prof, NET, data, [1e-4],
+                                     [-1.0, 0.5])
+    assert both.failed.tolist() == [True, False]
+    assert ((both.err_x[1], both.err_xdot[1], both.err_v[1])
+            == (alone.err_x[0], alone.err_xdot[0], alone.err_v[0]))
+    failure, path = dynamics._integrate_ensemble(EU, prof, NET, [0.4, 1e-4],
+                                                 data, 0.6)
+    assert isinstance(failure, IntegrationFailure)
+    assert failure.reason == "blow_up"
+    assert failure.partial.phase_marks == (-0.4, 0.4)
+    assert isinstance(path, dynamics.GeodesicPath)
+    # a study whose only row fails stops after that row's phase
+    assert limits.convergence_study(EU, prof, NET, data, [0.4],
+                                    [-1.0, 0.5]).failed.tolist() == [True]

@@ -159,6 +159,22 @@ def test_batch_df_matches_point_df(prof):
         np.testing.assert_allclose(g, prof.df(x), rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "prof", builtin_profiles() + [profiles.WaveProfile(
+        lambda x: math.sin(x[0]) * x[1] ** 2)], ids=lambda p: p.name)
+def test_batch_f_matches_point_f(prof):
+    rng = np.random.default_rng(43)
+    xs = rng.uniform(-2.0, 2.0, size=(200, 2))
+    xs[0] = [0.3, -0.4]  # the radial power's centre
+    values = prof.f(xs)
+    assert values.shape == (200,)
+    for x, v in zip(xs, values):
+        assert v == pytest.approx(prof.f(x), rel=1e-14, abs=1e-300)
+    # a row does not depend on the rest of the batch
+    for i in (0, 7, 199):
+        assert prof.f(xs[i:i + 1])[0] == values[i]
+
+
 def test_custom_profile_difference_gradient():
     prof = profiles.WaveProfile(lambda x: math.sin(x[0]) * x[1] ** 2)
     assert not prof.analytic_grad
