@@ -4,26 +4,26 @@ Subcommands operate on a JSON scenario config (see the README for the
 schema); selected flags override config values.  Exit codes: 0 on success,
 2 on validation errors, 3 on numerical failures.
 
-``sweep`` can parallelize over the width schedule; the worker count comes
-from, in order of precedence, the ``--workers`` flag, the
-``IMPULSE_GEO_WORKERS`` environment variable, and the config.  Each worker
-integrates its share of the widths as one ensemble.  Output row order is
-by width regardless of completion order, the rows are byte-identical to a
-one-worker run, and reruns of the same config are byte-identical.
+``sweep`` integrates all widths of its schedule as one ensemble in this
+process.  The worker count (from, in order of precedence, the ``--workers``
+flag, the ``IMPULSE_GEO_WORKERS`` environment variable, and the config) is
+still read and validated, but no longer changes how the sweep runs: one
+ensemble beat a pool of worker processes.  Reruns of the same config are
+byte-identical.
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import artifacts, dynamics, existence, limits
+# parse_config is unused here but stays importable as cli.parse_config,
+# which the benchmark's tracer (perfbench/tracing.py) wraps
 from .config import (build_data, build_model, build_net, build_profile,
-                     load_config, parse_config, serialize_config)
-from .errors import (ChartDomainError, ConfigError, IntegrationFailure,
-                     NumericalError)
+                     load_config, parse_config, serialize_config)  # noqa: F401
+from .errors import ChartDomainError, ConfigError, NumericalError
 from .profiles import classify_growth, verify_strict_delta_net
 
 __all__ = ["main", "build_parser"]
@@ -238,38 +238,15 @@ def cmd_certify(cfg):
     return 0
 
 
-def _sweep_worker(cfg_text, widths):
-    """Rows of one share of the schedule, integrated as one ensemble
-    against the limit of the whole study; a row does not depend on the
-    share it came in, so the rows match the serial study byte for byte."""
-    cfg = parse_config(cfg_text)
-    model = build_model(cfg)
-    profile = build_profile(cfg)
-    net = build_net(cfg)
-    data = build_data(cfg, model.dim)
-    probes = np.asarray(cfg.u_probes, dtype=float)
-    eps_max = max(cfg.eps_schedule)
-    probes_out = probes[np.abs(probes) > eps_max]
-    rtol, atol = cfg.tol("rtol", 1e-10), cfg.tol("atol", 1e-10)
-    limit = limits.limit_geodesic(model, profile, data,
-                                  u_end=limits._u_end(probes, eps_max),
-                                  rtol=rtol, atol=atol)
-    rows = limits._study_rows(model, profile, net, data, widths, probes,
-                              probes_out, limit, rtol, atol)
-    nan = float("nan")
-    return [(eps, nan, nan, nan, True) if isinstance(row, IntegrationFailure)
-            else (eps, *row, False) for eps, row in zip(widths, rows)]
-
-
-def cmd_sweep(cfg, workers):
+def cmd_sweep(cfg):
     if not cfg.eps_schedule:
         raise ConfigError("sweep needs an eps_schedule")
     if not cfg.u_probes:
         raise ConfigError("sweep needs u_probes")
     model = build_model(cfg)  # validates the manifold section early
-    build_profile(cfg)
-    build_net(cfg)
-    build_data(cfg, model.dim)
+    profile = build_profile(cfg)
+    net = build_net(cfg)
+    data = build_data(cfg, model.dim)
     schedule = sorted(cfg.eps_schedule, reverse=True)
     probes = np.asarray(cfg.u_probes, dtype=float)
     if np.any(probes == 0.0) or np.any(probes < -1.0):
@@ -278,24 +255,9 @@ def cmd_sweep(cfg, workers):
     if probes_out.size == 0:
         raise ConfigError("no probe clears the widest strip of the schedule")
 
-    cfg_text = serialize_config(cfg)
-    if workers > 1:
-        shares = [schedule[i::workers]
-                  for i in range(min(workers, len(schedule)))]
-        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
-            rows = [row for share in pool.map(
-                _sweep_worker, [cfg_text] * len(shares), shares)
-                for row in share]
-        rows.sort(key=lambda r: -r[0])
-        table = limits.ConvergenceTable.from_rows(
-            [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
-            [r[3] for r in rows], [r[4] for r in rows],
-            tuple(probes), tuple(probes_out))
-    else:
-        table = limits.convergence_study(
-            build_model(cfg), build_profile(cfg), build_net(cfg),
-            build_data(cfg, model.dim), schedule, probes,
-            rtol=cfg.tol("rtol", 1e-10), atol=cfg.tol("atol", 1e-10))
+    table = limits.convergence_study(
+        model, profile, net, data, schedule, probes,
+        rtol=cfg.tol("rtol", 1e-10), atol=cfg.tol("atol", 1e-10))
 
     outputs = {}
     if "csv" in cfg.output:
@@ -366,7 +328,7 @@ def main(argv=None):
         cfg = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
         _check_outputs(args.command, cfg)
-        workers = _workers(cfg, args.workers)
+        _workers(cfg, args.workers)  # validates the worker count
         if args.command == "integrate":
             return cmd_integrate(cfg)
         if args.command == "limit":
@@ -374,7 +336,7 @@ def main(argv=None):
         if args.command == "certify":
             return cmd_certify(cfg)
         if args.command == "sweep":
-            return cmd_sweep(cfg, workers)
+            return cmd_sweep(cfg)
         if args.command == "verify-net":
             return cmd_verify_net(cfg)
         return cmd_classify_growth(cfg)

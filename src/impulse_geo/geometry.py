@@ -121,11 +121,11 @@ class ManifoldModel:
     def _metrics(self, xs):
         """The metric callback on a ``(B, n)`` batch inside the chart."""
         xs = self._require_batch_inside(xs)
-        return np.array([self._metric(x) for x in xs], dtype=float)
+        return _stack_rows(self._metric, xs, (self.dim, self.dim))
 
     def _inverse_rows(self, xs):
         """The inverse-metric callback on a checked ``(B, n)`` batch."""
-        return np.array([self._inverse_metric(x) for x in xs], dtype=float)
+        return _stack_rows(self._inverse_metric, xs, (self.dim, self.dim))
 
     def inside(self, xs):
         """Chart test on a ``(B, n)`` batch: a ``(B,)`` boolean mask."""

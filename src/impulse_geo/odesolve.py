@@ -275,6 +275,21 @@ def _per_row(value, b):
     return [float(v) for v in np.broadcast_to(np.asarray(value, float), (b,))]
 
 
+def _buffer_nodes(t0, t1, cap):
+    """Nodes to reserve for a row: twice the steps of a step cap that
+    binds (the error control takes up to twice as many in a strip), up to
+    two thousand; a longer phase grows the row's buffers."""
+    span = t1 - t0
+    return 2 * int(span / max(cap, span / 1024)) + 16
+
+
+def _grown(buf):
+    """``buf`` with twice the nodes."""
+    out = np.empty((2 * len(buf),) + buf.shape[1:])
+    out[:len(buf)] = buf
+    return out
+
+
 def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, first_step,
                     blowup, phase):
     """The ensemble form of :func:`solve_rk45` on a ``(B, D)`` state.
@@ -289,9 +304,15 @@ def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, first_step,
     if not all(e > s for s, e in zip(t0s, t1s)):
         raise ValueError("t1 must exceed t0")
     out = [None] * b
-    ts = [[s] for s in t0s]
-    ys = [[row.copy()] for row in y]
-    coeffs = [[] for _ in range(b)]
+    # per row, dense output in buffers: node i at [i], the step from node
+    # i at [i]; the row's path is a view of them
+    nodes = [_buffer_nodes(*row) for row in zip(t0s, t1s, caps)]
+    ts = [np.empty(m) for m in nodes]
+    ys = [np.empty((m, y.shape[1])) for m in nodes]
+    coeffs = [np.empty((m, y.shape[1], len(_P[0]))) for m in nodes]
+    for r in range(b):
+        ts[r][0] = t0s[r]
+        ys[r][0] = y[r]
     n_accepted, n_rejected, n_rhs = [0] * b, [0] * b, [1] * b
     stage_failed = [False] * b
     t = list(t0s)
@@ -320,17 +341,19 @@ def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, first_step,
     for r in live:
         h[r] = min(max(h[r], 1e-12), caps[r], t1s[r] - t0s[r])
 
+    def path(r):
+        n = n_accepted[r]
+        return DensePath(ts[r][:n + 1], ys[r][:n + 1], coeffs[r][:n])
+
     def fail(r, reason, u, state, msg=None):
-        partial = (DensePath(ts[r], ys[r], coeffs[r]) if len(ts[r]) >= 2
-                   else None)
         out[r] = IntegrationFailure(reason, u, state, phase, msg,
-                                    partial=partial)
+                                    partial=path(r) if n_accepted[r] else None)
 
     while live:
         trial = []
         for r in live:
             if not t1s[r] - t[r] > 1e-14 * max(1.0, abs(t0s[r]), abs(t1s[r])):
-                out[r] = DensePath(ts[r], ys[r], coeffs[r])
+                out[r] = path(r)
             elif n_accepted[r] + n_rejected[r] >= _MAX_STEPS:
                 fail(r, "step_limit", t[r], y[r].copy())
             else:
@@ -385,12 +408,14 @@ def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, first_step,
                         fail(r, "blow_up", float(t_new[j]), y_new[j],
                              f"state magnitude exceeded {blowup:g}")
                         continue
-                    coeffs[r].append(dense[j])
-                    t[r] = float(t_new[j])
-                    y[r] = y_new[j]
+                    n = n_accepted[r]
+                    if n + 1 == len(ts[r]):
+                        ts[r], ys[r], coeffs[r] = (
+                            _grown(buf) for buf in (ts[r], ys[r], coeffs[r]))
+                    coeffs[r][n] = dense[j]
+                    t[r] = ts[r][n + 1] = float(t_new[j])
+                    y[r] = ys[r][n + 1] = y_new[j]
                     f[r] = k[-1][j]
-                    ts[r].append(t[r])
-                    ys[r].append(y_new[j].copy())
                     n_accepted[r] += 1
                     stage_failed[r] = False
                     factor = _MAX_FACTOR if err_norm == 0.0 else min(

@@ -104,14 +104,17 @@ class WaveProfile:
             return float(self._f(x))
         if self._batch_f is not None:
             return np.asarray(self._batch_f(x), dtype=float)
-        return np.array([self._f(p) for p in x], dtype=float)
+        return self._f_rows(x)
+
+    def _f_rows(self, xs):
+        """The point form row by row, with its ``float`` contract."""
+        return np.array([float(self._f(p)) for p in xs], dtype=float)
 
     def df(self, x):
         x = np.asarray(x, dtype=float)
         if self._df is None:
-            _, jac = geometry.central_difference(
-                lambda ys: np.array([self._f(y) for y in ys], dtype=float),
-                np.atleast_2d(x))
+            _, jac = geometry.central_difference(self._f_rows,
+                                                 np.atleast_2d(x))
             return jac if x.ndim == 2 else jac[0]
         if x.ndim == 1:
             return np.asarray(self._df(x), dtype=float)

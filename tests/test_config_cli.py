@@ -115,9 +115,8 @@ def test_cli_sweep_csv_and_svg(tmp_path):
 
 
 def test_cli_sweep_workers_agree(tmp_path):
-    # flat and linear (Gamma = 0), then curved with a bump profile, where
-    # any dependence of a row on the other widths would change its bits;
-    # two workers split three widths into shares of two and one
+    # the worker count is validated but does not change the sweep: flat and
+    # linear (Gamma = 0), then curved with a bump profile and three widths
     hyperbolic = {
         "manifold": {"name": "hyperbolic_half_plane"},
         "profile": {"name": "gaussian_bump", "amplitude": 1.0,

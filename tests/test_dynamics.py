@@ -262,18 +262,24 @@ def test_ensemble_chart_escape_row_fails_alone():
 def test_ensemble_field_matches_point_field():
     # rows inside and outside their own strips, on a curved chart; each row
     # agrees with the per-point field and does not depend on the batch
+    # (a custom profile without batch forms takes the per-row fallbacks of
+    # f and of the FD df)
     hyp = geometry.hyperbolic_half_plane()
     bump = profiles.gaussian_bump_profile(1.0, [0.8, 1.2], 0.8)
+    custom = profiles.WaveProfile(lambda x: 0.5 * x[0] * x[1])
     eps = [0.1, 0.05, 0.2, 0.1, 0.02]
     us = np.array([-0.05, 0.3, 0.1, -0.5, 0.0])
     rng = np.random.default_rng(8)
     ys = np.column_stack([rng.uniform(-0.5, 0.5, 5), rng.uniform(0.5, 1.5, 5),
                           rng.uniform(-1, 1, (5, 4))])
     rows = np.arange(5)
-    batch = dynamics._ensemble_system(hyp, bump, NET, eps)(us, ys, rows)
-    for i in rows:
-        point = dynamics._system(hyp, bump, NET, eps[i])(float(us[i]), ys[i])
-        np.testing.assert_allclose(batch[i], point, rtol=1e-13, atol=1e-15)
-        one = dynamics._ensemble_system(hyp, bump, NET, [eps[i]])(
-            us[i:i + 1], ys[i:i + 1], np.array([0]))
-        assert np.array_equal(one[0], batch[i])
+    for prof in (bump, custom):
+        batch = dynamics._ensemble_system(hyp, prof, NET, eps)(us, ys, rows)
+        for i in rows:
+            point = dynamics._system(hyp, prof, NET, eps[i])(float(us[i]),
+                                                              ys[i])
+            np.testing.assert_allclose(batch[i], point, rtol=1e-13,
+                                       atol=1e-15)
+            one = dynamics._ensemble_system(hyp, prof, NET, [eps[i]])(
+                us[i:i + 1], ys[i:i + 1], np.array([0]))
+            assert np.array_equal(one[0], batch[i])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from impulse_geo import geometry
+from impulse_geo import geometry, profiles
 from impulse_geo.errors import ChartDomainError, IntegrationFailure
 
 
@@ -162,6 +162,13 @@ def test_batch_forms_match_point_forms(model):
                                    rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(inv, model.inverse_metric_at(x),
                                    rtol=1e-14, atol=0.0)
+    # an empty batch keeps its shape through every batch form
+    empty = np.empty((0, 2))
+    assert model.inside(empty).shape == (0,)
+    assert model.christoffel(empty).shape == (0, 2, 2, 2)
+    assert model.inverse_metric(empty).shape == (0, 2, 2)
+    bump = profiles.gaussian_bump_profile(1.0, [0.1, 0.2], 0.8)
+    assert profiles.metric_gradient(bump, model, empty).shape == (0, 2)
 
 
 def test_batch_forms_reject_points_outside_chart():

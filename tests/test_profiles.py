@@ -168,11 +168,26 @@ def test_batch_f_matches_point_f(prof):
     xs[0] = [0.3, -0.4]  # the radial power's centre
     values = prof.f(xs)
     assert values.shape == (200,)
+    assert prof.f(np.empty((0, 2))).shape == (0,)
     for x, v in zip(xs, values):
         assert v == pytest.approx(prof.f(x), rel=1e-14, abs=1e-300)
     # a row does not depend on the rest of the batch
     for i in (0, 7, 199):
         assert prof.f(xs[i:i + 1])[0] == values[i]
+
+
+def test_batch_f_keeps_the_point_contract():
+    # the point form passes a custom f through float(); the per-row batch
+    # form must accept and reject the same values, never return (B, 1)
+    prof = profiles.WaveProfile(lambda x: np.array([x[0] * x[1]]))
+    xs = np.array([[0.5, 2.0], [1.0, -3.0]])
+    try:
+        want = [prof.f(x) for x in xs]
+    except TypeError:
+        with pytest.raises(TypeError):
+            prof.f(xs)
+    else:
+        assert prof.f(xs).tolist() == want
 
 
 def test_custom_profile_difference_gradient():
