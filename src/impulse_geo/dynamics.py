@@ -292,7 +292,7 @@ def _energy_diagnostics(path, model, profile, net, eps):
 
 
 def background_path(model, x0, xdot0, u_start, u_end, *, v0=0.0, vdot0=0.0,
-                    rtol=1e-10, atol=1e-10, blowup=1e8):
+                    rtol=1e-10, atol=1e-10):
     """Integrate the background (impulse-free) geodesic system."""
     x0 = np.asarray(x0, dtype=float)
     xdot0 = np.asarray(xdot0, dtype=float)
@@ -300,7 +300,7 @@ def background_path(model, x0, xdot0, u_start, u_end, *, v0=0.0, vdot0=0.0,
     y0 = np.concatenate([x0, xdot0, [v0, vdot0]])
     fun = _system(model, None, None, None)
     dense, stats = solve_rk45(fun, u_start, u_end, y0, rtol=rtol, atol=atol,
-                              blowup=blowup, phase="background")
+                              phase="background")
     diag = PathDiagnostics(stats["n_steps"], stats["n_rejected"], stats["n_rhs"])
     path = GeodesicPath(model.dim, [dense], diagnostics=diag)
     _energy_diagnostics(path, model, None, None, None)
@@ -317,6 +317,11 @@ def _check_inputs(model, eps, data, u_end):
     model.require_inside(data.x0)
 
 
+# inside the strip the step size is capped at support_radius(eps) / 50, so
+# the adaptive controller cannot step over the peaked forcing
+_STRIP_STEP_DIVISOR = 50
+
+
 def _phase_plan(eps, u_end, cap):
     """``(phase, start, end, step cap)`` of the three phases, for one width
     or, with arrays, for each row of an ensemble."""
@@ -324,15 +329,23 @@ def _phase_plan(eps, u_end, cap):
             ("post", eps, u_end, math.inf)]
 
 
+def _with_partial_path(exc, n, pieces, eps):
+    """Attach to ``exc`` the path integrated before it failed: the phases
+    ``pieces`` done and its own partial piece."""
+    done = pieces + ([exc.partial] if exc.partial is not None else [])
+    if done:
+        exc.partial = GeodesicPath(n, done, phase_marks=(-eps, eps))
+    return exc
+
+
 def integrate_impulsive_geodesic(model, profile, net, eps, data, u_end, *,
-                                 rtol=1e-10, atol=1e-10, blowup=1e8,
-                                 strip_step_divisor=50):
+                                 rtol=1e-10, atol=1e-10):
     """Integrate the full geodesic system from ``u = -1`` through the strip.
 
     Three phases are integrated with forced boundaries at ``-eps`` and
     ``+eps``.  Inside the strip the step size is capped at
-    ``support_radius(eps) / strip_step_divisor`` so the adaptive controller
-    cannot step over the peaked forcing.  All three phases share one field,
+    ``support_radius(eps) / 50`` so the adaptive controller cannot step
+    over the peaked forcing.  All three phases share one field,
     which skips the impulse terms outside the strip, where they vanish
     identically anyway.
 
@@ -343,7 +356,7 @@ def integrate_impulsive_geodesic(model, profile, net, eps, data, u_end, *,
     _check_inputs(model, [eps], data, [u_end])
     fun = _system(model, profile, net, eps)
     plan = _phase_plan(eps, u_end,
-                       net.support_radius(eps) / strip_step_divisor)
+                       net.support_radius(eps) / _STRIP_STEP_DIVISOR)
 
     pieces = []
     diag = PathDiagnostics()
@@ -351,14 +364,9 @@ def integrate_impulsive_geodesic(model, profile, net, eps, data, u_end, *,
     for name, a, b, max_step in plan:
         try:
             dense, stats = solve_rk45(fun, a, b, y, rtol=rtol, atol=atol,
-                                      max_step=max_step, blowup=blowup,
-                                      phase=name)
+                                      max_step=max_step, phase=name)
         except IntegrationFailure as exc:
-            done = pieces + ([exc.partial] if exc.partial is not None else [])
-            if done:
-                exc.partial = GeodesicPath(model.dim, done,
-                                           phase_marks=(-eps, eps))
-            raise
+            raise _with_partial_path(exc, model.dim, pieces, eps)
         pieces.append(dense)
         y = dense.ys[-1].copy()
         diag.n_steps += stats["n_steps"]
@@ -372,8 +380,7 @@ def integrate_impulsive_geodesic(model, profile, net, eps, data, u_end, *,
 
 
 def _integrate_ensemble(model, profile, net, eps, data, u_end, *,
-                        rtol=1e-10, atol=1e-10, blowup=1e8,
-                        strip_step_divisor=50):
+                        rtol=1e-10, atol=1e-10):
     """Integrate one impulsive geodesic per width ``eps[r]`` from the same
     data, each to ``u_end[r]`` (or a common ``u_end``).
 
@@ -389,7 +396,7 @@ def _integrate_ensemble(model, profile, net, eps, data, u_end, *,
     u_end = np.broadcast_to(np.asarray(u_end, dtype=float), (len(eps),))
     _check_inputs(model, eps, data, u_end)
     e = np.array(eps)
-    cap = np.array([net.support_radius(w) for w in eps]) / strip_step_divisor
+    cap = np.array([net.support_radius(w) for w in eps]) / _STRIP_STEP_DIVISOR
     plan = _phase_plan(e, u_end, cap)
     results = [None] * len(eps)
     pieces = [[] for _ in eps]
@@ -401,19 +408,14 @@ def _integrate_ensemble(model, profile, net, eps, data, u_end, *,
                           for v in (a, b, max_step))
         fun = _ensemble_system(model, profile, net, e[live])
         outcomes, stats = solve_rk45(fun, a, b, y[live], rtol=rtol, atol=atol,
-                                     max_step=max_step, blowup=blowup,
-                                     phase=name)
+                                     max_step=max_step, phase=name)
         for r, dense, counts in zip(live, outcomes, stats["rows"]):
             diags[r].n_steps += counts["n_steps"]
             diags[r].n_rejected += counts["n_rejected"]
             diags[r].n_rhs += counts["n_rhs"]
             if isinstance(dense, IntegrationFailure):
-                done = pieces[r] + ([dense.partial]
-                                     if dense.partial is not None else [])
-                if done:
-                    dense.partial = GeodesicPath(model.dim, done,
-                                                 phase_marks=(-eps[r], eps[r]))
-                results[r] = dense
+                results[r] = _with_partial_path(dense, model.dim, pieces[r],
+                                                eps[r])
             else:
                 pieces[r].append(dense)
                 y[r] = dense.ys[-1]

@@ -299,14 +299,8 @@ def sphere_stereographic():
     def christoffel(x):
         # conformal metric exp(2 phi) I with phi = log 2 - log(1 + |x|^2):
         # Gamma^k_ij = delta^k_i w_j + delta^k_j w_i - delta_ij w_k
-        w = -2.0 * x / (1.0 + float(x @ x))
-        g = np.zeros((2, 2, 2))
-        for k in range(2):
-            for i in range(2):
-                g[k, i, k] += w[i]
-                g[k, k, i] += w[i]
-                g[k, i, i] -= w[k]
-        return g
+        w0, w1 = (-2.0 * x / (1.0 + float(x @ x))).tolist()
+        return np.array([[[w0, w1], [w1, -w0]], [[-w1, w0], [w0, w1]]])
 
     def batch_inverse(xs):
         c = 2.0 / (1.0 + np.einsum("bi,bi->b", xs, xs))
@@ -314,13 +308,9 @@ def sphere_stereographic():
 
     def batch_christoffel(xs):
         w = -2.0 * xs / (1.0 + np.einsum("bi,bi->b", xs, xs))[:, None]
-        g = np.zeros((len(xs), 2, 2, 2))
-        for k in range(2):
-            for i in range(2):
-                g[:, k, i, k] += w[:, i]
-                g[:, k, k, i] += w[:, i]
-                g[:, k, i, i] -= w[:, k]
-        return g
+        w0, w1 = w[:, 0], w[:, 1]
+        return np.stack([w0, w1, w1, -w0, -w1, w0, w0, w1],
+                        axis=-1).reshape(-1, 2, 2, 2)
 
     def dist(a, b):
         pa = _sphere_embed(np.asarray(a, dtype=float))
@@ -344,14 +334,14 @@ def from_metric(dim, metric, *, chart_domain=None, inverse_metric=None,
 
 
 def background_geodesic(model, x0, xdot0, u_start, u_end, *, rtol=1e-10,
-                        atol=1e-10, blowup=1e8):
+                        atol=1e-10):
     """Solve the background geodesic equation ``xddot = -Gamma(xdot, xdot)``.
 
     Data is posed at ``u_start``.  The returned path conserves the
     Riemannian speed ``h(xdot, xdot)`` up to the integrator tolerance.
     """
     return dynamics.background_path(model, x0, xdot0, u_start, u_end,
-                                    rtol=rtol, atol=atol, blowup=blowup)
+                                    rtol=rtol, atol=atol)
 
 
 class DistanceEstimate(NamedTuple):

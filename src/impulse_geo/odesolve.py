@@ -14,24 +14,33 @@ Two guards reflect how chart-based geometry fails in practice:
   (or produce non-finite values) at a trial stage; the step is then retried
   with a smaller size and, if the step size collapses, integration aborts
   carrying the last accepted state;
-* an accepted state whose magnitude exceeds the blow-up bound aborts
-  immediately.
+* an accepted state whose magnitude exceeds the blow-up bound ``1e8``
+  aborts immediately.
 
 A ``(B, D)`` initial state integrates B independent trajectories as one
-ensemble (the vectorized form of the same controller, see Hairer, Norsett
-and Wanner, *Solving ODEs I*, II.4-6).  ``t0``, ``t1`` and ``max_step``
-may then be given per row, and the right-hand side is called as
-``fun(t, Y, rows)`` on the ``(m,)`` parameters and ``(m, D)`` states of the
-live rows ``rows`` (indices into ``y0``).  Every row keeps its own step
-size, end point, step cap, accept/reject decision, stage-failure halving,
-blow-up and step-limit checks and dense output; the step-size arithmetic
-runs per row in Python floats, exactly as for a single trajectory.  A row
-whose stage raises :class:`~impulse_geo.errors.ChartDomainError` is
-re-evaluated alone, so a failure marks only the rows it concerns.  A row
-that fails becomes that row's :class:`IntegrationFailure` and drops out;
-the ensemble call itself never raises for one row.  Provided ``fun``
-computes each row independently of the others, every row is bit-identical
-to the same row integrated in any other batch.
+ensemble (see Hairer, Norsett and Wanner, *Solving ODEs I*, II.4-6).
+``t0``, ``t1`` and ``max_step`` may then be given per row, and the
+right-hand side is called as ``fun(t, Y, rows)`` on the ``(m,)``
+parameters and ``(m, D)`` states of the live rows ``rows`` (indices into
+``y0``).  A row whose stage raises
+:class:`~impulse_geo.errors.ChartDomainError` is re-evaluated alone, so a
+failure marks only the rows it concerns.  A row that fails becomes that
+row's :class:`IntegrationFailure` and drops out; the ensemble call itself
+never raises for one row.
+
+One step controller, :class:`_Row`, serves both forms: every trajectory,
+alone or as a row, has its own step size, end point, step cap,
+accept/reject decision, stage-failure halving, blow-up and step-limit
+checks, counts and dense output, with the step-size arithmetic in Python
+floats.  Only the stage arithmetic is written twice: on ``(D,)`` arrays
+with the per-point field for a single trajectory, and on ``(m, D)``
+arrays with the batch field for an ensemble.  A single trajectory run as
+an ensemble of one was slower: 7-17% on the rounds of the criterion-4
+crossings and 9-14% on those of a user-metric trajectory (process CPU
+time, 2-vCPU VM), since the batch field and the per-step array work do
+not pay off for one row.  Provided ``fun`` computes each row
+independently of the others, every row is bit-identical to the same
+trajectory integrated alone or in any other batch.
 """
 
 import math
@@ -80,6 +89,8 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _MAX_STEPS = 1_000_000
+# an accepted state of larger magnitude has blown up
+_BLOWUP = 1e8
 
 
 class _StageFailure(Exception):
@@ -138,36 +149,143 @@ def _rms(v):
     return float(np.sqrt(np.mean(v * v)))
 
 
-def _first_guess(t0, y0, f0, t_end, rtol, atol, max_step):
-    """The trial step ``h0`` of the initial-step heuristic, with the error
-    scale and the scaled slope norm ``d1`` that its second half needs."""
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    return min(h0, t_end - t0, max_step), scale, d1
+class _Row:
+    """The step controller of one trajectory, alone or as an ensemble row.
+
+    Its dense output sits in buffers (node i at ``[i]``, the step from node
+    i at ``[i]``) whose used part is the row's :class:`DensePath`."""
+
+    __slots__ = ("t0", "t1", "cap", "phase", "t", "h", "stage_failed",
+                 "n_accepted", "n_rejected", "n_rhs", "ts", "ys", "coeffs")
+
+    def __init__(self, t0, t1, cap, y0, phase):
+        if not t1 > t0:
+            raise ValueError("t1 must exceed t0")
+        self.t0, self.t1, self.cap = float(t0), float(t1), float(cap)
+        self.phase = phase
+        self.t = self.t0
+        self.h = 0.0
+        self.stage_failed = False
+        self.n_accepted, self.n_rejected, self.n_rhs = 0, 0, 1
+        # twice the steps of a step cap that binds (the error control takes
+        # up to twice as many in a strip), up to two thousand; a longer
+        # phase grows the buffers
+        span = self.t1 - self.t0
+        nodes = 2 * int(span / max(self.cap, span / 1024)) + 16
+        self.ts = np.empty(nodes)
+        self.ys = np.empty((nodes, len(y0)))
+        self.coeffs = np.empty((nodes, len(y0), len(_P[0])))
+        self.ts[0] = self.t
+        self.ys[0] = y0
+
+    def first_guess(self, y0, f0, rtol, atol):
+        """The trial step ``h0`` of the initial-step heuristic, with the
+        error scale and the scaled slope norm ``d1`` that :meth:`start`
+        needs; ``y0`` and ``f0`` are the state and slope at ``t0``."""
+        scale = atol + np.abs(y0) * rtol
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
+        h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+        return min(h0, self.t1 - self.t0, self.cap), scale, d1
+
+    def start(self, h0, scale, d1, f0, f1):
+        """Set the first trial step from :meth:`first_guess` and the slope
+        ``f1`` at ``t0 + h0`` (None where it could not be evaluated)."""
+        if f1 is None:
+            h = max(h0 * 1e-3, 1e-12)
+        else:
+            d2 = _rms((f1 - f0) / scale) / h0
+            if d1 <= 1e-15 and d2 <= 1e-15:
+                h1 = max(1e-6, h0 * 1e-3)
+            else:
+                h1 = (0.01 / max(d1, d2)) ** 0.2
+            h = min(100.0 * h0, h1, self.t1 - self.t0, self.cap)
+        self.h = min(max(h, 1e-12), self.cap, self.t1 - self.t0)
+
+    def next_step(self):
+        """The size of the next trial step, or None once the end is reached.
+
+        Raises the row's :class:`IntegrationFailure` when the step budget
+        is spent or the step size has collapsed."""
+        if not self.t1 - self.t > 1e-14 * max(1.0, abs(self.t0),
+                                              abs(self.t1)):
+            return None
+        if self.n_accepted + self.n_rejected >= _MAX_STEPS:
+            raise self.failure("step_limit")
+        self.h = min(self.h, self.cap, self.t1 - self.t)
+        if self.h < 1e-14 * max(1.0, abs(self.t)):
+            raise self.failure("chart_escape" if self.stage_failed
+                               else "step_underflow")
+        return self.h
+
+    def end_of(self, h):
+        """The end of a step of size ``h``, snapped onto ``t1`` when close."""
+        t_new = self.t + h
+        if self.t1 - t_new < 1e-12 * max(1.0, abs(self.t1)):
+            t_new = self.t1
+        return t_new
+
+    def stage_failure(self):
+        """A trial stage could not be evaluated: retry at half the step."""
+        self.stage_failed = True
+        self.n_rejected += 1
+        self.h *= 0.5
+
+    def accept(self, err_norm, t_new, y_new, dense):
+        """Decide on a completed step by its scaled error norm; on
+        acceptance store it with its dense-output block ``dense``.  Returns
+        whether the step was accepted."""
+        self.n_rhs += 7
+        factor = _MAX_FACTOR if err_norm == 0.0 else min(
+            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
+        self.h *= factor
+        if err_norm > 1.0:
+            self.n_rejected += 1
+            return False
+        if np.max(np.abs(y_new)) > _BLOWUP:
+            raise self.failure("blow_up", t_new, y_new,
+                               f"state magnitude exceeded {_BLOWUP:g}")
+        n = self.n_accepted
+        if n + 1 == len(self.ts):
+            self.ts, self.ys, self.coeffs = (
+                _grown(buf) for buf in (self.ts, self.ys, self.coeffs))
+        self.coeffs[n] = dense
+        self.t = self.ts[n + 1] = t_new
+        self.ys[n + 1] = y_new
+        self.n_accepted = n + 1
+        self.stage_failed = False
+        return True
+
+    def path(self):
+        n = self.n_accepted
+        return DensePath(self.ts[:n + 1], self.ys[:n + 1], self.coeffs[:n])
+
+    def counts(self):
+        return {"n_steps": self.n_accepted, "n_rejected": self.n_rejected,
+                "n_rhs": self.n_rhs}
+
+    def failure(self, reason, u=None, state=None, msg=None):
+        """The row's :class:`IntegrationFailure`, by default at its last
+        accepted state, carrying the path integrated so far."""
+        if u is None:
+            u, state = self.t, self.ys[self.n_accepted].copy()
+        return IntegrationFailure(
+            reason, u, state, self.phase, msg,
+            partial=self.path() if self.n_accepted else None)
 
 
-def _second_guess(h0, d1, d2, t0, t_end, max_step):
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, t_end - t0, max_step)
+def _grown(buf):
+    """``buf`` with twice the nodes."""
+    out = np.empty((2 * len(buf),) + buf.shape[1:])
+    out[:len(buf)] = buf
+    return out
 
 
-def _initial_step(fun, t0, y0, f0, t_end, rtol, atol, max_step):
-    h0, scale, d1 = _first_guess(t0, y0, f0, t_end, rtol, atol, max_step)
-    try:
-        f1 = _checked(fun, t0 + h0, y0 + h0 * f0)
-        d2 = _rms((f1 - f0) / scale) / h0
-    except _StageFailure:
-        return max(h0 * 1e-3, 1e-12)
-    return _second_guess(h0, d1, d2, t0, t_end, max_step)
+_INITIAL_UNDEFINED = "right-hand side undefined at the initial state"
 
 
 def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
-               first_step=None, blowup=1e8, phase=None):
+               phase=None):
     """Integrate ``y' = fun(t, y)`` forward from ``t0`` to ``t1``.
 
     Returns ``(path, stats)`` where ``path`` is a :class:`DensePath` over
@@ -181,78 +299,40 @@ def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
     over the rows and, under ``"rows"``, one count dict per row.
     """
     if np.ndim(y0) == 2:
-        return _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step,
-                               first_step, blowup, phase)
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
-    y = np.asarray(y0, dtype=float).copy()
-    t = float(t0)
+        return _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase)
+    row = _Row(t0, t1, max_step, np.asarray(y0, dtype=float), phase)
+    y = row.ys[0]
     try:
-        f = _checked(fun, t, y)
+        f = _checked(fun, row.t, y)
     except _StageFailure:
-        raise IntegrationFailure(
-            "chart_escape", t, y, phase,
-            "right-hand side undefined at the initial state") from None
+        raise row.failure("chart_escape", msg=_INITIAL_UNDEFINED) from None
+    h0, scale, d1 = row.first_guess(y, f, rtol, atol)
+    try:
+        f1 = _checked(fun, row.t + h0, y + h0 * f)
+    except _StageFailure:
+        f1 = None
+    row.start(h0, scale, d1, f, f1)
 
-    ts, ys, coeffs = [t], [y.copy()], []
-    n_accepted = 0
-    n_rejected = 0
-    n_rhs = 1
-    span = t1 - t0
-    h = first_step if first_step is not None else _initial_step(
-        fun, t0, y, f, t1, rtol, atol, max_step)
-    h = min(max(h, 1e-12), max_step, span)
-    stage_failed = False
-
-    def _fail(reason, u, state, msg=None):
-        partial = DensePath(ts, ys, coeffs) if len(ts) >= 2 else None
-        raise IntegrationFailure(reason, u, state, phase, msg, partial=partial)
-
-    while t1 - t > 1e-14 * max(1.0, abs(t0), abs(t1)):
-        if n_accepted + n_rejected >= _MAX_STEPS:
-            _fail("step_limit", t, y)
-        h = min(h, max_step, t1 - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            _fail("chart_escape" if stage_failed else "step_underflow", t, y)
+    while (h := row.next_step()) is not None:
+        t = row.t
         try:
             k = [f]
             for ci, ai in zip(_C, _A[:-1]):
                 yi = y + h * sum(a * kk for a, kk in zip(ai, k))
                 k.append(_checked(fun, t + ci * h, yi))
             y_new = y + h * sum(a * kk for a, kk in zip(_A[-1], k))
-            t_new = t + h
-            if t1 - t_new < 1e-12 * max(1.0, abs(t1)):
-                t_new = t1
+            t_new = row.end_of(h)
             f_new = _checked(fun, t_new, y_new)
         except _StageFailure:
-            stage_failed = True
-            n_rejected += 1
-            h *= 0.5
+            row.stage_failure()
             continue
-        n_rhs += 7
         k.append(f_new)
         err = h * sum(e * kk for e, kk in zip(_ERR, k))
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = _rms(err / scale)
-        if err_norm <= 1.0:
-            if np.max(np.abs(y_new)) > blowup:
-                _fail("blow_up", t_new, y_new,
-                      f"state magnitude exceeded {blowup:g}")
-            coeffs.append(np.einsum("sd,sj->dj", np.asarray(k), _P))
-            t, y, f = t_new, y_new, f_new
-            ts.append(t)
-            ys.append(y.copy())
-            n_accepted += 1
-            stage_failed = False
-            factor = _MAX_FACTOR if err_norm == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
-            h *= factor
-        else:
-            n_rejected += 1
-            h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
-
-    stats = {"n_steps": n_accepted, "n_rejected": n_rejected, "n_rhs": n_rhs}
-    return DensePath(ts, ys, coeffs), stats
+        if row.accept(_rms(err / scale), t_new, y_new,
+                      np.einsum("sd,sj->dj", np.asarray(k), _P)):
+            y, f = y_new, f_new
+    return row.path(), row.counts()
 
 
 def _rows_checked(fun, t, y, rows):
@@ -275,162 +355,83 @@ def _per_row(value, b):
     return [float(v) for v in np.broadcast_to(np.asarray(value, float), (b,))]
 
 
-def _buffer_nodes(t0, t1, cap):
-    """Nodes to reserve for a row: twice the steps of a step cap that
-    binds (the error control takes up to twice as many in a strip), up to
-    two thousand; a longer phase grows the row's buffers."""
-    span = t1 - t0
-    return 2 * int(span / max(cap, span / 1024)) + 16
-
-
-def _grown(buf):
-    """``buf`` with twice the nodes."""
-    out = np.empty((2 * len(buf),) + buf.shape[1:])
-    out[:len(buf)] = buf
-    return out
-
-
-def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, first_step,
-                    blowup, phase):
+def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase):
     """The ensemble form of :func:`solve_rk45` on a ``(B, D)`` state.
 
-    Stage arithmetic runs on the live rows at once; times, step sizes,
-    error norms and controller factors are per-row Python floats, computed
-    as in the single-trajectory loop.
+    Stage arithmetic runs on the live rows at once; each row's step
+    control is its own :class:`_Row`, as in the single-trajectory loop.
     """
     y = np.array(y0, dtype=float)
     b = len(y)
-    t0s, t1s, caps = (_per_row(v, b) for v in (t0, t1, max_step))
-    if not all(e > s for s, e in zip(t0s, t1s)):
-        raise ValueError("t1 must exceed t0")
+    rows = [_Row(*spec, y[r], phase) for r, spec in enumerate(
+        zip(*(_per_row(v, b) for v in (t0, t1, max_step))))]
     out = [None] * b
-    # per row, dense output in buffers: node i at [i], the step from node
-    # i at [i]; the row's path is a view of them
-    nodes = [_buffer_nodes(*row) for row in zip(t0s, t1s, caps)]
-    ts = [np.empty(m) for m in nodes]
-    ys = [np.empty((m, y.shape[1])) for m in nodes]
-    coeffs = [np.empty((m, y.shape[1], len(_P[0]))) for m in nodes]
-    for r in range(b):
-        ts[r][0] = t0s[r]
-        ys[r][0] = y[r]
-    n_accepted, n_rejected, n_rhs = [0] * b, [0] * b, [1] * b
-    stage_failed = [False] * b
-    t = list(t0s)
-
-    f, ok = _rows_checked(fun, np.array(t), y, np.arange(b))
+    f, ok = _rows_checked(fun, np.array([row.t for row in rows]), y,
+                          np.arange(b))
     for r in np.nonzero(~ok)[0]:
-        out[r] = IntegrationFailure(
-            "chart_escape", t[r], y[r].copy(), phase,
-            "right-hand side undefined at the initial state")
+        out[r] = rows[r].failure("chart_escape", msg=_INITIAL_UNDEFINED)
     live = [r for r in range(b) if out[r] is None]
 
-    h = [0.0] * b if first_step is None else _per_row(first_step, b)
-    if first_step is None and live:
-        guesses = [_first_guess(t[r], y[r], f[r], t1s[r], rtol, atol, caps[r])
-                   for r in live]
+    if live:
+        guesses = [rows[r].first_guess(y[r], f[r], rtol, atol) for r in live]
         idx = np.array(live, dtype=int)
         h0 = np.array([g[0] for g in guesses])
-        f1, ok = _rows_checked(fun, np.array(t)[idx] + h0,
+        f1, ok = _rows_checked(fun, np.array([rows[r].t for r in live]) + h0,
                                y[idx] + h0[:, None] * f[idx], idx)
-        for j, (r, (h0r, scale, d1)) in enumerate(zip(live, guesses)):
-            if ok[j]:
-                d2 = _rms((f1[j] - f[r]) / scale) / h0r
-                h[r] = _second_guess(h0r, d1, d2, t[r], t1s[r], caps[r])
-            else:
-                h[r] = max(h0r * 1e-3, 1e-12)
-    for r in live:
-        h[r] = min(max(h[r], 1e-12), caps[r], t1s[r] - t0s[r])
-
-    def path(r):
-        n = n_accepted[r]
-        return DensePath(ts[r][:n + 1], ys[r][:n + 1], coeffs[r][:n])
-
-    def fail(r, reason, u, state, msg=None):
-        out[r] = IntegrationFailure(reason, u, state, phase, msg,
-                                    partial=path(r) if n_accepted[r] else None)
+        for j, (r, guess) in enumerate(zip(live, guesses)):
+            rows[r].start(*guess, f[r], f1[j] if ok[j] else None)
 
     while live:
         trial = []
         for r in live:
-            if not t1s[r] - t[r] > 1e-14 * max(1.0, abs(t0s[r]), abs(t1s[r])):
-                out[r] = path(r)
-            elif n_accepted[r] + n_rejected[r] >= _MAX_STEPS:
-                fail(r, "step_limit", t[r], y[r].copy())
+            try:
+                h = rows[r].next_step()
+            except IntegrationFailure as exc:
+                out[r] = exc
+                continue
+            if h is None:
+                out[r] = rows[r].path()
             else:
-                h[r] = min(h[r], caps[r], t1s[r] - t[r])
-                if h[r] < 1e-14 * max(1.0, abs(t[r])):
-                    fail(r, "chart_escape" if stage_failed[r]
-                         else "step_underflow", t[r], y[r].copy())
-                else:
-                    trial.append(r)
+                trial.append(r)
         live = trial
         if not live:
             break
         idx = np.array(live)
-        hv = np.array([h[r] for r in live])
-        tv = np.array([t[r] for r in live])
+        hv = np.array([rows[r].h for r in live])
+        tv = np.array([rows[r].t for r in live])
+        t_new = np.array([rows[r].end_of(rows[r].h) for r in live])
         yv = y[idx]
         k = [f[idx]]
         for s, ai in enumerate(_A):
             yi = yv + hv[:, None] * sum(a * kk for a, kk in zip(ai, k))
-            if s < len(_C):
-                ui = tv + _C[s] * hv
-            else:
-                # the propagated solution; snap onto the end point
-                t1v = np.array([t1s[r] for r in idx])
-                ui = tv + hv
-                ui = np.where(t1v - ui < 1e-12 * np.maximum(1.0, np.abs(t1v)),
-                              t1v, ui)
+            ui = tv + _C[s] * hv if s < len(_C) else t_new
             fi, ok = _rows_checked(fun, ui, yi, idx)
             if not ok.all():
                 for r in idx[~ok]:
-                    stage_failed[r] = True
-                    n_rejected[r] += 1
-                    h[r] *= 0.5
-                idx, hv, tv, yv, yi, ui, fi = (
-                    arr[ok] for arr in (idx, hv, tv, yv, yi, ui, fi))
+                    rows[r].stage_failure()
+                idx, hv, tv, t_new, yv, yi, fi = (
+                    arr[ok] for arr in (idx, hv, tv, t_new, yv, yi, fi))
                 k = [kk[ok] for kk in k]
                 if not len(idx):
                     break
             k.append(fi)
         else:
-            y_new, t_new = yi, ui
             err = hv[:, None] * sum(e * kk for e, kk in zip(_ERR, k))
-            ratio = err / (atol + rtol * np.maximum(np.abs(yv), np.abs(y_new)))
+            ratio = err / (atol + rtol * np.maximum(np.abs(yv), np.abs(yi)))
             err_norms = np.sqrt(np.mean(ratio * ratio, axis=1))
-            big = np.max(np.abs(y_new), axis=1) > blowup
             dense = np.einsum("sbd,sj->bdj", np.asarray(k), _P)
             for j, r in enumerate(idx.tolist()):
-                n_rhs[r] += 7
-                err_norm = float(err_norms[j])
-                if err_norm <= 1.0:
-                    if big[j]:
-                        fail(r, "blow_up", float(t_new[j]), y_new[j],
-                             f"state magnitude exceeded {blowup:g}")
-                        continue
-                    n = n_accepted[r]
-                    if n + 1 == len(ts[r]):
-                        ts[r], ys[r], coeffs[r] = (
-                            _grown(buf) for buf in (ts[r], ys[r], coeffs[r]))
-                    coeffs[r][n] = dense[j]
-                    t[r] = ts[r][n + 1] = float(t_new[j])
-                    y[r] = ys[r][n + 1] = y_new[j]
-                    f[r] = k[-1][j]
-                    n_accepted[r] += 1
-                    stage_failed[r] = False
-                    factor = _MAX_FACTOR if err_norm == 0.0 else min(
-                        _MAX_FACTOR,
-                        max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
-                    h[r] *= factor
-                else:
-                    n_rejected[r] += 1
-                    h[r] *= min(1.0, max(_MIN_FACTOR,
-                                         _SAFETY * err_norm ** -0.2))
+                try:
+                    if rows[r].accept(float(err_norms[j]), float(t_new[j]),
+                                      yi[j], dense[j]):
+                        y[r] = yi[j]
+                        f[r] = k[-1][j]
+                except IntegrationFailure as exc:
+                    out[r] = exc
         live = [r for r in live if out[r] is None]
 
-    rows = [{"n_steps": n_accepted[r], "n_rejected": n_rejected[r],
-             "n_rhs": n_rhs[r]} for r in range(b)]
-    stats = {key: sum(row[key] for row in rows)
+    counts = [row.counts() for row in rows]
+    stats = {key: sum(c[key] for c in counts)
              for key in ("n_steps", "n_rejected", "n_rhs")}
-    stats["rows"] = rows
+    stats["rows"] = counts
     return out, stats

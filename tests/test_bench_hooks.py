@@ -8,7 +8,7 @@ when someone runs the benchmark with ``--trace 1``.
 import os
 import sys
 
-from impulse_geo import dynamics, geometry, limits, profiles
+from impulse_geo import dynamics, geometry, limits, profiles, scenarios
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
                                 "perfbench"))
@@ -44,3 +44,23 @@ def test_tracer_counts_an_ensemble_study():
     for key in ("odesolve.steps", "odesolve.rhs_evals"):
         assert type(tracer.counts[key]) is int and tracer.counts[key] > 0
     assert tracer.calls("dynamics.field_strip") > 0
+
+
+def test_tracer_counts_a_single_trajectory():
+    # the tracer reads the step counts of a single trajectory from the
+    # stats of dynamics.solve_rk45 and names its field by the phase keyword;
+    # the anchor trajectory: sphere, gaussian bump, eps = 0.01, u_end = 1
+    scen = next(s for s in scenarios.builtin_scenarios()
+                if s.name == "sphere_stereographic-gaussian_bump")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        path = dynamics.integrate_impulsive_geodesic(
+            scen.model, scen.profile, profiles.mollifier_net(), 0.01,
+            scen.data, 1.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["odesolve.steps"] == path.diagnostics.n_steps == 287
+    assert tracer.counts["odesolve.rhs_evals"] == path.diagnostics.n_rhs == 2131
+    assert tracer.calls("dynamics.field_strip") > 0
+    assert tracer.calls("dynamics.field_outside") > 0

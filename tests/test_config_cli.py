@@ -268,3 +268,46 @@ def test_flag_overrides_config(tmp_path):
                  "--csv", str(tmp_path / "y.csv")]) == 0
     assert not (tmp_path / "x.csv").exists()
     assert len((tmp_path / "y.csv").read_text().splitlines()) == 12
+
+
+NET_REPORT = {"schema_version": 1, "manifold": {"name": "euclidean", "dim": 2},
+              "net": "mollifier", "eps_schedule": [0.5, 0.25, 0.125]}
+GROWTH = {"schema_version": 1, "manifold": {"name": "euclidean", "dim": 2},
+          "profile": {"name": "radial_power", "amplitude": 1.0,
+                      "exponent": 3.0},
+          "growth": {"center": [0.0, 0.0], "directions": [[1, 0], [0, 1]],
+                     "radii": [1, 2, 4, 8]}}
+NO_EPS = {key: value for key, value in BASE.items() if key != "eps"}
+
+
+OUTPUT_CASES = [
+    ("verify-net", NET_REPORT, "csv",
+     "eps,support_declared,support_measured,integral,l1,support_ok,"
+     "indeterminate"),
+    ("verify-net", NET_REPORT, "text", "passed"),
+    ("limit", NO_EPS, "text", "x_break"),
+    ("limit", NO_EPS, "csv", "u,x1,x2,xdot1,xdot2,v"),
+    ("certify", NO_EPS, "csv",
+     "chart,b,c,K,norm_F1,norm_F2,lip_F1,lip_F2,i2_radius,alpha,eps0"),
+    ("classify-growth", GROWTH, "text", "classification"),
+    ("integrate", BASE, "svg", "<svg"),
+]
+
+
+@pytest.mark.parametrize("command, payload, kind, first_line", OUTPUT_CASES,
+                         ids=[f"{case[0]}-{case[2]}" for case in OUTPUT_CASES])
+def test_cli_outputs_headers_and_sidecars(tmp_path, command, payload, kind,
+                                          first_line):
+    # a CSV starts with its header, a text report with its first key and an
+    # SVG with its root element; every rerun gives the same bytes
+    out = tmp_path / f"out.{kind}"
+    cfg = write_cfg(tmp_path, {**payload, "output": {kind: str(out)}})
+    assert main([command, "--config", cfg]) == 0
+    first = out.read_bytes()
+    line = first.decode().splitlines()[0]
+    assert line == first_line if kind == "csv" else line.startswith(first_line)
+    meta = tmp_path / f"out.{kind}.meta.json"
+    sidecar = meta.read_bytes()
+    assert json.loads(sidecar)["outputs"] == {kind: str(out)}
+    assert main([command, "--config", cfg]) == 0
+    assert out.read_bytes() == first and meta.read_bytes() == sidecar

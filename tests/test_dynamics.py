@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from impulse_geo import dynamics, geometry, profiles, scenarios
+from impulse_geo import dynamics, geometry, odesolve, profiles, scenarios
 from impulse_geo.dynamics import (GeodesicState, InitialData,
                                   integrate_impulsive_geodesic,
                                   lagrangian_energy, rhs)
 from impulse_geo.errors import ChartDomainError, IntegrationFailure
-from impulse_geo.odesolve import solve_rk45
+from impulse_geo.odesolve import DensePath, solve_rk45
 
 
 EU = geometry.euclidean(2)
@@ -283,3 +283,27 @@ def test_ensemble_field_matches_point_field():
             one = dynamics._ensemble_system(hyp, prof, NET, [eps[i]])(
                 us[i:i + 1], ys[i:i + 1], np.array([0]))
             assert np.array_equal(one[0], batch[i])
+
+
+def test_step_limit_fails_alone_with_its_partial_path(monkeypatch):
+    # a row whose step cap needs 60 steps runs out of a budget of 20 steps;
+    # beside it a short row finishes
+    monkeypatch.setattr(odesolve, "_MAX_STEPS", 20)
+    y0 = np.array([[0.5, 0.0, 0.2, 0.1], [0.1, 0.3, -0.2, 0.1]])
+    with pytest.raises(IntegrationFailure) as err:
+        solve_rk45(_toy_point_field, 0.0, 3.0, y0[0], max_step=0.05)
+    want = err.value
+    assert want.reason == "step_limit" and 0.0 < want.u < 3.0
+    assert want.partial.t1 == want.u
+
+    def fun(t, ys, rows):
+        return np.array([_toy_point_field(float(u), y) for u, y in zip(t, ys)])
+
+    (got, short), stats = solve_rk45(fun, 0.0, [3.0, 0.3], y0,
+                                     max_step=[0.05, math.inf])
+    assert isinstance(got, IntegrationFailure) and got.reason == "step_limit"
+    assert got.u == want.u and np.array_equal(got.state, want.state)
+    assert np.array_equal(got.partial.ts, want.partial.ts)
+    assert np.array_equal(got.partial.ys, want.partial.ys)
+    assert isinstance(short, DensePath) and short.t1 == 0.3
+    assert stats["rows"][1]["n_steps"] + stats["rows"][1]["n_rejected"] < 20

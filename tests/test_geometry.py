@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from impulse_geo import geometry, profiles
-from impulse_geo.errors import ChartDomainError, IntegrationFailure
+from impulse_geo.errors import (ChartDomainError, IntegrationFailure,
+                                ShootingFailure)
 
 
 def models():
@@ -329,3 +330,26 @@ def test_distance_shooting_matches_closed_form():
     exact = geometry.distance_estimate(analytic, a, b)
     assert est.method == "shooting"
     assert est.value == pytest.approx(exact.value, abs=1e-6)
+
+
+@pytest.mark.parametrize("failure", [
+    ShootingFailure("shooting did not converge"),
+    IntegrationFailure("blow_up", 0.5, np.zeros(6), "background"),
+], ids=lambda exc: type(exc).__name__)
+@pytest.mark.parametrize("chart_domain", [None, lambda x: abs(x[0]) > 0.2],
+                         ids=["whole_plane", "chord_leaves_chart"])
+def test_distance_chord_lower_bound_when_shooting_fails(monkeypatch, failure,
+                                                        chart_domain):
+    # h = 4 I: the chord bound is exact, 2 |x - xbar|; chord samples outside
+    # the chart are skipped
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(geometry, "_shooting_distance", fail)
+    model = geometry.from_metric(2, lambda x: 4.0 * np.eye(2),
+                                 chart_domain=chart_domain)
+    x, xbar = np.array([-1.0, 0.0]), np.array([1.0, 0.5])
+    est = geometry.distance_estimate(model, x, xbar)
+    assert est.method == "chord_lower_bound" and est.lower_bound
+    assert est.value == pytest.approx(2.0 * np.linalg.norm(xbar - x),
+                                      rel=1e-15)
