@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands operate on a JSON scenario config (see the README for the
-schema); selected flags override config values.  Exit codes: 0 on success,
-2 on validation errors, 3 on numerical failures.
+schema); selected flags override config values and pass the same checks.
+Exit codes: 0 on success, 2 when the config, a flag or an argument value
+fails validation, 3 on numerical failures.
 
 ``sweep`` integrates all widths of its schedule as one ensemble in this
 process.  The worker count (from, in order of precedence, the ``--workers``
@@ -19,10 +20,8 @@ import sys
 import numpy as np
 
 from . import artifacts, dynamics, existence, limits
-# parse_config is unused here but stays importable as cli.parse_config,
-# which the benchmark's tracer (perfbench/tracing.py) wraps
 from .config import (build_data, build_model, build_net, build_profile,
-                     load_config, parse_config, serialize_config)  # noqa: F401
+                     load_config, parse_config, serialize_config)
 from .errors import ChartDomainError, ConfigError, NumericalError
 from .profiles import classify_growth, verify_strict_delta_net
 
@@ -35,8 +34,7 @@ def build_parser():
         description="Geodesics of impulsive wave geometries: integration, "
                     "existence certificates, and sharp-limit studies.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON scenario config")
         p.add_argument("--eps", type=float, default=None,
@@ -53,21 +51,11 @@ def build_parser():
         p.add_argument("--svg", default=None, help="override SVG output path")
         p.add_argument("--text", default=None,
                        help="override text output path")
-        return p
-
-    add("integrate", "integrate one regularized geodesic and export it")
-    add("limit", "construct the sharp-limit geodesic and its coefficients")
-    add("certify", "build the fixed-point crossing certificate")
-    add("sweep", "convergence study over a width schedule")
-    add("verify-net", "check the strict-net properties of the impulse family")
-    add("classify-growth", "estimate the radial growth exponent of a profile")
     return parser
 
 
 def _apply_overrides(cfg, args):
     if args.eps is not None:
-        if not 0.0 < args.eps <= 0.5:
-            raise ConfigError("eps must lie in (0, 0.5]")
         cfg.eps = args.eps
         cfg.eps_schedule = None
     if args.u_end is not None:
@@ -100,35 +88,28 @@ def _workers(cfg, flag_value):
     return 1
 
 
-# output formats each subcommand can emit (svg only for paths and tables)
-_ALLOWED_OUTPUTS = {
-    "integrate": {"csv", "svg"},
-    "limit": {"text", "csv"},
-    "certify": {"text", "csv"},
-    "sweep": {"csv", "svg"},
-    "verify-net": {"text", "csv"},
-    "classify-growth": {"text"},
-}
-
-
-def _check_outputs(command, cfg):
-    allowed = _ALLOWED_OUTPUTS[command]
-    bad = sorted(set(cfg.output) - allowed)
+def _check_outputs(command, allowed, cfg):
+    bad = sorted(set(cfg.output) - set(allowed))
     if bad:
         raise ConfigError(
             f"output format '{bad[0]}' is not supported by {command} "
             f"(supported: {', '.join(sorted(allowed))})")
 
 
-def _artifact(kind, cfg, outputs, summary):
-    art = artifacts.RunArtifact(
-        kind=kind, outputs=outputs,
-        provenance=artifacts.provenance_for(serialize_config(cfg), cfg.seed),
-        summary=summary)
-    first = next(iter(outputs.values()), None)
-    if first:
-        artifacts.write_meta(first + ".meta.json", art)
-    return art
+def _write_outputs(cfg, kind, summary, writers):
+    """Write the requested outputs in the order of ``writers`` (format ->
+    function of the path), then the sidecar beside the first of them."""
+    outputs = {}
+    for fmt, write in writers.items():
+        if fmt in cfg.output:
+            write(cfg.output[fmt])
+            outputs[fmt] = cfg.output[fmt]
+    if outputs:
+        art = artifacts.RunArtifact(
+            kind=kind, outputs=outputs, summary=summary,
+            provenance=artifacts.provenance_for(serialize_config(cfg),
+                                                cfg.seed))
+        artifacts.write_meta(next(iter(outputs.values())) + ".meta.json", art)
 
 
 def _require_eps(cfg):
@@ -143,33 +124,28 @@ def cmd_integrate(cfg):
     net = build_net(cfg)
     data = build_data(cfg, model.dim)
     eps = _require_eps(cfg)
-    if not cfg.u_end > eps:
-        raise ConfigError(f"u_end must exceed eps, got u_end={cfg.u_end!r} "
-                          f"and eps={eps!r}")
     rtol = cfg.tol("rtol", 1e-10)
     atol = cfg.tol("atol", 1e-10)
     path = dynamics.integrate_impulsive_geodesic(
         model, profile, net, eps, data, cfg.u_end, rtol=rtol, atol=atol)
     us = np.linspace(-1.0, cfg.u_end, cfg.samples)
-    outputs = {}
-    if "csv" in cfg.output:
-        artifacts.write_path_csv(cfg.output["csv"], path, us, model,
-                                 profile, net, eps)
-        outputs["csv"] = cfg.output["csv"]
-    if "svg" in cfg.output:
+
+    def svg(out):
         xs = path.x_at(us)
         comps = [xs[:, i] for i in range(model.dim)] + [path.v_at(us)]
         labels = [f"x{i+1}" for i in range(model.dim)] + ["v"]
-        artifacts.svg_path(cfg.output["svg"], us, comps, labels,
+        artifacts.svg_path(out, us, comps, labels,
                            title="regularized geodesic")
-        outputs["svg"] = cfg.output["svg"]
+
     end = path.state_at(cfg.u_end)
     summary = (f"integrated to u={cfg.u_end:g}; "
                f"x={np.array2string(end.x, precision=6)} v={end.v:.6g}; "
                f"energy drift {path.diagnostics.energy_drift:.3e}")
     print(summary)
-    _artifact("path", cfg, outputs, summary)
-    return 0
+    return "path", summary, {
+        "csv": lambda out: artifacts.write_path_csv(out, path, us, model,
+                                                    profile, net, eps),
+        "svg": svg}
 
 
 def cmd_limit(cfg):
@@ -183,22 +159,18 @@ def cmd_limit(cfg):
                                rtol=rtol, atol=atol)
     text = artifacts.limit_text(lg)
     print(text, end="")
-    outputs = {}
-    if "text" in cfg.output:
-        artifacts.write_text(cfg.output["text"], text)
-        outputs["text"] = cfg.output["text"]
-    if "csv" in cfg.output:
+
+    def csv(out):
         us = np.linspace(-1.0, lg.u_end, cfg.samples)
         rows = [(float(u), *map(float, lg.x_at(float(u))),
                  *map(float, lg.xdot_at(float(u))), float(lg.v_at(float(u))))
                 for u in us]
         header = (["u"] + [f"x{i+1}" for i in range(model.dim)]
                   + [f"xdot{i+1}" for i in range(model.dim)] + ["v"])
-        artifacts.write_csv(cfg.output["csv"], header, rows)
-        outputs["csv"] = cfg.output["csv"]
-    _artifact("report", cfg, outputs, f"jump={lg.jump_coeff!r} "
-                                      f"kink={lg.kink_coeff!r}")
-    return 0
+        artifacts.write_csv(out, header, rows)
+
+    return "report", f"jump={lg.jump_coeff!r} kink={lg.kink_coeff!r}", {
+        "text": lambda out: artifacts.write_text(out, text), "csv": csv}
 
 
 def cmd_certify(cfg):
@@ -220,22 +192,13 @@ def cmd_certify(cfg):
                              grid=grid)
     text = artifacts.certificate_text(cert)
     print(text, end="")
-    outputs = {}
-    if "text" in cfg.output:
-        artifacts.write_text(cfg.output["text"], text)
-        outputs["text"] = cfg.output["text"]
-    if "csv" in cfg.output:
-        rows = [(cert.chart, cert.b, cert.c, cert.k, cert.norm_F1,
-                 cert.norm_F2, cert.lip_F1, cert.lip_F2, cert.i2_radius,
-                 cert.alpha, cert.eps0)]
-        artifacts.write_csv(cfg.output["csv"],
-                             ["chart", "b", "c", "K", "norm_F1", "norm_F2",
-                              "lip_F1", "lip_F2", "i2_radius", "alpha",
-                              "eps0"], rows)
-        outputs["csv"] = cfg.output["csv"]
-    _artifact("certificate", cfg, outputs,
-              f"alpha={cert.alpha!r} eps0={cert.eps0!r}")
-    return 0
+    rows = [(cert.chart, cert.b, cert.c, cert.k, cert.norm_F1, cert.norm_F2,
+             cert.lip_F1, cert.lip_F2, cert.i2_radius, cert.alpha, cert.eps0)]
+    header = ["chart", "b", "c", "K", "norm_F1", "norm_F2", "lip_F1",
+              "lip_F2", "i2_radius", "alpha", "eps0"]
+    return "certificate", f"alpha={cert.alpha!r} eps0={cert.eps0!r}", {
+        "text": lambda out: artifacts.write_text(out, text),
+        "csv": lambda out: artifacts.write_csv(out, header, rows)}
 
 
 def cmd_sweep(cfg):
@@ -247,34 +210,18 @@ def cmd_sweep(cfg):
     profile = build_profile(cfg)
     net = build_net(cfg)
     data = build_data(cfg, model.dim)
-    schedule = sorted(cfg.eps_schedule, reverse=True)
-    probes = np.asarray(cfg.u_probes, dtype=float)
-    if np.any(probes == 0.0) or np.any(probes < -1.0):
-        raise ConfigError("u_probes must exclude 0 and lie at u >= -1")
-    probes_out = probes[np.abs(probes) > max(schedule)]
-    if probes_out.size == 0:
-        raise ConfigError("no probe clears the widest strip of the schedule")
-
     table = limits.convergence_study(
-        model, profile, net, data, schedule, probes,
+        model, profile, net, data, cfg.eps_schedule, cfg.u_probes,
         rtol=cfg.tol("rtol", 1e-10), atol=cfg.tol("atol", 1e-10))
-
-    outputs = {}
-    if "csv" in cfg.output:
-        artifacts.write_table_csv(cfg.output["csv"], table)
-        outputs["csv"] = cfg.output["csv"]
-    if "svg" in cfg.output:
-        artifacts.svg_loglog(cfg.output["svg"], table.eps,
-                             {"err_x": table.err_x,
-                              "err_xdot": table.err_xdot,
-                              "err_v": table.err_v},
-                             title="convergence to the sharp limit")
-        outputs["svg"] = cfg.output["svg"]
     summary = (f"orders: x={table.orders['x']:.3g} "
                f"xdot={table.orders['xdot']:.3g} v={table.orders['v']:.3g}")
     print(summary)
-    _artifact("table", cfg, outputs, summary)
-    return 0
+    errors = {"err_x": table.err_x, "err_xdot": table.err_xdot,
+              "err_v": table.err_v}
+    return "table", summary, {
+        "csv": lambda out: artifacts.write_table_csv(out, table),
+        "svg": lambda out: artifacts.svg_loglog(
+            out, table.eps, errors, title="convergence to the sharp limit")}
 
 
 def cmd_verify_net(cfg):
@@ -285,15 +232,9 @@ def cmd_verify_net(cfg):
                                      tol=cfg.tol("net_tol", 1e-8))
     text = artifacts.net_report_text(report)
     print(text, end="")
-    outputs = {}
-    if "text" in cfg.output:
-        artifacts.write_text(cfg.output["text"], text)
-        outputs["text"] = cfg.output["text"]
-    if "csv" in cfg.output:
-        artifacts.write_net_report_csv(cfg.output["csv"], report)
-        outputs["csv"] = cfg.output["csv"]
-    _artifact("report", cfg, outputs, f"passed={report.passed}")
-    return 0
+    return "report", f"passed={report.passed}", {
+        "text": lambda out: artifacts.write_text(out, text),
+        "csv": lambda out: artifacts.write_net_report_csv(out, report)}
 
 
 def cmd_classify_growth(cfg):
@@ -313,33 +254,39 @@ def cmd_classify_growth(cfg):
                              radii, margin=float(cfg.growth.get("margin", 0.1)))
     text = artifacts.growth_text(report)
     print(text, end="")
-    outputs = {}
-    if "text" in cfg.output:
-        artifacts.write_text(cfg.output["text"], text)
-        outputs["text"] = cfg.output["text"]
-    _artifact("report", cfg, outputs, report.classification)
-    return 0
+    return "report", report.classification, {
+        "text": lambda out: artifacts.write_text(out, text)}
+
+
+# subcommand -> (handler, output formats, help); a handler returns the
+# artifact kind, its summary and a writer per output format, in write order
+_COMMANDS = {
+    "integrate": (cmd_integrate, ("csv", "svg"),
+                  "integrate one regularized geodesic and export it"),
+    "limit": (cmd_limit, ("text", "csv"),
+              "construct the sharp-limit geodesic and its coefficients"),
+    "certify": (cmd_certify, ("text", "csv"),
+                "build the fixed-point crossing certificate"),
+    "sweep": (cmd_sweep, ("csv", "svg"),
+              "convergence study over a width schedule"),
+    "verify-net": (cmd_verify_net, ("text", "csv"),
+                   "check the strict-net properties of the impulse family"),
+    "classify-growth": (cmd_classify_growth, ("text",),
+                        "estimate the radial growth exponent of a profile"),
+}
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, formats, _ = _COMMANDS[args.command]
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
-        _check_outputs(args.command, cfg)
+        cfg = _apply_overrides(load_config(args.config), args)
+        # the flags pass the same checks as the config keys they override
+        cfg = parse_config(serialize_config(cfg))
+        _check_outputs(args.command, formats, cfg)
         _workers(cfg, args.workers)  # validates the worker count
-        if args.command == "integrate":
-            return cmd_integrate(cfg)
-        if args.command == "limit":
-            return cmd_limit(cfg)
-        if args.command == "certify":
-            return cmd_certify(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "verify-net":
-            return cmd_verify_net(cfg)
-        return cmd_classify_growth(cfg)
+        _write_outputs(cfg, *handler(cfg))
+        return 0
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ and net objects are built on demand by the ``build_*`` functions.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -95,9 +96,10 @@ def _check_named(section, mapping, registry):
 
 
 def _number(key, value):
-    """A JSON number (not a boolean) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+    """A finite JSON number (not a boolean, NaN or Infinity) as a float."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
 

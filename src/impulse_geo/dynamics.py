@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationFailure
+from .errors import ConfigError, IntegrationFailure
 from .odesolve import solve_rk45
 
 __all__ = [
@@ -74,7 +74,7 @@ class InitialData:
         self.x0 = np.asarray(self.x0, dtype=float)
         self.xdot0 = np.asarray(self.xdot0, dtype=float)
         if self.x0.shape != self.xdot0.shape or self.x0.ndim != 1:
-            raise ValueError("x0 and xdot0 must be 1-d arrays of equal length")
+            raise ConfigError("x0 and xdot0 must be 1-d arrays of equal length")
         self.v0 = float(self.v0)
         self.vdot0 = float(self.vdot0)
 
@@ -309,11 +309,11 @@ def background_path(model, x0, xdot0, u_start, u_end, *, v0=0.0, vdot0=0.0,
 
 def _check_inputs(model, eps, data, u_end):
     if not all(0.0 < e <= 0.5 for e in eps):
-        raise ValueError("eps must lie in (0, 1/2]")
+        raise ConfigError("eps must lie in (0, 1/2]")
     if not all(u > e for e, u in zip(eps, u_end)):
-        raise ValueError("u_end must exceed eps")
+        raise ConfigError("u_end must exceed eps")
     if len(data.x0) != model.dim:
-        raise ValueError("initial data dimension does not match the manifold")
+        raise ConfigError("initial data dimension does not match the manifold")
     model.require_inside(data.x0)
 
 

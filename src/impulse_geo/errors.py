@@ -9,8 +9,8 @@ class ChartDomainError(ImpulseGeoError):
     """A point lies outside the declared chart domain of a manifold."""
 
 
-class ConfigError(ImpulseGeoError):
-    """A scenario configuration failed validation."""
+class ConfigError(ImpulseGeoError, ValueError):
+    """An input failed validation."""
 
 
 class NumericalError(ImpulseGeoError):

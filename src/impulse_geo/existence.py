@@ -42,7 +42,8 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .dynamics import batch_acceleration
-from .errors import CertificateViolation, ChartDomainError, NumericalError
+from .errors import (CertificateViolation, ChartDomainError, ConfigError,
+                     NumericalError)
 from .geometry import central_difference
 from .profiles import metric_gradient
 
@@ -113,8 +114,10 @@ def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
     be admissible.  ``I2`` is rebuilt from the computed ``||F2||``, which
     depends on ``I1`` only, so one pass resolves its self-reference.
     """
+    if b <= 0 or c_seed <= 0 or k <= 0:
+        raise ConfigError("b, c and K must be positive")
     if grid < 9:
-        raise ValueError("grid must be at least 9 points per axis")
+        raise ConfigError("grid must be at least 9 points per axis")
     x0 = np.asarray(x0, dtype=float)
     xdot0 = np.asarray(xdot0, dtype=float)
     model.require_inside(x0)
@@ -168,9 +171,9 @@ def alpha_bound(speed, b, c, norm_F1, norm_F2, k):
     infinite and alpha = 1.
     """
     if b <= 0 or c <= 0 or k <= 0:
-        raise ValueError("b, c and K must be positive")
+        raise ConfigError("b, c and K must be positive")
     if min(speed, norm_F1, norm_F2) < 0:
-        raise ValueError("norms must be nonnegative")
+        raise ConfigError("norms must be nonnegative")
     denom = speed + norm_F1 + k * norm_F2
     ratio_b = b / denom if denom > 0 else math.inf
     ratio_c = c / norm_F1 if norm_F1 > 0 else math.inf
@@ -271,7 +274,7 @@ def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
     raise :class:`CertificateViolation`.
     """
     if eps > alpha / 2.0 + 1e-12:
-        raise ValueError("eps must be at most alpha/2")
+        raise ConfigError("eps must be at most alpha/2")
     x0 = np.asarray(x0, dtype=float)
     xdot0 = np.asarray(xdot0, dtype=float)
     model.require_inside(x0)
@@ -315,7 +318,7 @@ def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
 def weissinger_coefficient(n, alpha, lip_F1, lip_F2, k):
     """The n-step contraction constant a_n of the iterated operator."""
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise ConfigError("n must be at least 2")
     lead = 4.0 * max(lip_F1, k * lip_F2)
     return lead * alpha ** (2 * n - 2) / math.factorial(2 * n - 2)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .errors import IntegrationFailure
+from .errors import ConfigError, IntegrationFailure
 from .profiles import metric_gradient
 
 __all__ = [
@@ -280,17 +280,17 @@ def convergence_study(model, profile, net, data, eps_schedule, u_probes, *,
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if any(e <= 0 for e in eps_schedule):
-        raise ValueError("eps schedule must be positive")
+        raise ConfigError("eps schedule must be positive")
     eps_schedule = sorted(eps_schedule, reverse=True)
     u_probes = np.asarray(u_probes, dtype=float)
     if np.any(u_probes == 0.0):
-        raise ValueError("probes must exclude u = 0")
+        raise ConfigError("probes must exclude u = 0")
     if np.any(u_probes < -1.0):
-        raise ValueError("probes must lie at u >= -1, where data is posed")
+        raise ConfigError("probes must lie at u >= -1, where data is posed")
     eps_max = max(eps_schedule)
     probes_out = u_probes[np.abs(u_probes) > eps_max]
     if probes_out.size == 0:
-        raise ValueError(
+        raise ConfigError(
             "no probe clears the widest strip; the velocity and v errors "
             "need probes with |u| > max(eps_schedule)")
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import dynamics, geometry
-from .errors import IntegrationFailure, NumericalError
+from .errors import ConfigError, IntegrationFailure, NumericalError
 
 __all__ = [
     "WaveProfile", "constant_profile", "linear_profile",
@@ -384,9 +384,9 @@ def verify_strict_delta_net(net, eps_schedule, tol=1e-8):
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if not eps_schedule or any(e <= 0 for e in eps_schedule):
-        raise ValueError("eps schedule must be positive")
+        raise ConfigError("eps schedule must be positive")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
-        raise ValueError("eps schedule must be strictly decreasing")
+        raise ConfigError("eps schedule must be strictly decreasing")
 
     checks = []
     for eps in eps_schedule:
@@ -461,9 +461,11 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
     model.require_inside(xbar)
     radii = [float(r) for r in radii]
     if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be increasing with at least two values")
+        raise ConfigError("radii must be increasing with at least two values")
     if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+        raise ConfigError("radii must be positive")
+    if len(ray_directions) == 0:
+        raise ConfigError("classify_growth needs at least one ray direction")
 
     samples = []
     dropped = []
@@ -471,7 +473,7 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
         w = np.asarray(direction, dtype=float)
         speed = model.norm_at(xbar, w)
         if speed == 0.0:
-            raise ValueError("ray directions must be nonzero")
+            raise ConfigError("ray directions must be nonzero")
         w = w / speed
         try:
             ray = dynamics.background_path(model, xbar, w, 0.0, radii[-1],

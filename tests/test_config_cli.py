@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from impulse_geo import config
 from impulse_geo.cli import main
@@ -311,3 +312,77 @@ def test_cli_outputs_headers_and_sidecars(tmp_path, command, payload, kind,
     assert json.loads(sidecar)["outputs"] == {kind: str(out)}
     assert main([command, "--config", cfg]) == 0
     assert out.read_bytes() == first and meta.read_bytes() == sidecar
+
+
+SWEEP = {**NO_EPS, "eps_schedule": [0.125, 0.0625], "u_probes": [-0.5, 0.5]}
+
+
+def _growth(**changes):
+    return {**GROWTH, "growth": {**GROWTH["growth"], **changes}}
+
+
+def _existence(**values):
+    return {**NO_EPS, "existence": values}
+
+
+# argument values the library rejects, given in the config or by a flag
+REJECTED_CASES = {
+    "growth-radii-decreasing": ("classify-growth", _growth(radii=[2, 1]), []),
+    "growth-radii-single": ("classify-growth", _growth(radii=[1]), []),
+    "growth-radii-negative": ("classify-growth", _growth(radii=[-1, 1]), []),
+    "growth-no-directions": ("classify-growth", _growth(directions=[]), []),
+    "certify-grid-0": ("certify", _existence(grid=0), []),
+    "certify-grid-5": ("certify", _existence(grid=5), []),
+    "certify-c-0": ("certify", _existence(c=0), []),
+    "certify-b-negative": ("certify", _existence(b=-1), []),
+    "certify-c-negative": ("certify", _existence(c=-1), []),
+    # JSON's NaN and Infinity, which Python's json module reads
+    "certify-b-nan": ("certify", _existence(b=float("nan")), []),
+    "growth-radii-infinite": ("classify-growth",
+                              _growth(radii=[1, float("inf")]), []),
+    "integrate-u-end-infinite": ("integrate", BASE, ["--u-end", "inf"]),
+    "integrate-samples-0": ("integrate", BASE, ["--samples", "0"]),
+    "integrate-samples-negative": ("integrate", BASE, ["--samples", "-3"]),
+    "limit-samples-0": ("limit", NO_EPS, ["--samples", "0"]),
+    "limit-samples-negative": ("limit", NO_EPS, ["--samples", "-3"]),
+    "sweep-probe-at-0": ("sweep", {**SWEEP, "u_probes": [0.0, 0.5]}, []),
+    "sweep-probe-before-data": ("sweep", {**SWEEP, "u_probes": [-2.0, 0.5]},
+                                []),
+    # the widest strip is [-0.125, 0.125]
+    "sweep-no-probe-clears-strip": ("sweep",
+                                    {**SWEEP, "u_probes": [-0.1, 0.125]}, []),
+}
+
+
+@pytest.mark.parametrize("command, payload, flags", REJECTED_CASES.values(),
+                         ids=REJECTED_CASES.keys())
+def test_cli_rejected_argument_values_exit_2(tmp_path, capsys, command,
+                                             payload, flags):
+    # a value the library rejects is a validation error, not a traceback,
+    # and no output is written
+    kind = "text" if command in ("certify", "classify-growth") else "csv"
+    out = tmp_path / f"out.{kind}"
+    cfg = write_cfg(tmp_path, {**payload, "output": {kind: str(out)}})
+    assert main([command, "--config", cfg] + flags) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SMALL = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(command=st.sampled_from(["certify", "classify-growth"]),
+       b=SMALL, c=SMALL, grid=st.integers(-2, 15),
+       radii=st.lists(SMALL, max_size=4), margin=SMALL,
+       samples=st.integers(-10, 10))
+def test_cli_fuzzed_values_never_raise(tmp_path_factory, command, b, c, grid,
+                                       radii, margin, samples):
+    # any value either runs, is a validation error or a numerical failure
+    payload = {**NO_EPS, "profile": GROWTH["profile"],
+               "existence": {"b": b, "c": c, "grid": grid},
+               "growth": {**GROWTH["growth"], "radii": radii,
+                          "margin": margin}}
+    cfg = write_cfg(tmp_path_factory.mktemp("fuzz"), payload)
+    assert main([command, "--config", cfg,
+                 "--samples", str(samples)]) in (0, 2, 3)
