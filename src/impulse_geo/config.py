@@ -47,6 +47,7 @@ _TOP_KEYS = {
 _DATA_KEYS = {"x0", "xdot0", "v0", "vdot0"}
 _TOL_KEYS = {"rtol", "atol", "picard_tol", "net_tol"}
 _EXISTENCE_KEYS = {"b", "c", "grid", "max_iter", "picard_grid"}
+_EXISTENCE_INTEGERS = {"grid", "max_iter", "picard_grid"}
 _GROWTH_KEYS = {"center", "directions", "radii", "margin"}
 _OUTPUT_KEYS = {"csv", "svg", "text"}
 
@@ -103,6 +104,15 @@ def _number(key, value):
     return float(value)
 
 
+def _integer(key, value):
+    """A finite JSON number with an integral value (``9`` or ``9.0``) as an
+    int; ``9.9`` is rejected, never truncated."""
+    number = _number(key, value)
+    if not number.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _numbers(key, values, dim=None):
     """A list of numbers as floats, of ``dim`` entries where it is a vector
     on the manifold."""
@@ -144,7 +154,10 @@ def _check_sections(raw, dim):
             _number(f"growth.{key}", value)
     for section in ("tolerances", "existence"):
         for key, value in raw.get(section, {}).items():
-            _number(f"{section}.{key}", value)
+            if section == "existence" and key in _EXISTENCE_INTEGERS:
+                _integer(f"{section}.{key}", value)
+            else:
+                _number(f"{section}.{key}", value)
     for key, value in raw.get("output", {}).items():
         if not isinstance(value, str):
             raise ConfigError(f"output.{key} must be a file path")
@@ -214,7 +227,7 @@ def parse_config(text):
     if raw.get("growth") is not None:
         _require_keys("growth", raw["growth"], _GROWTH_KEYS)
     _check_sections(raw, dim)
-    samples = int(_number("samples", raw.get("samples", 201)))
+    samples = _integer("samples", raw.get("samples", 201))
     if samples < 1:
         raise ConfigError("samples must be positive")
     workers = raw.get("workers")
@@ -234,8 +247,8 @@ def parse_config(text):
         existence=dict(raw.get("existence", {})),
         growth=raw.get("growth"),
         samples=samples,
-        seed=int(_number("seed", raw.get("seed", 0))),
-        workers=None if workers is None else int(_number("workers", workers)),
+        seed=_integer("seed", raw.get("seed", 0)),
+        workers=None if workers is None else _integer("workers", workers),
         output=dict(raw.get("output", {})),
     )
     return cfg

@@ -9,12 +9,19 @@ extrapolation.
 
 Fields come in two forms: per point (``christoffel_at``,
 ``inverse_metric_at``, ``contains``) and on ``(B, n)`` batches of points
-(``christoffel``, ``inverse_metric``, ``inside``).  The built-in models
-evaluate batches in closed form.  Models given only by a metric take their
-Christoffel symbols from one batched central difference of the metric
-(:func:`central_difference`), for a single point as for a batch, and their
-inverse metrics from one batched inverse (or the inverse-metric callback
-per point); their chart test loops over ``contains``.
+(``christoffel``, ``inverse_metric``, ``inside``).  The ``*_at`` methods
+are the checked public point forms: each checks the chart, then calls the
+model's unchecked point form (the closed-form callback, or the fallback
+from the metric).  The geodesic field of a single trajectory checks the
+chart once per call with ``require_inside`` and then calls the unchecked
+forms itself.
+
+The built-in models evaluate batches in closed form.  Models given only by
+a metric take their Christoffel symbols from one batched central
+difference of the metric (:func:`central_difference`), for a single point
+as for a batch, and their inverse metrics from one batched inverse (or the
+inverse-metric callback per point); their chart test loops over
+``contains``.
 
 Built-in models
 ---------------
@@ -73,9 +80,7 @@ class ManifoldModel:
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            return False
-        if not np.all(np.isfinite(x)):
+        if x.shape != (self.dim,) or not np.isfinite(x).all():
             return False
         return True if self._chart_domain is None else bool(self._chart_domain(x))
 
@@ -92,9 +97,7 @@ class ManifoldModel:
     def inverse_metric_at(self, x):
         x = np.asarray(x, dtype=float)
         self.require_inside(x)
-        if self._inverse_metric is not None:
-            return np.asarray(self._inverse_metric(x), dtype=float)
-        return np.linalg.inv(np.asarray(self._metric(x), dtype=float))
+        return self._point_inverse_metric(x)
 
     def christoffel_at(self, x):
         """Christoffel symbols ``Gamma[k, i, j]`` at ``x``.
@@ -104,6 +107,17 @@ class ManifoldModel:
         """
         x = np.asarray(x, dtype=float)
         self.require_inside(x)
+        return self._point_christoffel(x)
+
+    # The unchecked point forms, for a float ``(n,)`` point the caller has
+    # already checked with require_inside: the closed-form callback, or the
+    # fallback from the metric.
+    def _point_inverse_metric(self, x):
+        if self._inverse_metric is not None:
+            return np.asarray(self._inverse_metric(x), dtype=float)
+        return np.linalg.inv(np.asarray(self._metric(x), dtype=float))
+
+    def _point_christoffel(self, x):
         if self._christoffel is not None:
             return np.asarray(self._christoffel(x), dtype=float)
         return self._fd_christoffel(x[None])[0]
@@ -244,7 +258,8 @@ def hyperbolic_half_plane():
         return np.diag([1.0, 1.0]) / x[1] ** 2
 
     def inverse(x):
-        return np.diag([x[1] ** 2, x[1] ** 2])
+        y2 = x[1] ** 2
+        return np.array([[y2, 0.0], [0.0, y2]])
 
     def christoffel(x):
         inv_y = 1.0 / x[1]
@@ -294,7 +309,8 @@ def sphere_stereographic():
 
     def inverse(x):
         c = 2.0 / (1.0 + float(x @ x))
-        return np.eye(2) / (c * c)
+        s = 1.0 / (c * c)
+        return np.array([[s, 0.0], [0.0, s]])
 
     def christoffel(x):
         # conformal metric exp(2 phi) I with phi = log 2 - log(1 + |x|^2):

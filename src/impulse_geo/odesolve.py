@@ -33,8 +33,10 @@ alone or as a row, has its own step size, end point, step cap,
 accept/reject decision, stage-failure halving, blow-up and step-limit
 checks, counts and dense output, with the step-size arithmetic in Python
 floats.  Only the stage arithmetic is written twice: on ``(D,)`` arrays
-with the per-point field for a single trajectory, and on ``(m, D)``
-arrays with the batch field for an ensemble.  A single trajectory run as
+with the per-point field for a single trajectory, each stage combination
+written out term by term, and on ``(m, D)`` arrays with the batch field
+for an ensemble, as sums over the tableau rows.  Both add up in the same
+order, from 0 and left to right.  A single trajectory run as
 an ensemble of one was slower: 7-17% on the rounds of the criterion-4
 crossings and 9-14% on those of a user-metric trajectory (process CPU
 time, 2-vCPU VM), since the batch field and the per-step array work do
@@ -140,13 +142,13 @@ def _checked(fun, t, y):
         f = np.asarray(fun(t, y), dtype=float)
     except ChartDomainError as exc:
         raise _StageFailure from exc
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise _StageFailure
     return f
 
 
 def _rms(v):
-    return float(np.sqrt(np.mean(v * v)))
+    return math.sqrt((v * v).sum() / v.size)
 
 
 class _Row:
@@ -242,7 +244,7 @@ class _Row:
         if err_norm > 1.0:
             self.n_rejected += 1
             return False
-        if np.max(np.abs(y_new)) > _BLOWUP:
+        if np.abs(y_new).max() > _BLOWUP:
             raise self.failure("blow_up", t_new, y_new,
                                f"state magnitude exceeded {_BLOWUP:g}")
         n = self.n_accepted
@@ -313,25 +315,40 @@ def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
         f1 = None
     row.start(h0, scale, d1, f, f1)
 
+    c2, c3, c4, c5, c6 = _C
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76)) = _A
+    e1, e2, e3, e4, e5, e6, e7 = _ERR
     while (h := row.next_step()) is not None:
         t = row.t
+        # each combination adds up as sum() would: from 0, left to right,
+        # so that the results keep every bit, signed zeros included
         try:
-            k = [f]
-            for ci, ai in zip(_C, _A[:-1]):
-                yi = y + h * sum(a * kk for a, kk in zip(ai, k))
-                k.append(_checked(fun, t + ci * h, yi))
-            y_new = y + h * sum(a * kk for a, kk in zip(_A[-1], k))
+            k1 = f
+            k2 = _checked(fun, t + c2 * h, y + h * (0 + a21 * k1))
+            k3 = _checked(fun, t + c3 * h, y + h * (0 + a31 * k1 + a32 * k2))
+            k4 = _checked(fun, t + c4 * h,
+                          y + h * (0 + a41 * k1 + a42 * k2 + a43 * k3))
+            k5 = _checked(fun, t + c5 * h,
+                          y + h * (0 + a51 * k1 + a52 * k2 + a53 * k3
+                                   + a54 * k4))
+            k6 = _checked(fun, t + c6 * h,
+                          y + h * (0 + a61 * k1 + a62 * k2 + a63 * k3
+                                   + a64 * k4 + a65 * k5))
+            y_new = y + h * (0 + a71 * k1 + a72 * k2 + a73 * k3 + a74 * k4
+                             + a75 * k5 + a76 * k6)
             t_new = row.end_of(h)
-            f_new = _checked(fun, t_new, y_new)
+            k7 = _checked(fun, t_new, y_new)
         except _StageFailure:
             row.stage_failure()
             continue
-        k.append(f_new)
-        err = h * sum(e * kk for e, kk in zip(_ERR, k))
+        err = h * (0 + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5
+                   + e6 * k6 + e7 * k7)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         if row.accept(_rms(err / scale), t_new, y_new,
-                      np.einsum("sd,sj->dj", np.asarray(k), _P)):
-            y, f = y_new, f_new
+                      np.einsum("sd,sj->dj",
+                                np.array((k1, k2, k3, k4, k5, k6, k7)), _P)):
+            y, f = y_new, k7
     return row.path(), row.counts()
 
 

@@ -386,3 +386,46 @@ def test_cli_fuzzed_values_never_raise(tmp_path_factory, command, b, c, grid,
     cfg = write_cfg(tmp_path_factory.mktemp("fuzz"), payload)
     assert main([command, "--config", cfg,
                  "--samples", str(samples)]) in (0, 2, 3)
+
+
+# integer settings with a fractional value: rejected, never truncated
+FRACTIONAL_CASES = {
+    "samples": {**BASE, "samples": 41.7},
+    "seed": {**BASE, "seed": 0.5},
+    "workers": {**BASE, "workers": 1.5},
+    "existence-grid": {**BASE, "existence": {"grid": 9.9}},
+    "existence-max_iter": {**BASE, "existence": {"max_iter": 10.5}},
+    "existence-picard_grid": {**BASE, "existence": {"picard_grid": 400.25}},
+}
+
+
+@pytest.mark.parametrize("payload", FRACTIONAL_CASES.values(),
+                         ids=FRACTIONAL_CASES.keys())
+def test_fractional_integer_keys_exit_2(tmp_path, capsys, payload):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        config.parse_config(json.dumps(payload))
+    out = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path, {**payload, "output": {"csv": str(out)}})
+    assert main(["integrate", "--config", cfg]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_integer_keys_pass(tmp_path):
+    # 9.0 is the integer 9; certify reports the grid it ran on
+    payload = {**NO_EPS, "samples": 41.0, "seed": 3.0, "workers": 1.0,
+               "existence": {"grid": 9.0, "max_iter": 20.0,
+                             "picard_grid": 400.0}}
+    cfg = config.parse_config(json.dumps(payload))
+    assert (cfg.samples, cfg.seed, cfg.workers) == (41, 3, 1)
+    assert all(type(v) is int for v in (cfg.samples, cfg.seed, cfg.workers))
+    texts = []
+    for grid in (9.0, 9):
+        out = tmp_path / f"cert-{grid!r}.txt"
+        path = write_cfg(tmp_path, {**payload,
+                                    "existence": {**payload["existence"],
+                                                  "grid": grid},
+                                    "output": {"text": str(out)}})
+        assert main(["certify", "--config", path]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]

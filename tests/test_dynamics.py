@@ -307,3 +307,119 @@ def test_step_limit_fails_alone_with_its_partial_path(monkeypatch):
     assert np.array_equal(got.partial.ys, want.partial.ys)
     assert isinstance(short, DensePath) and short.t1 == 0.3
     assert stats["rows"][1]["n_steps"] + stats["rows"][1]["n_rejected"] < 20
+
+
+def _nan_after(t, y):
+    if t > 0.7:
+        return np.full(3, np.nan)
+    return np.array([y[1], -y[0], 0.5 * y[2]])
+
+
+def _inf_in_one(t, y):
+    return np.array([y[1], -y[0], math.inf if t > 0.45 else 0.5 * y[2]])
+
+
+@pytest.mark.parametrize("fun, u, n_nodes", [
+    (_nan_after, 0.6999999999999958, 37),
+    (_inf_in_one, 0.4499999999999926, 28),
+])
+def test_non_finite_stages_end_in_chart_escape(fun, u, n_nodes):
+    # a stage with a NaN, or an infinity in one component, is retried at
+    # half the step until the step collapses; u and the node count are
+    # pinned, so the loop must flag exactly the same stages
+    with pytest.raises(IntegrationFailure) as err:
+        solve_rk45(fun, 0.0, 2.0, np.array([1.0, 0.0, 1.0]))
+    exc = err.value
+    assert exc.reason == "chart_escape"
+    assert exc.u == u and exc.partial.t1 == u
+    assert exc.partial.ts.size == n_nodes
+    assert np.array_equal(exc.state, exc.partial.ys[-1])
+
+
+def test_field_checks_the_chart_once_per_call(monkeypatch):
+    # the anchor trajectory: sphere, gaussian bump, eps = 0.01, u_end = 1
+    scen = next(s for s in scenarios.builtin_scenarios()
+                if s.name == "sphere_stereographic-gaussian_bump")
+    contains = geometry.ManifoldModel.contains
+    solve = dynamics.solve_rk45
+    calls = {"field": 0, "contains": 0}
+    in_field = []
+
+    def counted_contains(self, x):
+        if in_field:
+            calls["contains"] += 1
+        return contains(self, x)
+
+    def solve_counted(fun, *args, **kwargs):
+        def field(u, y):
+            calls["field"] += 1
+            in_field.append(True)
+            try:
+                return fun(u, y)
+            finally:
+                in_field.pop()
+        return solve(field, *args, **kwargs)
+
+    monkeypatch.setattr(geometry.ManifoldModel, "contains", counted_contains)
+    monkeypatch.setattr(dynamics, "solve_rk45", solve_counted)
+    path = integrate_impulsive_geodesic(scen.model, scen.profile, NET, 0.01,
+                                        scen.data, 1.0)
+    assert path.diagnostics.n_steps == 287
+    assert calls["field"] > 287 and calls["contains"] == calls["field"]
+
+
+def test_point_field_raises_outside_the_chart():
+    hyp = geometry.hyperbolic_half_plane()
+    bump = profiles.gaussian_bump_profile(1.0, [0.8, 1.2], 0.8)
+    user = geometry.from_metric(2, lambda x: np.eye(2) / x[1] ** 2,
+                                chart_domain=lambda x: x[1] > 0.0)
+    fields = [dynamics._system(model, prof, net, 0.1)
+              for model in (hyp, user)
+              for prof, net in ((bump, NET), (None, None))]
+    xd = [0.3, -0.2, 0.0, 0.1]
+    for fun in fields:
+        assert np.isfinite(fun(0.0, np.array([0.1, 1.0] + xd))).all()
+        for x in ([0.1, 0.0], [0.1, -1.0], [np.nan, 1.0], [0.1, np.nan]):
+            for u in (0.0, 0.5):  # inside and outside the strip
+                with pytest.raises(ChartDomainError):
+                    fun(u, np.array(x + xd))
+
+
+def _node_energies(path, model, profile=None, net=None, eps=None):
+    n = path.n
+    return np.array([
+        lagrangian_energy(GeodesicState(u, y[:n], y[n:2 * n], y[2 * n],
+                                        y[2 * n + 1]), model, profile, net,
+                          eps)
+        for piece in path.pieces for u, y in zip(piece.ts, piece.ys)])
+
+
+def _assert_energy_diagnostics(path, energies, e0):
+    diag = path.diagnostics
+    assert np.float64(diag.energy_start).tobytes() == np.float64(e0).tobytes()
+    drift = float(np.max(np.abs(energies - e0)))
+    assert abs(diag.energy_drift - drift) <= 4 * np.spacing(
+        np.max(np.abs(energies)))
+
+
+@pytest.mark.parametrize("net", [profiles.mollifier_net(),
+                                 profiles.asymmetric_net(),
+                                 profiles.signed_net()], ids=lambda n: n.name)
+def test_batch_energy_diagnostics_match_node_energies(net):
+    # the batch over the nodes against lagrangian_energy node by node
+    for scen in scenarios.builtin_scenarios():
+        path = integrate_impulsive_geodesic(scen.model, scen.profile, net,
+                                            0.01, scen.data, 1.0)
+        e0 = lagrangian_energy(path.state_at(path.u_start), scen.model,
+                               scen.profile, net, 0.01)
+        _assert_energy_diagnostics(
+            path, _node_energies(path, scen.model, scen.profile, net, 0.01),
+            e0)
+
+
+def test_batch_energy_diagnostics_of_a_background_path():
+    hyp = geometry.hyperbolic_half_plane()
+    path = geometry.background_geodesic(hyp, [0.1, 1.0], [0.6, 0.4], -1.0,
+                                        1.0)
+    e0 = lagrangian_energy(path.state_at(path.u_start), hyp)
+    _assert_energy_diagnostics(path, _node_energies(path, hyp), e0)
