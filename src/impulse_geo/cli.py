@@ -5,16 +5,14 @@ schema); selected flags override config values and pass the same checks.
 Exit codes: 0 on success, 2 when the config, a flag or an argument value
 fails validation, 3 on numerical failures.
 
-``sweep`` integrates all widths of its schedule as one ensemble in this
-process.  The worker count (from, in order of precedence, the ``--workers``
-flag, the ``IMPULSE_GEO_WORKERS`` environment variable, and the config) is
-still read and validated, but no longer changes how the sweep runs: one
-ensemble beat a pool of worker processes.  Reruns of the same config are
-byte-identical.
+The handlers pass on only the config keys that are set, so every default
+is the library's.  ``sweep`` integrates all widths of its schedule as one
+ensemble in this process; the ``--workers`` flag and the ``workers`` key are
+accepted and checked as integers, but do nothing.  Reruns of the same
+config are byte-identical.
 """
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -28,6 +26,20 @@ from .profiles import classify_growth, verify_strict_delta_net
 __all__ = ["main", "build_parser"]
 
 
+# flag -> (type, config key, help); ``section.key`` names a key of a section
+_FLAGS = {
+    "--eps": (float, "eps", "override the regularization width"),
+    "--u-end": (float, "u_end", "override the final parameter value"),
+    "--samples": (int, "samples", "override the output sample count"),
+    "--seed": (int, "seed", "override the recorded seed"),
+    "--workers": (int, "workers",
+                  "accepted and checked as an integer; does nothing"),
+    "--csv": (str, "output.csv", "override CSV output path"),
+    "--svg": (str, "output.svg", "override SVG output path"),
+    "--text": (str, "output.text", "override text output path"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="impulse-geo",
@@ -37,55 +49,33 @@ def build_parser():
     for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON scenario config")
-        p.add_argument("--eps", type=float, default=None,
-                       help="override the regularization width")
-        p.add_argument("--u-end", type=float, default=None,
-                       help="override the final parameter value")
-        p.add_argument("--samples", type=int, default=None,
-                       help="override the output sample count")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the recorded seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="override the worker count")
-        p.add_argument("--csv", default=None, help="override CSV output path")
-        p.add_argument("--svg", default=None, help="override SVG output path")
-        p.add_argument("--text", default=None,
-                       help="override text output path")
+        for flag, (kind, key, flag_help) in _FLAGS.items():
+            p.add_argument(flag, type=kind, dest=key, help=flag_help)
     return parser
 
 
 def _apply_overrides(cfg, args):
+    for _, key, _ in _FLAGS.values():
+        value = getattr(args, key)
+        if value is None:
+            continue
+        section, _, name = key.rpartition(".")
+        if section:
+            getattr(cfg, section)[name] = value
+        else:
+            setattr(cfg, name, value)
     if args.eps is not None:
-        cfg.eps = args.eps
-        cfg.eps_schedule = None
-    if args.u_end is not None:
-        cfg.u_end = args.u_end
-    if args.samples is not None:
-        cfg.samples = args.samples
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.workers is not None:
-        cfg.workers = args.workers
-    for key in ("csv", "svg", "text"):
-        val = getattr(args, key)
-        if val is not None:
-            cfg.output[key] = val
+        cfg.eps_schedule = None  # a single width replaces the schedule
     return cfg
 
 
-def _workers(cfg, flag_value):
-    if flag_value is not None:
-        return max(1, flag_value)
-    env = os.environ.get("IMPULSE_GEO_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                f"IMPULSE_GEO_WORKERS must be an integer, got {env!r}") from None
-    if cfg.workers is not None:
-        return max(1, int(cfg.workers))
-    return 1
+def _given(section, *keys, **renamed):
+    """Keyword arguments from the keys of a config section that the config
+    sets (``param="key"`` passes ``key`` as ``param``); a key it does not set
+    keeps the library default."""
+    names = {**{key: key for key in keys}, **renamed}
+    return {param: section[key] for param, key in names.items()
+            if key in section}
 
 
 def _check_outputs(command, allowed, cfg):
@@ -124,10 +114,9 @@ def cmd_integrate(cfg):
     net = build_net(cfg)
     data = build_data(cfg, model.dim)
     eps = _require_eps(cfg)
-    rtol = cfg.tol("rtol", 1e-10)
-    atol = cfg.tol("atol", 1e-10)
     path = dynamics.integrate_impulsive_geodesic(
-        model, profile, net, eps, data, cfg.u_end, rtol=rtol, atol=atol)
+        model, profile, net, eps, data, cfg.u_end,
+        **_given(cfg.tolerances, "rtol", "atol"))
     us = np.linspace(-1.0, cfg.u_end, cfg.samples)
 
     def svg(out):
@@ -152,11 +141,9 @@ def cmd_limit(cfg):
     model = build_model(cfg)
     profile = build_profile(cfg)
     data = build_data(cfg, model.dim)
-    rtol = cfg.tol("rtol", 1e-10)
-    atol = cfg.tol("atol", 1e-10)
     lg = limits.limit_geodesic(model, profile, data,
                                u_end=max(cfg.u_end, 1.0),
-                               rtol=rtol, atol=atol)
+                               **_given(cfg.tolerances, "rtol", "atol"))
     text = artifacts.limit_text(lg)
     print(text, end="")
 
@@ -178,18 +165,13 @@ def cmd_certify(cfg):
     profile = build_profile(cfg)
     net = build_net(cfg)
     data = build_data(cfg, model.dim)
-    rtol = cfg.tol("rtol", 1e-10)
-    atol = cfg.tol("atol", 1e-10)
-    b = float(cfg.existence.get("b", 1.0))
-    c = float(cfg.existence.get("c", 1.0))
-    grid = int(cfg.existence.get("grid", 9))
     # anchor the certificate at the shock-crossing state of the background
     # trajectory (the strip entry point in the sharp-width limit)
     base = dynamics.background_path(model, data.x0, data.xdot0, -1.0, 0.0,
-                                    rtol=rtol, atol=atol)
+                                    **_given(cfg.tolerances, "rtol", "atol"))
     cert = existence.certify(model, profile, base.x_at(0.0),
-                             base.xdot_at(0.0), b=b, c=c, k=net.l1_bound,
-                             grid=grid)
+                             base.xdot_at(0.0), k=net.l1_bound,
+                             **_given(cfg.existence, "b", "c", "grid"))
     text = artifacts.certificate_text(cert)
     print(text, end="")
     rows = [(cert.chart, cert.b, cert.c, cert.k, cert.norm_F1, cert.norm_F2,
@@ -212,7 +194,7 @@ def cmd_sweep(cfg):
     data = build_data(cfg, model.dim)
     table = limits.convergence_study(
         model, profile, net, data, cfg.eps_schedule, cfg.u_probes,
-        rtol=cfg.tol("rtol", 1e-10), atol=cfg.tol("atol", 1e-10))
+        **_given(cfg.tolerances, "rtol", "atol"))
     summary = (f"orders: x={table.orders['x']:.3g} "
                f"xdot={table.orders['xdot']:.3g} v={table.orders['v']:.3g}")
     print(summary)
@@ -228,8 +210,8 @@ def cmd_verify_net(cfg):
     net = build_net(cfg)
     if not cfg.eps_schedule:
         raise ConfigError("verify-net needs an eps_schedule")
-    report = verify_strict_delta_net(net, cfg.eps_schedule,
-                                     tol=cfg.tol("net_tol", 1e-8))
+    report = verify_strict_delta_net(
+        net, cfg.eps_schedule, **_given(cfg.tolerances, tol="net_tol"))
     text = artifacts.net_report_text(report)
     print(text, end="")
     return "report", f"passed={report.passed}", {
@@ -251,7 +233,7 @@ def cmd_classify_growth(cfg):
         raise ConfigError("growth.radii is required")
     report = classify_growth(profile, model, center,
                              [np.asarray(d, float) for d in directions],
-                             radii, margin=float(cfg.growth.get("margin", 0.1)))
+                             radii, **_given(cfg.growth, "margin"))
     text = artifacts.growth_text(report)
     print(text, end="")
     return "report", report.classification, {
@@ -284,7 +266,6 @@ def main(argv=None):
         # the flags pass the same checks as the config keys they override
         cfg = parse_config(serialize_config(cfg))
         _check_outputs(args.command, formats, cfg)
-        _workers(cfg, args.workers)  # validates the worker count
         _write_outputs(cfg, *handler(cfg))
         return 0
     except FileNotFoundError as exc:

@@ -1,21 +1,21 @@
 """Declarative scenario configuration: a strict, versioned JSON schema.
 
-The schema is flat key-value JSON (documented in the README).  Parsing is
-strict: unknown keys anywhere are rejected with the list of known keys, so
-a typo never silently changes a run.  Values are kept as plain Python
-containers so parse -> serialize -> parse is the identity; model, profile
-and net objects are built on demand by the ``build_*`` functions.
+The schema (documented in the README) is written once, in the tables below:
+a check per key of each section, and per built-in manifold and profile its
+constructor and parameters.  Unknown keys anywhere are rejected with the
+list of known keys, so a typo never silently changes a run.  Values are
+kept as plain Python containers so parse -> serialize -> parse is the
+identity; models, profiles and nets are built on demand by ``build_*``.
 """
 
 import json
 import math
 from dataclasses import dataclass, field, asdict
 
-import numpy as np
-
 from . import geometry, profiles
 from .dynamics import InitialData
 from .errors import ConfigError
+from .scenarios import builtin_nets
 
 __all__ = [
     "ScenarioConfig", "parse_config", "serialize_config", "load_config",
@@ -24,32 +24,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-KNOWN_MANIFOLDS = {
-    "euclidean": {"dim"},
-    "hyperbolic_half_plane": set(),
-    "sphere_stereographic": set(),
-}
-KNOWN_PROFILES = {
-    "constant": {"value"},
-    "linear": {"coeffs", "offset"},
-    "quadratic_form": {"matrix", "center"},
-    "radial_power": {"amplitude", "exponent", "center"},
-    "gaussian_bump": {"amplitude", "center", "width"},
-}
-KNOWN_NETS = ("mollifier", "asymmetric", "signed")
-
-_TOP_KEYS = {
-    "schema_version", "manifold", "profile", "net", "data", "eps",
-    "eps_schedule", "u_end", "u_probes", "tolerances", "existence",
-    "growth", "samples", "seed", "workers", "output",
-}
-_DATA_KEYS = {"x0", "xdot0", "v0", "vdot0"}
-_TOL_KEYS = {"rtol", "atol", "picard_tol", "net_tol"}
-_EXISTENCE_KEYS = {"b", "c", "grid", "max_iter", "picard_grid"}
-_EXISTENCE_INTEGERS = {"grid", "max_iter", "picard_grid"}
-_GROWTH_KEYS = {"center", "directions", "radii", "margin"}
-_OUTPUT_KEYS = {"csv", "svg", "text"}
 
 
 @dataclass
@@ -71,55 +45,43 @@ class ScenarioConfig:
     workers: int | None = None
     output: dict = field(default_factory=dict)
 
-    def tol(self, key, default):
-        return float(self.tolerances.get(key, default))
+
+# Each check takes the key (for its message), the value and the manifold
+# dimension, and returns the value to store.
 
 
-def _require_keys(section, mapping, allowed):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"section '{section}' must be an object")
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown key '{unknown[0]}' in section '{section}' "
-            f"(known: {', '.join(sorted(allowed))})")
-
-
-def _check_named(section, mapping, registry):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"section '{section}' must be an object")
-    name = mapping.get("name")
-    if name not in registry:
-        raise ConfigError(
-            f"unknown {section} name {name!r} "
-            f"(known: {', '.join(sorted(registry))})")
-    _require_keys(section, mapping, registry[name] | {"name"})
-
-
-def _number(key, value):
-    """A finite JSON number (not a boolean, NaN or Infinity) as a float."""
+def _number(key, value, dim=None):
+    """A finite JSON number (not a boolean, NaN or Infinity), as given."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not math.isfinite(value)):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
+    return value
 
 
-def _integer(key, value):
-    """A finite JSON number with an integral value (``9`` or ``9.0``) as an
-    int; ``9.9`` is rejected, never truncated."""
-    number = _number(key, value)
-    if not number.is_integer():
+def _integer(key, value, dim=None):
+    """A number with an integral value (``9`` or ``9.0``) as an int; ``9.9``
+    is rejected, never truncated."""
+    if not float(_number(key, value)).is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(number)
+    return int(value)
 
 
 def _numbers(key, values, dim=None):
-    """A list of numbers as floats, of ``dim`` entries where it is a vector
-    on the manifold."""
+    """A list of numbers, of ``dim`` entries if given."""
     if not isinstance(values, list) or dim not in (None, len(values)):
         size = "" if dim is None else f"{dim} "
         raise ConfigError(f"{key} must be a list of {size}numbers")
-    return [_number(key, v) for v in values]
+    for value in values:
+        _number(key, value)
+    return values
+
+
+def _list(key, values, dim=None):
+    return _numbers(key, values)
+
+
+def _point(key, values, dim):
+    return values if values is None else _numbers(key, values, dim)
 
 
 def _rows(key, rows, dim, count=None):
@@ -128,39 +90,127 @@ def _rows(key, rows, dim, count=None):
         raise ConfigError(f"{key} must be a list of lists of {dim} numbers")
     for row in rows:
         _numbers(key, row, dim)
+    return rows
 
 
-def _check_sections(raw, dim):
-    """Numbers and vector lengths in the profile, growth, tolerances,
-    existence and output sections."""
-    profile = raw.get("profile") or {}
-    if profile.get("name") == "linear":
-        _numbers("profile.coeffs", profile.get("coeffs", [1.0, 0.0]), dim)
-    for key, value in profile.items():
-        if key == "matrix":
-            _rows("profile.matrix", value, dim, count=dim)
-        elif key == "center" and value is not None:
-            _numbers("profile.center", value, dim)
-        elif key not in ("name", "center", "coeffs"):
-            _number(f"profile.{key}", value)
-    for key, value in (raw.get("growth") or {}).items():
-        if key == "directions":
-            _rows("growth.directions", value, dim)
-            if any(not any(row) for row in value):
-                raise ConfigError("growth.directions must be nonzero vectors")
-        elif key in ("center", "radii"):
-            _numbers(f"growth.{key}", value, dim if key == "center" else None)
-        else:
-            _number(f"growth.{key}", value)
-    for section in ("tolerances", "existence"):
-        for key, value in raw.get(section, {}).items():
-            if section == "existence" and key in _EXISTENCE_INTEGERS:
-                _integer(f"{section}.{key}", value)
-            else:
-                _number(f"{section}.{key}", value)
-    for key, value in raw.get("output", {}).items():
-        if not isinstance(value, str):
-            raise ConfigError(f"output.{key} must be a file path")
+def _matrix(key, rows, dim):
+    return _rows(key, rows, dim, count=dim)
+
+
+def _directions(key, rows, dim):
+    if any(not any(row) for row in _rows(key, rows, dim)):
+        raise ConfigError(f"{key} must be nonzero vectors")
+    return rows
+
+
+def _path(key, value, dim):
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a file path")
+    return value
+
+
+def _dimension(key, value, dim):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError("manifold dim must be a positive integer")
+    return value
+
+
+def _width(key, value):
+    if not 0.0 < _number(key, value) <= 0.5:
+        raise ConfigError("eps must lie in (0, 0.5]")
+    return float(value)
+
+
+def _schedule(key, values):
+    if not isinstance(values, list) or not values:
+        raise ConfigError("eps_schedule must be a non-empty list")
+    widths = [float(e) for e in _numbers(key, values)]
+    if any(not 0.0 < e <= 0.5 for e in widths):
+        raise ConfigError("every eps in the schedule must lie in (0, 0.5]")
+    if any(b >= a for a, b in zip(widths, widths[1:])):
+        raise ConfigError("eps_schedule must be strictly decreasing")
+    return widths
+
+
+def _count(key, value):
+    count = _integer(key, value)
+    if count < 1:
+        raise ConfigError(f"{key} must be positive")
+    return count
+
+
+def _net(key, value):
+    if value not in KNOWN_NETS:
+        raise ConfigError(
+            f"unknown net name {value!r} (known: {', '.join(KNOWN_NETS)})")
+    return value
+
+
+_REQUIRED = object()  # a parameter without default, needed to build
+
+# name -> (constructor, {parameter: (check, default)}), the parameters in
+# the constructor's order
+KNOWN_MANIFOLDS = {
+    "euclidean": (geometry.euclidean, {"dim": (_dimension, 2)}),
+    "hyperbolic_half_plane": (geometry.hyperbolic_half_plane, {}),
+    "sphere_stereographic": (geometry.sphere_stereographic, {}),
+}
+KNOWN_PROFILES = {
+    "constant": (profiles.constant_profile, {"value": (_number, 1.0)}),
+    "linear": (profiles.linear_profile, {"coeffs": (_numbers, [1.0, 0.0]),
+                                         "offset": (_number, 0.0)}),
+    "quadratic_form": (profiles.quadratic_form_profile,
+                       {"matrix": (_matrix, _REQUIRED),
+                        "center": (_point, None)}),
+    "radial_power": (profiles.radial_power_profile,
+                     {"amplitude": (_number, 1.0),
+                      "exponent": (_number, _REQUIRED),
+                      "center": (_point, None)}),
+    "gaussian_bump": (profiles.gaussian_bump_profile,
+                      {"amplitude": (_number, 1.0),
+                       "center": (_point, _REQUIRED),
+                       "width": (_number, 1.0)}),
+}
+KNOWN_NETS = tuple(builtin_nets())
+
+# section -> {key: check}
+_SECTIONS = {
+    "data": {"x0": _list, "xdot0": _list, "v0": _number, "vdot0": _number},
+    "tolerances": dict.fromkeys(("rtol", "atol", "picard_tol", "net_tol"),
+                                _number),
+    "existence": {"b": _number, "c": _number, "grid": _integer,
+                  "max_iter": _integer, "picard_grid": _integer},
+    "growth": {"center": _numbers, "directions": _directions,
+               "radii": _list, "margin": _number},
+    "output": dict.fromkeys(("csv", "svg", "text"), _path),
+}
+# section keys that a given section must set
+_SECTION_REQUIRED = {"data.x0", "data.xdot0"}
+
+# top-level key -> check; the other keys are the sections and named objects
+_VALUES = {
+    "net": _net, "eps": _width, "eps_schedule": _schedule,
+    "u_end": lambda key, value: float(_number(key, value)),
+    "u_probes": lambda key, values: [float(v) for v in _numbers(key, values)],
+    "samples": _count, "seed": _integer, "workers": _integer}
+_DEFAULTS = ScenarioConfig()
+
+
+def _require_keys(section, mapping, allowed):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"section '{section}' must be an object")
+    unknown = sorted(set(mapping) - set(allowed))
+    if unknown:
+        raise ConfigError(
+            f"unknown key '{unknown[0]}' in section '{section}' "
+            f"(known: {', '.join(sorted(allowed))})")
+
+
+def _sets(raw, key):
+    """Whether the config sets ``key``; null sets only a key whose default
+    is not None, and is then checked like any other value."""
+    return key in raw and (raw[key] is not None
+                           or getattr(_DEFAULTS, key) is not None)
 
 
 def parse_config(text):
@@ -171,87 +221,51 @@ def parse_config(text):
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _require_keys("top level", raw, _TOP_KEYS)
-
+    _require_keys("top level", raw, vars(_DEFAULTS))
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, "
             f"got {raw.get('schema_version')!r}")
-
-    manifold = raw.get("manifold")
-    if manifold is None:
+    if raw.get("manifold") is None:
         raise ConfigError("config must declare a manifold")
-    _check_named("manifold", manifold, KNOWN_MANIFOLDS)
-    dim = manifold.get("dim", 2)
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ConfigError("manifold dim must be a positive integer")
 
-    profile = raw.get("profile")
-    if profile is not None:
-        _check_named("profile", profile, KNOWN_PROFILES)
+    values, dim = {}, 2  # both built-in surfaces are 2-dimensional
+    for section, registry in (("manifold", KNOWN_MANIFOLDS),
+                              ("profile", KNOWN_PROFILES)):
+        if not _sets(raw, section):
+            continue
+        values[section] = mapping = raw[section]
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"section '{section}' must be an object")
+        name = mapping.get("name")
+        if name not in registry:
+            raise ConfigError(
+                f"unknown {section} name {name!r} "
+                f"(known: {', '.join(sorted(registry))})")
+        params = registry[name][1]
+        _require_keys(section, mapping, {"name", *params})
+        # a default is checked like a given value: linear coeffs have dim
+        for key, (check, default) in params.items():
+            value = mapping.get(key, default)
+            if value is not _REQUIRED:
+                check(f"{section}.{key}", value, dim)
+        dim = mapping.get("dim", dim)  # set by a euclidean manifold only
 
-    net = raw.get("net")
-    if net is not None and net not in KNOWN_NETS:
-        raise ConfigError(
-            f"unknown net name {net!r} (known: {', '.join(KNOWN_NETS)})")
-
-    data = raw.get("data")
-    if data is not None:
-        _require_keys("data", data, _DATA_KEYS)
-        for key in ("x0", "xdot0"):
-            _numbers(f"data.{key}", data.get(key))
-        for key in ("v0", "vdot0"):
-            if key in data:
-                _number(f"data.{key}", data[key])
-
-    eps = raw.get("eps")
-    eps_schedule = raw.get("eps_schedule")
-    if eps is not None and eps_schedule is not None:
+    if _sets(raw, "eps") and _sets(raw, "eps_schedule"):
         raise ConfigError("give either eps or eps_schedule, not both")
-    if eps is not None and not 0.0 < _number("eps", eps) <= 0.5:
-        raise ConfigError("eps must lie in (0, 0.5]")
-    if eps_schedule is not None:
-        if not isinstance(eps_schedule, list) or not eps_schedule:
-            raise ConfigError("eps_schedule must be a non-empty list")
-        vals = _numbers("eps_schedule", eps_schedule)
-        if any(not 0.0 < e <= 0.5 for e in vals):
-            raise ConfigError("every eps in the schedule must lie in (0, 0.5]")
-        if any(b >= a for a, b in zip(vals, vals[1:])):
-            raise ConfigError("eps_schedule must be strictly decreasing")
+    for key, check in _VALUES.items():
+        if _sets(raw, key):
+            values[key] = check(key, raw[key])
 
-    for section, allowed in (("tolerances", _TOL_KEYS),
-                             ("existence", _EXISTENCE_KEYS),
-                             ("output", _OUTPUT_KEYS)):
-        if section in raw:
-            _require_keys(section, raw[section], allowed)
-    if raw.get("growth") is not None:
-        _require_keys("growth", raw["growth"], _GROWTH_KEYS)
-    _check_sections(raw, dim)
-    samples = _integer("samples", raw.get("samples", 201))
-    if samples < 1:
-        raise ConfigError("samples must be positive")
-    workers = raw.get("workers")
-
-    cfg = ScenarioConfig(
-        schema_version=SCHEMA_VERSION,
-        manifold=manifold,
-        profile=profile,
-        net=net,
-        data=data,
-        eps=None if eps is None else float(eps),
-        eps_schedule=None if eps_schedule is None else [float(e) for e in eps_schedule],
-        u_end=_number("u_end", raw.get("u_end", 1.0)),
-        u_probes=(None if raw.get("u_probes") is None
-                  else _numbers("u_probes", raw["u_probes"])),
-        tolerances=dict(raw.get("tolerances", {})),
-        existence=dict(raw.get("existence", {})),
-        growth=raw.get("growth"),
-        samples=samples,
-        seed=_integer("seed", raw.get("seed", 0)),
-        workers=None if workers is None else _integer("workers", workers),
-        output=dict(raw.get("output", {})),
-    )
-    return cfg
+    for section, checks in _SECTIONS.items():
+        if not _sets(raw, section):
+            continue
+        _require_keys(section, raw[section], checks)
+        values[section] = {
+            key: check(f"{section}.{key}", raw[section].get(key), dim)
+            for key, check in checks.items()
+            if key in raw[section] or f"{section}.{key}" in _SECTION_REQUIRED}
+    return ScenarioConfig(**values)
 
 
 def serialize_config(cfg):
@@ -271,58 +285,40 @@ def load_config(path):
         return parse_config(fh.read())
 
 
+def _construct(section, params, registry):
+    """The object named by ``params``, built from the given parameters and
+    the table's defaults for the others."""
+    make, spec = registry[params["name"]]
+    for key, (_, default) in spec.items():
+        if default is _REQUIRED and params.get(key) is None:
+            article = "an" if key[0] in "aeiou" else "a"
+            raise ConfigError(
+                f"{params['name']} {section} needs {article} {key}")
+    return make(*(params.get(key, default)
+                  for key, (_, default) in spec.items()))
+
+
 def build_model(cfg):
-    name = cfg.manifold["name"]
-    if name == "euclidean":
-        return geometry.euclidean(int(cfg.manifold.get("dim", 2)))
-    if name == "hyperbolic_half_plane":
-        return geometry.hyperbolic_half_plane()
-    return geometry.sphere_stereographic()
+    return _construct("manifold", cfg.manifold, KNOWN_MANIFOLDS)
 
 
 def build_profile(cfg):
     if cfg.profile is None:
         raise ConfigError("this command needs a profile section")
-    params = cfg.profile
-    name = params["name"]
-    if name == "constant":
-        return profiles.constant_profile(params.get("value", 1.0))
-    if name == "linear":
-        return profiles.linear_profile(params.get("coeffs", [1.0, 0.0]),
-                                       params.get("offset", 0.0))
-    if name == "quadratic_form":
-        if "matrix" not in params:
-            raise ConfigError("quadratic_form profile needs a matrix")
-        return profiles.quadratic_form_profile(params["matrix"],
-                                               params.get("center"))
-    if name == "radial_power":
-        if "exponent" not in params:
-            raise ConfigError("radial_power profile needs an exponent")
-        return profiles.radial_power_profile(
-            params.get("amplitude", 1.0), params["exponent"], params.get("center"))
-    if params.get("center") is None:
-        raise ConfigError("gaussian_bump profile needs a center")
-    return profiles.gaussian_bump_profile(
-        params.get("amplitude", 1.0), params["center"], params.get("width", 1.0))
+    return _construct("profile", cfg.profile, KNOWN_PROFILES)
 
 
 def build_net(cfg):
     if cfg.net is None:
         raise ConfigError("this command needs a net name")
-    if cfg.net == "mollifier":
-        return profiles.mollifier_net()
-    if cfg.net == "asymmetric":
-        return profiles.asymmetric_net()
-    return profiles.signed_net()
+    return builtin_nets()[cfg.net]
 
 
 def build_data(cfg, dim):
     if cfg.data is None:
         raise ConfigError("this command needs a data section")
-    x0 = np.asarray(cfg.data["x0"], dtype=float)
-    xdot0 = np.asarray(cfg.data["xdot0"], dtype=float)
-    if x0.size != dim or xdot0.size != dim:
+    size = len(cfg.data["x0"])
+    if size != dim or len(cfg.data["xdot0"]) != dim:
         raise ConfigError(
-            f"data dimension {x0.size} does not match the manifold ({dim})")
-    return InitialData(x0, xdot0, float(cfg.data.get("v0", 0.0)),
-                       float(cfg.data.get("vdot0", 0.0)))
+            f"data dimension {size} does not match the manifold ({dim})")
+    return InitialData(**cfg.data)

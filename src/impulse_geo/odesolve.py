@@ -49,7 +49,7 @@ import math
 
 import numpy as np
 
-from .errors import ChartDomainError, IntegrationFailure
+from .errors import ChartDomainError, ConfigError, IntegrationFailure
 
 __all__ = ["DensePath", "solve_rk45"]
 
@@ -299,7 +299,14 @@ def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
     ``path`` is then a list holding, per row, a :class:`DensePath` or the
     row's :class:`IntegrationFailure`; ``stats`` holds the counts summed
     over the rows and, under ``"rows"``, one count dict per row.
+
+    ``atol`` must be positive and ``rtol`` non-negative, or the error scale
+    of a zero state vanishes; :class:`ConfigError` is raised otherwise.
     """
+    if not (atol > 0.0 and rtol >= 0.0):
+        raise ConfigError(
+            f"tolerances need atol > 0 and rtol >= 0, got atol={atol!r}, "
+            f"rtol={rtol!r}")
     if np.ndim(y0) == 2:
         return _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase)
     row = _Row(t0, t1, max_step, np.asarray(y0, dtype=float), phase)

@@ -215,6 +215,9 @@ def gaussian_bump_profile(amplitude, center, width):
     a = float(amplitude)
     c = np.asarray(center, dtype=float)
     w = float(width)
+    if not w > 0.0:
+        raise ConfigError(
+            f"gaussian_bump width must be positive, got {width!r}")
 
     def f(x):
         y = x - c
@@ -383,6 +386,7 @@ def verify_strict_delta_net(net, eps_schedule, tol=1e-8):
     indeterminate.
     """
     eps_schedule = [float(e) for e in eps_schedule]
+    tol = float(tol)
     if not eps_schedule or any(e <= 0 for e in eps_schedule):
         raise ConfigError("eps schedule must be positive")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
@@ -448,7 +452,8 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
 
     Samples ``f`` along unit-speed radial geodesics from ``xbar`` at the
     given arc-length radii, then fits ``log |f|`` against
-    ``log d(x, xbar)`` by least squares on the largest half of the radii.
+    ``log d(x, xbar)`` by least squares on the largest half of the radii,
+    but never on fewer than the largest two.
     The estimated exponent classifies the profile as ``subquadratic``
     (below ``2 - margin``), ``superquadratic`` (above ``2 + margin``) or
     ``at-most-quadratic`` in between.
@@ -458,6 +463,7 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
     raised.
     """
     xbar = np.asarray(xbar, dtype=float)
+    margin = float(margin)
     model.require_inside(xbar)
     radii = [float(r) for r in radii]
     if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
@@ -489,7 +495,7 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
     if not samples:
         raise NumericalError("all ray directions failed to integrate")
 
-    cut = radii[len(radii) // 2]
+    cut = radii[min(len(radii) // 2, len(radii) - 2)]
     fit = [s for s in samples
            if s.radius >= cut and s.distance > 0.0 and abs(s.value) > 1e-300]
     if len(fit) >= 2:

@@ -33,11 +33,10 @@ def builtin_models():
 
 
 def builtin_nets():
-    return {
-        "mollifier": profiles.mollifier_net(),
-        "asymmetric": profiles.asymmetric_net(),
-        "signed": profiles.signed_net(),
-    }
+    """Each built-in net under its name; the config's net names."""
+    return {net.name: net for net in (profiles.mollifier_net(),
+                                      profiles.asymmetric_net(),
+                                      profiles.signed_net())}
 
 
 # per-manifold anchors: initial data posed at u = -1 and certificate balls;

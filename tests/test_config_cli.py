@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impulse_geo import config
+from impulse_geo import config, geometry, profiles
 from impulse_geo.cli import main
 from impulse_geo.errors import ConfigError
 
@@ -136,19 +137,6 @@ def test_cli_sweep_workers_agree(tmp_path):
         assert main(["sweep", "--config", cfg, "--workers", "2",
                      "--csv", str(tmp_path / f"{tag}-b.csv")]) == 0
         assert (tmp_path / f"{tag}-b.csv").read_bytes() == serial
-
-
-def test_cli_env_workers_override(tmp_path, monkeypatch):
-    payload = dict(BASE)
-    del payload["eps"]
-    payload["eps_schedule"] = [0.125, 0.0625]
-    payload["u_probes"] = [-0.5, 0.5, 1.0]
-    payload["output"] = {"csv": str(tmp_path / "env.csv")}
-    cfg = write_cfg(tmp_path, payload)
-    monkeypatch.setenv("IMPULSE_GEO_WORKERS", "2")
-    assert main(["sweep", "--config", cfg]) == 0
-    monkeypatch.setenv("IMPULSE_GEO_WORKERS", "not-a-number")
-    assert main(["sweep", "--config", cfg]) == 2
 
 
 def test_cli_verify_net(tmp_path, capsys):
@@ -325,6 +313,9 @@ def _existence(**values):
     return {**NO_EPS, "existence": values}
 
 
+FLAT_BUMP = {"name": "gaussian_bump", "center": [1.0, 0.0], "width": 0}
+
+
 # argument values the library rejects, given in the config or by a flag
 REJECTED_CASES = {
     "growth-radii-decreasing": ("classify-growth", _growth(radii=[2, 1]), []),
@@ -351,6 +342,16 @@ REJECTED_CASES = {
     # the widest strip is [-0.125, 0.125]
     "sweep-no-probe-clears-strip": ("sweep",
                                     {**SWEEP, "u_probes": [-0.1, 0.125]}, []),
+    # a Gaussian bump needs a positive width
+    "integrate-gaussian-width-0": ("integrate", {**BASE, "profile": FLAT_BUMP},
+                                   []),
+    "certify-gaussian-width-0": ("certify", {**NO_EPS, "profile": FLAT_BUMP},
+                                 []),
+    "limit-gaussian-width-0": ("limit", {**NO_EPS, "profile": FLAT_BUMP}, []),
+    # without atol > 0 and rtol >= 0 the error scale can vanish
+    "integrate-atol-0": ("integrate", {**BASE, "tolerances": {"atol": 0}}, []),
+    "sweep-rtol-negative": ("sweep",
+                            {**SWEEP, "tolerances": {"rtol": -1e-10}}, []),
 }
 
 
@@ -429,3 +430,56 @@ def test_integral_float_integer_keys_pass(tmp_path):
         assert main(["certify", "--config", path]) == 0
         texts.append(out.read_text())
     assert texts[0] == texts[1]
+
+
+MATRIX = [[0.5, 0.1], [0.1, 0.3]]
+# each built-in object from a config with only its required parameters,
+# and the library call with the defaults the config has always used
+DEFAULT_CASES = {
+    "euclidean": ("manifold", {"name": "euclidean"},
+                  lambda: geometry.euclidean(2)),
+    "hyperbolic_half_plane": ("manifold", {"name": "hyperbolic_half_plane"},
+                              geometry.hyperbolic_half_plane),
+    "sphere_stereographic": ("manifold", {"name": "sphere_stereographic"},
+                             geometry.sphere_stereographic),
+    "constant": ("profile", {"name": "constant"},
+                 lambda: profiles.constant_profile(1.0)),
+    "linear": ("profile", {"name": "linear"},
+               lambda: profiles.linear_profile([1.0, 0.0], 0.0)),
+    "quadratic_form": ("profile", {"name": "quadratic_form", "matrix": MATRIX},
+                       lambda: profiles.quadratic_form_profile(MATRIX, None)),
+    "radial_power": ("profile", {"name": "radial_power", "exponent": 3.0},
+                     lambda: profiles.radial_power_profile(1.0, 3.0, None)),
+    "gaussian_bump": ("profile", {"name": "gaussian_bump",
+                                  "center": [0.5, 1.0]},
+                      lambda: profiles.gaussian_bump_profile(
+                          1.0, [0.5, 1.0], 1.0)),
+    "mollifier": ("net", "mollifier", profiles.mollifier_net),
+    "asymmetric": ("net", "asymmetric", profiles.asymmetric_net),
+    "signed": ("net", "signed", profiles.signed_net),
+}
+
+
+@pytest.mark.parametrize("kind, given, expected", DEFAULT_CASES.values(),
+                         ids=DEFAULT_CASES.keys())
+def test_build_defaults_are_pinned(kind, given, expected):
+    assert set(DEFAULT_CASES) == (set(config.KNOWN_MANIFOLDS)
+                                  | set(config.KNOWN_PROFILES)
+                                  | set(config.KNOWN_NETS))
+    cfg = config.parse_config(json.dumps({**NO_EPS, kind: given}))
+    build = {"manifold": config.build_model, "profile": config.build_profile,
+             "net": config.build_net}[kind]
+    got, want = build(cfg), expected()
+    points = np.array([[0.1, 0.5], [0.3, 1.2], [-0.4, 2.0]])
+    if kind == "manifold":
+        assert (got.name, got.dim) == (want.name, want.dim)
+        for x in points:
+            assert np.array_equal(got.metric_at(x), want.metric_at(x))
+    elif kind == "profile":
+        for x in points:
+            assert got.f(x) == want.f(x)
+            assert np.array_equal(got.df(x), want.df(x))
+    else:
+        us = np.linspace(-0.02, 0.02, 9)
+        assert got.l1_bound == want.l1_bound
+        assert np.array_equal(got.eval(0.01, us), want.eval(0.01, us))

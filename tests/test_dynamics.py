@@ -8,7 +8,8 @@ from impulse_geo import dynamics, geometry, odesolve, profiles, scenarios
 from impulse_geo.dynamics import (GeodesicState, InitialData,
                                   integrate_impulsive_geodesic,
                                   lagrangian_energy, rhs)
-from impulse_geo.errors import ChartDomainError, IntegrationFailure
+from impulse_geo.errors import (ChartDomainError, ConfigError,
+                                 IntegrationFailure)
 from impulse_geo.odesolve import DensePath, solve_rk45
 
 
@@ -180,6 +181,36 @@ def test_precondition_validation():
         integrate_impulsive_geodesic(EU, LINEAR, NET, 0.7, data, 1.0)
     with pytest.raises(ValueError):
         integrate_impulsive_geodesic(EU, LINEAR, NET, 0.1, data, 0.05)
+
+
+@pytest.mark.parametrize("atol, rtol", [(0.0, 1e-10), (-1e-10, 1e-10),
+                                        (1e-10, -1e-10), (math.nan, 1e-10),
+                                        (1e-10, math.nan)])
+@pytest.mark.parametrize("shape", [(4,), (3, 4)], ids=["point", "ensemble"])
+def test_solver_rejects_tolerances_before_calling_the_field(atol, rtol,
+                                                             shape):
+    # without atol > 0 and rtol >= 0 the error scale can vanish and the
+    # solver may never end; this field fails fast instead of hanging
+    calls = []
+
+    def fun(t, y, rows=None):
+        calls.append(t)
+        if len(calls) > 10_000:
+            raise RuntimeError("the solver runs without end")
+        return np.roll(y, 1, axis=-1) - y
+
+    y0 = np.zeros(shape)
+    y0[..., 0] = 1.0
+    with pytest.raises(ConfigError, match="atol > 0 and rtol >= 0"):
+        solve_rk45(fun, 0.0, 1.0, y0, rtol=rtol, atol=atol)
+    assert calls == []
+
+
+def test_zero_rtol_is_valid():
+    data = InitialData([0.0, 0.0], [1.0, 0.0])
+    path = integrate_impulsive_geodesic(EU, LINEAR, NET, 0.05, data, 1.0,
+                                        rtol=0.0)
+    assert path.diagnostics.n_steps == 174
 
 
 def test_sample_rejects_out_of_range():

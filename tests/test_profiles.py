@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from impulse_geo import geometry, profiles
-from impulse_geo.errors import NumericalError
+from impulse_geo.errors import ConfigError, NumericalError
 from impulse_geo.profiles import DeltaNet
 
 
@@ -253,6 +254,27 @@ def test_classify_growth_validates_inputs():
     with pytest.raises(ValueError):
         profiles.classify_growth(prof, model, [0.0, 0.0],
                                  [np.zeros(2)], radii)
+
+
+@pytest.mark.parametrize("directions", [[[1.0, 0.0]],
+                                        [[1.0, 0.0], [0.0, 1.0]]],
+                         ids=["one-ray", "two-rays"])
+def test_classify_growth_fits_both_of_two_radii(directions):
+    # both of two radii are fitted: one radius alone has no slope to fit
+    prof = profiles.radial_power_profile(1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = profiles.classify_growth(
+            prof, geometry.euclidean(2), [0.0, 0.0],
+            [np.array(d) for d in directions], [1.0, 2.0])
+    assert report.classification == "at-most-quadratic"
+    assert abs(report.exponent - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("width", [0.0, -0.8])
+def test_gaussian_bump_rejects_non_positive_width(width):
+    with pytest.raises(ConfigError, match="width must be positive"):
+        profiles.gaussian_bump_profile(1.0, [0.0, 0.0], width)
 
 
 def test_classify_growth_drops_escaping_directions():
