@@ -69,12 +69,10 @@ def write_path_csv(path, geo_path, us, model, profile=None, net=None,
     n = geo_path.n
     header = (["u"] + [f"x{i+1}" for i in range(n)]
               + [f"xdot{i+1}" for i in range(n)] + ["v", "vdot", "energy"])
-    rows = []
-    for u in us:
-        st = geo_path.state_at(float(u))
-        energy = lagrangian_energy(st, model, profile, net, eps)
-        rows.append([st.u, *st.x, *st.xdot, st.v, st.vdot, energy])
-    write_csv(path, header, rows)
+    st = geo_path.state_at(us)
+    energy = lagrangian_energy(st, model, profile, net, eps)
+    write_csv(path, header,
+              np.column_stack([st.u, st.x, st.xdot, st.v, st.vdot, energy]))
 
 
 def write_table_csv(path, table):

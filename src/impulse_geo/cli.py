@@ -149,12 +149,10 @@ def cmd_limit(cfg):
 
     def csv(out):
         us = np.linspace(-1.0, lg.u_end, cfg.samples)
-        rows = [(float(u), *map(float, lg.x_at(float(u))),
-                 *map(float, lg.xdot_at(float(u))), float(lg.v_at(float(u))))
-                for u in us]
         header = (["u"] + [f"x{i+1}" for i in range(model.dim)]
                   + [f"xdot{i+1}" for i in range(model.dim)] + ["v"])
-        artifacts.write_csv(out, header, rows)
+        artifacts.write_csv(out, header, np.column_stack(
+            [us, lg.x_at(us), lg.xdot_at(us), lg.v_at(us)]))
 
     return "report", f"jump={lg.jump_coeff!r} kink={lg.kink_coeff!r}", {
         "text": lambda out: artifacts.write_text(out, text), "csv": csv}

@@ -9,7 +9,7 @@ identity; models, profiles and nets are built on demand by ``build_*``.
 """
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field, asdict
 
 from . import geometry, profiles
@@ -51,9 +51,10 @@ class ScenarioConfig:
 
 
 def _number(key, value, dim=None):
-    """A finite JSON number (not a boolean, NaN or Infinity), as given."""
+    """A finite JSON number (not a boolean, NaN, Infinity or an integer
+    beyond the float range), as given."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return value
 
@@ -238,7 +239,7 @@ def parse_config(text):
         if not isinstance(mapping, dict):
             raise ConfigError(f"section '{section}' must be an object")
         name = mapping.get("name")
-        if name not in registry:
+        if not isinstance(name, str) or name not in registry:
             raise ConfigError(
                 f"unknown {section} name {name!r} "
                 f"(known: {', '.join(sorted(registry))})")

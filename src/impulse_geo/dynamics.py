@@ -16,7 +16,8 @@ integrates the three phases separately with forced step boundaries at
 A single trajectory uses the per-point field (:func:`_system`).  It checks
 the chart once per call and then evaluates the model's unchecked point
 forms; ``christoffel_at`` and ``inverse_metric_at`` remain the checked
-public forms.  A path's energy diagnostics are one batch over its nodes.
+public forms.  :func:`lagrangian_energy` takes one state or a batch: the
+energy diagnostics of a path and the energy column of its CSV are one call.
 
 A convergence study runs one trajectory per width as one ensemble
 (:func:`_integrate_ensemble`): its field takes the ``(B, n)`` batch forms
@@ -97,6 +98,10 @@ class PathDiagnostics:
 
 
 def _state_from_vector(n, u, y):
+    """The state of a raw vector, or the batch of states of a batch."""
+    if y.ndim == 2:
+        return GeodesicState(np.asarray(u, dtype=float), y[:, :n],
+                             y[:, n:2 * n], y[:, 2 * n], y[:, 2 * n + 1])
     return GeodesicState(float(u), y[:n].copy(), y[n:2 * n].copy(),
                          float(y[2 * n]), float(y[2 * n + 1]))
 
@@ -148,6 +153,7 @@ class GeodesicPath:
         return out[0] if scalar else out
 
     def state_at(self, u):
+        """The state at ``u``, or the batch of states at a 1-D array."""
         return _state_from_vector(self.n, u, self.sample(u))
 
     def x_at(self, u):
@@ -187,16 +193,24 @@ def rhs(state, model, profile, net, eps):
 def lagrangian_energy(state, model, profile=None, net=None, eps=None):
     """Evaluate ``g(gamma', gamma') = h(xdot, xdot) + 2 vdot + f delta_eps``.
 
-    The affine parametrization fixes ``udot = 1``.  For background paths
-    (``profile`` or ``net`` omitted) the impulse term is dropped.
+    ``state`` is one state (the result is a float) or a batch of them:
+    ``x`` and ``xdot`` of shape ``(B, n)``, ``u``, ``v`` and ``vdot`` of
+    shape ``(B,)`` (the result is a ``(B,)`` array).  The affine
+    parametrization fixes ``udot = 1``.  For background paths (``profile``
+    or ``net`` omitted) the impulse term is dropped.  The net and ``f``
+    take their point forms: the array forms may differ in the last bit,
+    which at a peak of ``delta_eps`` moves an energy drift by tens of ulps.
     """
-    h = model.metric_at(state.x)
-    e = float(state.xdot @ h @ state.xdot) + 2.0 * state.vdot
+    x = np.atleast_2d(state.x)
+    xd = np.atleast_2d(state.xdot)
+    e = (xd[:, None] @ model._metrics(x) @ xd[:, :, None])[:, 0, 0]
+    e += 2.0 * np.atleast_1d(state.vdot)
     if profile is not None and net is not None and eps is not None:
-        d = net.eval(eps, state.u)
-        if d != 0.0:
-            e += profile.f(state.x) * d
-    return e
+        d = np.array([net.eval(eps, u)
+                      for u in np.atleast_1d(state.u).tolist()])
+        forced = np.nonzero(d != 0.0)[0]
+        e[forced] += np.array([profile.f(p) for p in x[forced]]) * d[forced]
+    return float(e[0]) if np.ndim(state.u) == 0 else e
 
 
 def _system(model, profile, net, eps):
@@ -282,29 +296,14 @@ def _ensemble_system(model, profile, net, eps):
 
 def _energy_diagnostics(path, model, profile, net, eps):
     """The energy at the first node and its largest deviation over all
-    nodes.
-
-    The node energies are those of :func:`lagrangian_energy`, bit for bit,
-    on the node batch: one chart check, the metric rows and their quadratic
-    forms as stacked products, and the impulse term on the forced rows.
-    The net and ``f`` take their point forms there: the array forms may
-    differ in the last bit, and at a peak of ``delta_eps`` that moves the
-    drift by tens of ulps of the energy.
-    """
-    n = path.n
-    us = path.node_parameters()
+    nodes, from one :func:`lagrangian_energy` call on the node batch."""
     ys = np.concatenate([path.pieces[0].ys]
                         + [p.ys[1:] for p in path.pieces[1:]])
-    x, xd = ys[:, :n], ys[:, n:2 * n]
-    e = (xd[:, None] @ model._metrics(x) @ xd[:, :, None])[:, 0, 0]
-    e += 2.0 * ys[:, 2 * n + 1]
-    if profile is not None and net is not None and eps is not None:
-        d = np.array([net.eval(eps, u) for u in us.tolist()])
-        forced = np.nonzero(d != 0.0)[0]
-        e[forced] += np.array([profile.f(p) for p in x[forced]]) * d[forced]
-    e0 = lagrangian_energy(path.state_at(us[0]), model, profile, net, eps)
-    path.diagnostics.energy_start = e0
-    path.diagnostics.energy_drift = float(np.max(np.abs(e - e0)))
+    e = lagrangian_energy(
+        _state_from_vector(path.n, path.node_parameters(), ys), model,
+        profile, net, eps)
+    path.diagnostics.energy_start = float(e[0])
+    path.diagnostics.energy_drift = float(np.max(np.abs(e - e[0])))
 
 
 def background_path(model, x0, xdot0, u_start, u_end, *, v0=0.0, vdot0=0.0,

@@ -421,11 +421,9 @@ def distance_estimate(model, x, xbar):
         return DistanceEstimate(_shooting_distance(model, x, xbar),
                                 "shooting", False)
     except (ShootingFailure, IntegrationFailure):
-        lam = math.inf
-        for t in np.linspace(0.0, 1.0, 33):
-            p = x + t * (xbar - x)
-            if model.contains(p):
-                lam = min(lam, float(np.min(np.linalg.eigvalsh(model.metric_at(p)))))
+        chord = x + np.linspace(0.0, 1.0, 33)[:, None] * (xbar - x)
+        chord = chord[model.inside(chord)]  # holds x, which is inside
+        lam = float(np.min(np.linalg.eigvalsh(model._metrics(chord))))
         if not math.isfinite(lam) or lam <= 0.0:
             lam = 0.0
         value = float(np.linalg.norm(xbar - x)) * math.sqrt(lam)

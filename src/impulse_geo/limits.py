@@ -39,9 +39,11 @@ __all__ = [
 class LimitGeodesic:
     """Background geodesic broken at ``u = 0``.
 
-    ``x_at`` / ``xdot_at`` / ``v_at`` evaluate the limit; at the break point
-    the left-continuous values are returned (the sharp limit assigns no
-    pointwise value there, so the pre-shock branch is the convention).
+    ``x_at`` / ``xdot_at`` / ``v_at`` evaluate the limit at a float or a
+    1-D array of ``u``, as :class:`~impulse_geo.dynamics.GeodesicPath`
+    does; at the break point the left-continuous values are returned (the
+    sharp limit assigns no pointwise value there, so the pre-shock branch
+    is the convention).
     """
 
     def __init__(self, base_path, refracted_path, v0, vdot0, jump_coeff,
@@ -56,45 +58,28 @@ class LimitGeodesic:
         self.x_break = base_path.x_at(0.0)
         self.xdot_minus = base_path.xdot_at(0.0)
         self.xdot_plus = refracted_path.xdot_at(0.0)
+        # both branches as one path: its lookup puts u = 0 on the base
+        # branch, the left-continuous convention
+        self._path = dynamics.GeodesicPath(
+            base_path.n, base_path.pieces + refracted_path.pieces)
 
     @property
     def u_end(self):
         return self.refracted_path.u_end
 
-    def _split(self, u):
-        u = np.asarray(u, dtype=float)
-        return u, u > 0.0
-
     def x_at(self, u):
-        u, after = self._split(u)
-        if u.ndim == 0:
-            return (self.refracted_path if after else self.base_path).x_at(u)
-        out = np.empty(u.shape + self.x_break.shape)
-        if np.any(~after):
-            out[~after] = self.base_path.x_at(u[~after])
-        if np.any(after):
-            out[after] = self.refracted_path.x_at(u[after])
-        return out
+        return self._path.x_at(u)
 
     def xdot_at(self, u):
-        u, after = self._split(u)
-        if u.ndim == 0:
-            return (self.refracted_path if after else self.base_path).xdot_at(u)
-        out = np.empty(u.shape + self.x_break.shape)
-        if np.any(~after):
-            out[~after] = self.base_path.xdot_at(u[~after])
-        if np.any(after):
-            out[after] = self.refracted_path.xdot_at(u[after])
-        return out
+        return self._path.xdot_at(u)
 
     def v_at(self, u):
-        u, after = self._split(u)
+        u = np.asarray(u, dtype=float)
         v = self.v0 + self.vdot0 * (1.0 + u)
-        return v + np.where(after, self.jump_coeff + self.kink_coeff * u, 0.0)
+        return v + np.where(u > 0.0, self.jump_coeff + self.kink_coeff * u, 0.0)
 
     def vdot_at(self, u):
-        u, after = self._split(u)
-        return self.vdot0 + np.where(after, self.kink_coeff, 0.0)
+        return self.vdot0 + np.where(np.asarray(u) > 0.0, self.kink_coeff, 0.0)
 
 
 def limit_geodesic(model, profile, data, *, u_end=1.5, rtol=1e-10,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impulse_geo import config, geometry, profiles
+from impulse_geo import (artifacts, config, dynamics, geometry, limits,
+                         profiles)
 from impulse_geo.cli import main
 from impulse_geo.errors import ConfigError
 
@@ -163,6 +164,67 @@ def test_cli_limit_text(tmp_path, capsys):
     assert float(values["v_limit(1)"]) == pytest.approx(-1.125, abs=1e-12)
 
 
+NET_REPORT = {"schema_version": 1, "manifold": {"name": "euclidean", "dim": 2},
+              "net": "mollifier", "eps_schedule": [0.5, 0.25, 0.125]}
+GROWTH = {"schema_version": 1, "manifold": {"name": "euclidean", "dim": 2},
+          "profile": {"name": "radial_power", "amplitude": 1.0,
+                      "exponent": 3.0},
+          "growth": {"center": [0.0, 0.0], "directions": [[1, 0], [0, 1]],
+                     "radii": [1, 2, 4, 8]}}
+NO_EPS = {key: value for key, value in BASE.items() if key != "eps"}
+
+
+HYP_BUMP = {**NO_EPS, "manifold": {"name": "hyperbolic_half_plane"},
+            "profile": {"name": "gaussian_bump", "amplitude": 1.0,
+                        "center": [0.8, 1.2], "width": 0.8},
+            "net": "signed", "data": {"x0": [0.0, 1.0], "xdot0": [0.6, 0.4]},
+            "samples": 201}
+
+
+def _csv_lines(path):
+    return path.read_text(encoding="utf-8").splitlines()[1:]
+
+
+def _repr_row(values):
+    return ",".join(repr(float(v)) for v in values)
+
+
+def test_path_csvs_hold_the_point_samples(tmp_path):
+    # every CSV row is the state, energy or limit value of its own u,
+    # written with repr, so the comparison is bit for bit
+    cfg = config.parse_config(json.dumps(HYP_BUMP))
+    model, prof = config.build_model(cfg), config.build_profile(cfg)
+    net, data = config.build_net(cfg), config.build_data(cfg, model.dim)
+    eps = 0.05
+    path = dynamics.integrate_impulsive_geodesic(model, prof, net, eps, data,
+                                                 cfg.u_end)
+    us = np.linspace(-1.0, cfg.u_end, cfg.samples)
+    out = tmp_path / "path.csv"
+    artifacts.write_path_csv(str(out), path, us, model, prof, net, eps)
+    lines = _csv_lines(out)
+    assert len(lines) == len(us)
+    for u, line in zip(us, lines):
+        st = path.state_at(float(u))
+        energy = dynamics.lagrangian_energy(st, model, prof, net, eps)
+        assert line == _repr_row([st.u, *st.x, *st.xdot, st.v, st.vdot,
+                                  energy])
+    # the strip is sampled, and the impulse term is in the energy there
+    assert np.sum(np.abs(us) < eps) >= 9
+
+    out = tmp_path / "limit.csv"
+    assert main(["limit", "--config",
+                 write_cfg(tmp_path, {**HYP_BUMP,
+                                      "output": {"csv": str(out)}})]) == 0
+    lg = limits.limit_geodesic(model, prof, data, u_end=max(cfg.u_end, 1.0))
+    us = np.linspace(-1.0, lg.u_end, cfg.samples)
+    lines = _csv_lines(out)
+    assert len(lines) == len(us)
+    for u, line in zip(us, lines):
+        u = float(u)
+        assert line == _repr_row([u, *lg.x_at(u), *lg.xdot_at(u),
+                                  lg.v_at(u)])
+
+
 def test_cli_classify_growth(tmp_path, capsys):
     payload = {"schema_version": 1,
                "manifold": {"name": "euclidean", "dim": 2},
@@ -259,16 +321,6 @@ def test_flag_overrides_config(tmp_path):
     assert len((tmp_path / "y.csv").read_text().splitlines()) == 12
 
 
-NET_REPORT = {"schema_version": 1, "manifold": {"name": "euclidean", "dim": 2},
-              "net": "mollifier", "eps_schedule": [0.5, 0.25, 0.125]}
-GROWTH = {"schema_version": 1, "manifold": {"name": "euclidean", "dim": 2},
-          "profile": {"name": "radial_power", "amplitude": 1.0,
-                      "exponent": 3.0},
-          "growth": {"center": [0.0, 0.0], "directions": [[1, 0], [0, 1]],
-                     "radii": [1, 2, 4, 8]}}
-NO_EPS = {key: value for key, value in BASE.items() if key != "eps"}
-
-
 OUTPUT_CASES = [
     ("verify-net", NET_REPORT, "csv",
      "eps,support_declared,support_measured,integral,l1,support_ok,"
@@ -352,6 +404,15 @@ REJECTED_CASES = {
     "integrate-atol-0": ("integrate", {**BASE, "tolerances": {"atol": 0}}, []),
     "sweep-rtol-negative": ("sweep",
                             {**SWEEP, "tolerances": {"rtol": -1e-10}}, []),
+    # a name that is not a string is an unknown name
+    "integrate-manifold-name-list": ("integrate",
+                                     {**BASE, "manifold": {"name": []}}, []),
+    "certify-profile-name-object": ("certify",
+                                    {**NO_EPS, "profile": {"name": {}}}, []),
+    # a JSON integer beyond the float range is not a finite number
+    "integrate-u-end-beyond-float": ("integrate",
+                                     {**BASE, "u_end": 10 ** 400}, []),
+    "certify-grid-beyond-float": ("certify", _existence(grid=10 ** 400), []),
 }
 
 

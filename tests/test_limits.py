@@ -56,6 +56,16 @@ def test_left_continuity_at_break():
     assert lg.v_at(0.0) == pytest.approx(DATA_FLAT.v0 + DATA_FLAT.vdot0,
                                          abs=1e-14)
     assert np.allclose(lg.xdot_at(0.0), lg.xdot_minus, atol=1e-14)
+    # an array takes each u to the branch a float takes it to: 0 and -0.0
+    # to the base branch, 1e-300 to the refracted one
+    us = np.array([-1.0, -0.5, -0.0, 0.0, 1e-300, 0.5, lg.u_end])
+    for sample in (lg.x_at, lg.xdot_at, lg.v_at):
+        rows = sample(us)
+        assert len(rows) == len(us)
+        for u, row in zip(us, rows):
+            assert np.asarray(sample(float(u))).tobytes() == row.tobytes()
+    assert np.allclose(lg.xdot_at(us)[[3, 4]], [lg.xdot_minus, lg.xdot_plus],
+                       atol=1e-14)
 
 
 def random_setup(rng):
