@@ -31,7 +31,6 @@ class RunArtifact:
     kind: str  # "path" | "certificate" | "table" | "report"
     outputs: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
-    summary: str = ""
 
 
 def provenance_for(config_text, seed):
@@ -195,10 +194,38 @@ def _axis_map(lo, hi, pix_lo, pix_hi):
     return mapper
 
 
+def _write_svg(path, title, x_label, series, x_map, y_map, grid, markers):
+    """Write one plot: a polyline and a legend entry per ``(label, xs, ys)``
+    of ``series``, over the ``grid`` elements, inside the frame; with
+    ``markers`` each point also gets a dot."""
+    parts = [_svg_header(title), *grid]
+    for i, (label, xs, ys) in enumerate(series):
+        color = _COLORS[i % len(_COLORS)]
+        coords = " ".join(f"{x_map(x):.2f},{y_map(y):.2f}"
+                          for x, y in zip(xs, ys))
+        parts.append(f'<polyline points="{coords}" fill="none" '
+                     f'stroke="{color}" stroke-width="1.5"/>\n')
+        if markers:
+            for x, y in zip(xs, ys):
+                parts.append(f'<circle cx="{x_map(x):.2f}" '
+                             f'cy="{y_map(y):.2f}" r="3" fill="{color}"/>\n')
+        parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 16 * (i + 1)}" '
+                     f'text-anchor="end" font-family="sans-serif" '
+                     f'font-size="12" fill="{color}">{label}</text>\n')
+    parts.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
+                 f'height="{_H - _MT - _MB}" fill="none" stroke="black"/>\n')
+    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" '
+                 f'text-anchor="middle" font-family="sans-serif" '
+                 f'font-size="12">{x_label}</text>\n')
+    parts.append("</svg>\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(parts))
+
+
 def svg_loglog(path, eps, series, title="convergence"):
     """Log-log error plot: one polyline per labelled series."""
     eps = np.asarray(eps, dtype=float)
-    pts = {}
+    pts = []
     all_x, all_y = [], []
     for label, values in series.items():
         values = np.asarray(values, dtype=float)
@@ -207,72 +234,39 @@ def svg_loglog(path, eps, series, title="convergence"):
             continue
         lx = np.log10(eps[keep])
         ly = np.log10(values[keep])
-        pts[label] = (lx, ly)
+        pts.append((label, lx, ly))
         all_x.extend(lx)
         all_y.extend(ly)
-    parts = [_svg_header(title)]
+    x_map = y_map = None
+    grid = []
     if pts:
         x_map = _axis_map(min(all_x), max(all_x), _ML, _W - _MR)
         y_map = _axis_map(min(all_y), max(all_y), _H - _MB, _MT)
         # decade grid lines
         for d in range(math.floor(min(all_x)), math.ceil(max(all_x)) + 1):
             px = x_map(d)
-            parts.append(f'<line x1="{px:.2f}" y1="{_MT}" x2="{px:.2f}" '
-                         f'y2="{_H - _MB}" stroke="#dddddd"/>\n')
-            parts.append(f'<text x="{px:.2f}" y="{_H - _MB + 18}" '
-                         f'text-anchor="middle" font-family="sans-serif" '
-                         f'font-size="11">1e{d}</text>\n')
+            grid.append(f'<line x1="{px:.2f}" y1="{_MT}" x2="{px:.2f}" '
+                        f'y2="{_H - _MB}" stroke="#dddddd"/>\n')
+            grid.append(f'<text x="{px:.2f}" y="{_H - _MB + 18}" '
+                        f'text-anchor="middle" font-family="sans-serif" '
+                        f'font-size="11">1e{d}</text>\n')
         for d in range(math.floor(min(all_y)), math.ceil(max(all_y)) + 1):
             py = y_map(d)
-            parts.append(f'<line x1="{_ML}" y1="{py:.2f}" x2="{_W - _MR}" '
-                         f'y2="{py:.2f}" stroke="#dddddd"/>\n')
-            parts.append(f'<text x="{_ML - 6}" y="{py + 4:.2f}" '
-                         f'text-anchor="end" font-family="sans-serif" '
-                         f'font-size="11">1e{d}</text>\n')
-        for i, (label, (lx, ly)) in enumerate(pts.items()):
-            color = _COLORS[i % len(_COLORS)]
-            coords = " ".join(f"{x_map(x):.2f},{y_map(y):.2f}"
-                              for x, y in zip(lx, ly))
-            parts.append(f'<polyline points="{coords}" fill="none" '
-                         f'stroke="{color}" stroke-width="1.5"/>\n')
-            for x, y in zip(lx, ly):
-                parts.append(f'<circle cx="{x_map(x):.2f}" '
-                             f'cy="{y_map(y):.2f}" r="3" fill="{color}"/>\n')
-            parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 16 * (i + 1)}" '
-                         f'text-anchor="end" font-family="sans-serif" '
-                         f'font-size="12" fill="{color}">{label}</text>\n')
-    parts.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
-                 f'height="{_H - _MT - _MB}" fill="none" stroke="black"/>\n')
-    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" '
-                 f'text-anchor="middle" font-family="sans-serif" '
-                 f'font-size="12">eps</text>\n')
-    parts.append("</svg>\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(parts))
+            grid.append(f'<line x1="{_ML}" y1="{py:.2f}" x2="{_W - _MR}" '
+                        f'y2="{py:.2f}" stroke="#dddddd"/>\n')
+            grid.append(f'<text x="{_ML - 6}" y="{py + 4:.2f}" '
+                        f'text-anchor="end" font-family="sans-serif" '
+                        f'font-size="11">1e{d}</text>\n')
+    _write_svg(path, title, "eps", pts, x_map, y_map, grid, markers=True)
 
 
 def svg_path(path_file, us, components, labels, title="trajectory"):
     """Linear plot of labelled path components against the parameter."""
     us = np.asarray(us, dtype=float)
-    parts = [_svg_header(title)]
     lo = min(float(np.min(c)) for c in components)
     hi = max(float(np.max(c)) for c in components)
     x_map = _axis_map(float(us.min()), float(us.max()), _ML, _W - _MR)
     y_map = _axis_map(lo, hi, _H - _MB, _MT)
-    for i, (comp, label) in enumerate(zip(components, labels)):
-        color = _COLORS[i % len(_COLORS)]
-        coords = " ".join(f"{x_map(u):.2f},{y_map(v):.2f}"
-                          for u, v in zip(us, comp))
-        parts.append(f'<polyline points="{coords}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>\n')
-        parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 16 * (i + 1)}" '
-                     f'text-anchor="end" font-family="sans-serif" '
-                     f'font-size="12" fill="{color}">{label}</text>\n')
-    parts.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
-                 f'height="{_H - _MT - _MB}" fill="none" stroke="black"/>\n')
-    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" '
-                 f'text-anchor="middle" font-family="sans-serif" '
-                 f'font-size="12">u</text>\n')
-    parts.append("</svg>\n")
-    with open(path_file, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(parts))
+    series = [(label, us, comp) for comp, label in zip(components, labels)]
+    _write_svg(path_file, title, "u", series, x_map, y_map, [],
+               markers=False)

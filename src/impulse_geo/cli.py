@@ -3,7 +3,8 @@
 Subcommands operate on a JSON scenario config (see the README for the
 schema); selected flags override config values and pass the same checks.
 Exit codes: 0 on success, 2 when the config, a flag or an argument value
-fails validation, 3 on numerical failures.
+fails validation or a file cannot be read or written, 3 on numerical
+failures.
 
 The handlers pass on only the config keys that are set, so every default
 is the library's.  ``sweep`` integrates all widths of its schedule as one
@@ -86,7 +87,7 @@ def _check_outputs(command, allowed, cfg):
             f"(supported: {', '.join(sorted(allowed))})")
 
 
-def _write_outputs(cfg, kind, summary, writers):
+def _write_outputs(cfg, kind, writers):
     """Write the requested outputs in the order of ``writers`` (format ->
     function of the path), then the sidecar beside the first of them."""
     outputs = {}
@@ -96,7 +97,7 @@ def _write_outputs(cfg, kind, summary, writers):
             outputs[fmt] = cfg.output[fmt]
     if outputs:
         art = artifacts.RunArtifact(
-            kind=kind, outputs=outputs, summary=summary,
+            kind=kind, outputs=outputs,
             provenance=artifacts.provenance_for(serialize_config(cfg),
                                                 cfg.seed))
         artifacts.write_meta(next(iter(outputs.values())) + ".meta.json", art)
@@ -127,11 +128,10 @@ def cmd_integrate(cfg):
                            title="regularized geodesic")
 
     end = path.state_at(cfg.u_end)
-    summary = (f"integrated to u={cfg.u_end:g}; "
-               f"x={np.array2string(end.x, precision=6)} v={end.v:.6g}; "
-               f"energy drift {path.diagnostics.energy_drift:.3e}")
-    print(summary)
-    return "path", summary, {
+    print(f"integrated to u={cfg.u_end:g}; "
+          f"x={np.array2string(end.x, precision=6)} v={end.v:.6g}; "
+          f"energy drift {path.diagnostics.energy_drift:.3e}")
+    return "path", {
         "csv": lambda out: artifacts.write_path_csv(out, path, us, model,
                                                     profile, net, eps),
         "svg": svg}
@@ -154,7 +154,7 @@ def cmd_limit(cfg):
         artifacts.write_csv(out, header, np.column_stack(
             [us, lg.x_at(us), lg.xdot_at(us), lg.v_at(us)]))
 
-    return "report", f"jump={lg.jump_coeff!r} kink={lg.kink_coeff!r}", {
+    return "report", {
         "text": lambda out: artifacts.write_text(out, text), "csv": csv}
 
 
@@ -176,7 +176,7 @@ def cmd_certify(cfg):
              cert.lip_F1, cert.lip_F2, cert.i2_radius, cert.alpha, cert.eps0)]
     header = ["chart", "b", "c", "K", "norm_F1", "norm_F2", "lip_F1",
               "lip_F2", "i2_radius", "alpha", "eps0"]
-    return "certificate", f"alpha={cert.alpha!r} eps0={cert.eps0!r}", {
+    return "certificate", {
         "text": lambda out: artifacts.write_text(out, text),
         "csv": lambda out: artifacts.write_csv(out, header, rows)}
 
@@ -193,12 +193,11 @@ def cmd_sweep(cfg):
     table = limits.convergence_study(
         model, profile, net, data, cfg.eps_schedule, cfg.u_probes,
         **_given(cfg.tolerances, "rtol", "atol"))
-    summary = (f"orders: x={table.orders['x']:.3g} "
-               f"xdot={table.orders['xdot']:.3g} v={table.orders['v']:.3g}")
-    print(summary)
+    print(f"orders: x={table.orders['x']:.3g} "
+          f"xdot={table.orders['xdot']:.3g} v={table.orders['v']:.3g}")
     errors = {"err_x": table.err_x, "err_xdot": table.err_xdot,
               "err_v": table.err_v}
-    return "table", summary, {
+    return "table", {
         "csv": lambda out: artifacts.write_table_csv(out, table),
         "svg": lambda out: artifacts.svg_loglog(
             out, table.eps, errors, title="convergence to the sharp limit")}
@@ -212,7 +211,7 @@ def cmd_verify_net(cfg):
         net, cfg.eps_schedule, **_given(cfg.tolerances, tol="net_tol"))
     text = artifacts.net_report_text(report)
     print(text, end="")
-    return "report", f"passed={report.passed}", {
+    return "report", {
         "text": lambda out: artifacts.write_text(out, text),
         "csv": lambda out: artifacts.write_net_report_csv(out, report)}
 
@@ -234,12 +233,12 @@ def cmd_classify_growth(cfg):
                              radii, **_given(cfg.growth, "margin"))
     text = artifacts.growth_text(report)
     print(text, end="")
-    return "report", report.classification, {
+    return "report", {
         "text": lambda out: artifacts.write_text(out, text)}
 
 
 # subcommand -> (handler, output formats, help); a handler returns the
-# artifact kind, its summary and a writer per output format, in write order
+# artifact kind and a writer per output format, in write order
 _COMMANDS = {
     "integrate": (cmd_integrate, ("csv", "svg"),
                   "integrate one regularized geodesic and export it"),
@@ -266,7 +265,7 @@ def main(argv=None):
         _check_outputs(args.command, formats, cfg)
         _write_outputs(cfg, *handler(cfg))
         return 0
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ChartDomainError) as exc:

@@ -218,7 +218,7 @@ def parse_config(text):
     """Parse and validate a JSON configuration string."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to convert
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -283,7 +283,11 @@ def serialize_config(cfg):
 
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from None
+    return parse_config(text)
 
 
 def _construct(section, params, registry):

@@ -22,11 +22,11 @@ with the convention ``c / 0 = +inf``, and the IVP has a unique solution on
 ``eps <= eps0``.
 
 Sup norms and Lipschitz constants are estimated by sampling over the balls
-enlarged by a safety factor; this is a declared heuristic, not proof-grade
-interval arithmetic, and the certificate records the grid used.  Both the
-sampling and the iteration evaluate the fields on whole grids at once,
-through the batch forms of the model and the profile.  The
-iteration itself is carried out by :func:`picard_solve` on a uniform grid
+enlarged by the fixed safety factor 1.1; this is a declared heuristic, not
+proof-grade interval arithmetic, and the certificate records the grid and
+the factor used.  Both the sampling and the iteration evaluate the fields on
+whole grids at once, through the batch forms of the model and the profile.
+The iteration itself is carried out by :func:`picard_solve` on a uniform grid
 with composite Simpson quadrature; it is contractive in the iterated sense
 only, with n-step constants
 
@@ -52,6 +52,14 @@ __all__ = [
     "alpha_bound", "certify", "PicardResult", "picard_solve",
     "weissinger_coefficient", "weissinger_budget",
 ]
+
+# the sampled balls are enlarged by this factor; see estimate_sup_norms
+_SAFETY = 1.1
+# fixed-point iterations per grid, and the first grid of picard_solve (odd,
+# so that every other node of a refined grid is a node of the coarser one)
+_MAX_ITER = 60
+_BASE_GRID = 2001
+
 
 @dataclass
 class SupNormEstimate:
@@ -104,11 +112,11 @@ def _ball_grid(center, radius, per_axis):
 
 
 def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
-                       grid=9, safety=1.1):
+                       grid=9):
     """Sample-based sup norms and Lipschitz constants of F1 and F2.
 
-    The safety factor enlarges the sampled balls rather than scaling the
-    sampled maxima: values of constant fields stay exact while growing
+    The safety factor 1.1 enlarges the sampled balls rather than scaling
+    the sampled maxima: values of constant fields stay exact while growing
     fields are overestimated conservatively.  Points of the enlarged ball
     falling outside the chart are skipped, but the nominal ball ``I1`` must
     be admissible.  ``I2`` is rebuilt from the computed ``||F2||``, which
@@ -124,7 +132,7 @@ def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
 
     if not model.inside(_ball_grid(x0, b, grid)).all():
         raise ChartDomainError("ball I1 leaves the chart domain; shrink b")
-    padded = _ball_grid(x0, safety * b, grid)
+    padded = _ball_grid(x0, _SAFETY * b, grid)
     pts = padded[model.inside(padded)]
 
     n = model.dim
@@ -145,7 +153,7 @@ def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
     lip_f2 = float(np.max(np.linalg.norm(jac[:, :, :n], axis=(1, 2))))
 
     i2_radius = c_seed + k * norm_f2
-    zs = _ball_grid(xdot0, safety * i2_radius, grid)
+    zs = _ball_grid(xdot0, _SAFETY * i2_radius, grid)
 
     # F1[y, z]^k = -Gamma^k_ij(y) z^i z^j over the product grid
     f1 = -np.einsum("mkij,pi,pj->mpk", gammas, zs, zs)
@@ -160,7 +168,7 @@ def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
 
     return SupNormEstimate(norm_F1=norm_f1, norm_F2=norm_f2, lip_F1=lip_f1,
                            lip_F2=lip_f2, i2_radius=i2_radius, grid=grid,
-                           safety=safety)
+                           safety=_SAFETY)
 
 
 def alpha_bound(speed, b, c, norm_F1, norm_F2, k):
@@ -181,8 +189,7 @@ def alpha_bound(speed, b, c, norm_F1, norm_F2, k):
     return alpha, alpha / 2.0
 
 
-def certify(model, profile, x0, xdot0, *, b=1.0, c=1.0, k=1.0, grid=9,
-            safety=1.1):
+def certify(model, profile, x0, xdot0, *, b=1.0, c=1.0, k=1.0, grid=9):
     """Build an :class:`ExistenceCertificate` anchored at ``(x0, xdot0)``.
 
     The anchor is the strip-entry data of the IVP; ``k`` is the L1 bound of
@@ -190,15 +197,14 @@ def certify(model, profile, x0, xdot0, *, b=1.0, c=1.0, k=1.0, grid=9,
     """
     x0 = np.asarray(x0, dtype=float)
     xdot0 = np.asarray(xdot0, dtype=float)
-    est = estimate_sup_norms(model, profile, x0, xdot0, b, c, k=k, grid=grid,
-                             safety=safety)
+    est = estimate_sup_norms(model, profile, x0, xdot0, b, c, k=k, grid=grid)
     speed = float(np.linalg.norm(xdot0))
     alpha, eps0 = alpha_bound(speed, b, c, est.norm_F1, est.norm_F2, k)
     return ExistenceCertificate(
         x0=x0.copy(), xdot0=xdot0.copy(), b=float(b), c=float(c), k=float(k),
         norm_F1=est.norm_F1, norm_F2=est.norm_F2, lip_F1=est.lip_F1,
         lip_F2=est.lip_F2, i2_radius=est.i2_radius, alpha=alpha, eps0=eps0,
-        chart=model.name, grid=grid, safety=safety)
+        chart=model.name, grid=grid, safety=_SAFETY)
 
 
 @dataclass
@@ -214,11 +220,8 @@ class PicardResult:
     refinements: int
     grid_converged: bool
 
-    def x_at_nodes(self):
-        return self.t, self.x
 
-
-def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol, max_iter,
+def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol,
                     certificate):
     m = len(t)
     delta = np.asarray(net.eval(eps, t), dtype=float)
@@ -228,7 +231,7 @@ def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol, max_iter,
     shifts = []
     converged = False
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         iterations += 1
         # F1 on every node (which also tests every node against the chart)
         # and F2 on the nodes where the impulse is active
@@ -254,8 +257,7 @@ def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol, max_iter,
 
 
 def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
-                 max_iter=60, base_grid=2001, max_refinements=3,
-                 certificate=None):
+                 max_refinements=3, certificate=None):
     """Solve the strip IVP by fixed-point iteration on a uniform grid.
 
     Iterates the integral operator
@@ -264,10 +266,11 @@ def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
                   + double-integral of [F1(x, xdot) + F2(x) delta_eps]
 
     from the straight-line seed on ``J = [-eps, alpha - eps]``, evaluating
-    the nested integrals by cumulative composite Simpson quadrature.  The
-    iteration stops when the discrete C1 norm of the update falls below
-    ``tol``.  The grid is then doubled until the fixed point itself shifts
-    by at most ``tol`` between grids.
+    the nested integrals by cumulative composite Simpson quadrature on 2001
+    nodes.  The iteration stops when the discrete C1 norm of the update
+    falls below ``tol``, within 60 iterations.  The grid is then doubled, at
+    most ``max_refinements`` times, until the fixed point itself shifts by
+    at most ``tol`` between grids.
 
     Requires ``eps <= alpha / 2`` so the interval reaches ``u = eps``.
     When a certificate is supplied, iterates leaving its containment region
@@ -279,21 +282,17 @@ def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
     xdot0 = np.asarray(xdot0, dtype=float)
     model.require_inside(x0)
 
-    nodes = int(base_grid)
-    if nodes % 2 == 0:
-        nodes += 1
-    nodes = max(nodes, 2001)
-
+    nodes = _BASE_GRID
     prev = None
     refinements = 0
     grid_converged = False
     while True:
         t = np.linspace(-eps, alpha - eps, nodes)
         x, xd, shifts, converged, iters = _picard_on_grid(
-            model, profile, net, eps, t, x0, xdot0, tol, max_iter, certificate)
+            model, profile, net, eps, t, x0, xdot0, tol, certificate)
         if not converged:
             raise NumericalError(
-                f"fixed-point iteration did not converge within {max_iter} "
+                f"fixed-point iteration did not converge within {_MAX_ITER} "
                 f"iterations (last shift {shifts[-1]:.3e})")
         if prev is not None:
             coarse_x, coarse_xd = prev

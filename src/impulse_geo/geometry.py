@@ -340,13 +340,13 @@ def sphere_stereographic():
     return _with_batch_forms(model, batch_christoffel, batch_inverse)
 
 
-def from_metric(dim, metric, *, chart_domain=None, inverse_metric=None,
-                complete=False, name="user"):
-    """Wrap a user metric callback; Christoffel symbols fall back to
-    central finite differences of the metric."""
-    return ManifoldModel(dim, metric, inverse_metric=inverse_metric,
-                         chart_domain=chart_domain, complete=complete,
-                         name=name)
+def from_metric(dim, metric, *, chart_domain=None, complete=False,
+                name="user"):
+    """Wrap a user metric callback; the inverse metric is the matrix
+    inverse of the metric and the Christoffel symbols fall back to central
+    finite differences of it."""
+    return ManifoldModel(dim, metric, chart_domain=chart_domain,
+                         complete=complete, name=name)
 
 
 def background_geodesic(model, x0, xdot0, u_start, u_end, *, rtol=1e-10,

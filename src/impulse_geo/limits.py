@@ -104,9 +104,9 @@ def limit_geodesic(model, profile, data, *, u_end=1.5, rtol=1e-10,
                          grad)
 
 
-def inner_scale_error(model, profile, net, data, eps, *, n_grid=201,
-                      rtol=1e-10, atol=1e-10):
-    """Sup of ``|x_eps(eps u) - x(0)|`` over a grid of ``u`` in [-1, 1].
+def inner_scale_error(model, profile, net, data, eps, *, rtol=1e-10,
+                      atol=1e-10):
+    """Sup of ``|x_eps(eps u) - x(0)|`` over 201 points ``u`` in [-1, 1].
 
     On the inner scale the whole strip collapses to the single point where
     the base geodesic hits the shock; the sup decays like O(eps).
@@ -116,7 +116,7 @@ def inner_scale_error(model, profile, net, data, eps, *, n_grid=201,
     xb = base.x_at(0.0)
     path = dynamics.integrate_impulsive_geodesic(
         model, profile, net, eps, data, u_end=1.5 * eps, rtol=rtol, atol=atol)
-    grid = eps * np.linspace(-1.0, 1.0, n_grid)
+    grid = eps * np.linspace(-1.0, 1.0, 201)
     diff = path.x_at(grid) - xb
     return float(np.max(np.linalg.norm(diff, axis=1)))
 
@@ -199,69 +199,14 @@ def _u_end(u_probes, eps):
     return float(max(u_probes.max(), eps)) + 0.1
 
 
-def _study_rows(model, profile, net, data, schedule, u_probes, probes_xdot,
-                limit, rtol, atol):
-    """Errors against ``limit`` for every width of ``schedule``, integrated
-    as one ensemble: per width ``(err_x, err_xdot, err_v)`` or the row's
+def _study(model, profile, net, data, eps_schedule, u_probes, rtol, atol):
+    """Errors against the sharp limit for every width of ``eps_schedule``,
+    integrated as one ensemble.
+
+    Returns the widths (widest first), the probes, the velocity probes and
+    per width ``(err_x, err_xdot, err_v)`` or the row's
     :class:`IntegrationFailure`.  A row does not depend on the others, so
-    each equals the same width studied alone."""
-    paths = dynamics._integrate_ensemble(
-        model, profile, net, schedule, data,
-        [_u_end(u_probes, eps) for eps in schedule],
-        rtol=rtol, atol=atol)
-    rows = []
-    for eps, path in zip(schedule, paths):
-        if isinstance(path, IntegrationFailure):
-            rows.append(path)
-            continue
-        probes_out = (u_probes[np.abs(u_probes) > eps] if probes_xdot is None
-                      else probes_xdot)
-        ex = float(np.max(np.linalg.norm(path.x_at(u_probes)
-                                         - limit.x_at(u_probes), axis=1)))
-        exd = float(np.max(np.linalg.norm(path.xdot_at(probes_out)
-                                          - limit.xdot_at(probes_out),
-                                          axis=1)))
-        ev = float(np.max(np.abs(path.v_at(probes_out)
-                                 - limit.v_at(probes_out))))
-        rows.append((ex, exd, ev))
-    return rows
-
-
-def study_errors(model, profile, net, data, eps, u_probes, limit=None, *,
-                 probes_xdot=None, rtol=1e-10, atol=1e-10):
-    """Errors of one regularized trajectory against the sharp limit.
-
-    Returns ``(err_x, err_xdot, err_v)``: sups over the probe parameters of
-    the chart-norm position error, the velocity error and the v error.  The
-    velocity and v columns use ``probes_xdot`` (in a study: the probes
-    clearing the widest strip of the schedule, so the columns are
-    comparable across rows); they do not converge at the shock itself.
-    This is the one-width case of :func:`convergence_study`, with the same
-    bits per width.
-    """
-    u_probes = np.asarray(u_probes, dtype=float)
-    if probes_xdot is not None:
-        probes_xdot = np.asarray(probes_xdot, dtype=float)
-    if limit is None:
-        limit = limit_geodesic(model, profile, data,
-                               u_end=_u_end(u_probes, eps), rtol=rtol,
-                               atol=atol)
-    row, = _study_rows(model, profile, net, data, [float(eps)], u_probes,
-                       probes_xdot, limit, rtol, atol)
-    if isinstance(row, IntegrationFailure):
-        raise row
-    return row
-
-
-def convergence_study(model, profile, net, data, eps_schedule, u_probes, *,
-                      rtol=1e-10, atol=1e-10):
-    """Measure convergence of regularized geodesics to the sharp limit.
-
-    The probes must avoid ``u = 0``; probes inside the widest strip are
-    excluded from the velocity and v columns, which must keep at least one
-    probe clear of ``[-max(eps), max(eps)]``.  All widths are integrated
-    as one ensemble; rows whose integration fails are flagged and the
-    others are unaffected.
+    each equals the same width studied alone.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if any(e <= 0 for e in eps_schedule):
@@ -282,8 +227,55 @@ def convergence_study(model, profile, net, data, eps_schedule, u_probes, *,
     limit = limit_geodesic(model, profile, data,
                            u_end=_u_end(u_probes, eps_max), rtol=rtol,
                            atol=atol)
-    rows = _study_rows(model, profile, net, data, eps_schedule, u_probes,
-                       probes_out, limit, rtol, atol)
+    paths = dynamics._integrate_ensemble(
+        model, profile, net, eps_schedule, data,
+        [_u_end(u_probes, eps) for eps in eps_schedule],
+        rtol=rtol, atol=atol)
+    rows = []
+    for path in paths:
+        if isinstance(path, IntegrationFailure):
+            rows.append(path)
+            continue
+        ex = float(np.max(np.linalg.norm(path.x_at(u_probes)
+                                         - limit.x_at(u_probes), axis=1)))
+        exd = float(np.max(np.linalg.norm(path.xdot_at(probes_out)
+                                          - limit.xdot_at(probes_out),
+                                          axis=1)))
+        ev = float(np.max(np.abs(path.v_at(probes_out)
+                                 - limit.v_at(probes_out))))
+        rows.append((ex, exd, ev))
+    return eps_schedule, u_probes, probes_out, rows
+
+
+def study_errors(model, profile, net, data, eps, u_probes, *, rtol=1e-10,
+                 atol=1e-10):
+    """Errors of one regularized trajectory against the sharp limit.
+
+    Returns ``(err_x, err_xdot, err_v)``: sups over the probe parameters of
+    the chart-norm position error, the velocity error and the v error.  The
+    velocity and v columns use the probes clearing the strip; they do not
+    converge at the shock itself.  This is the one-width case of
+    :func:`convergence_study`, with its probe checks and the same bits.
+    """
+    *_, (row,) = _study(model, profile, net, data, [eps], u_probes, rtol,
+                        atol)
+    if isinstance(row, IntegrationFailure):
+        raise row
+    return row
+
+
+def convergence_study(model, profile, net, data, eps_schedule, u_probes, *,
+                      rtol=1e-10, atol=1e-10):
+    """Measure convergence of regularized geodesics to the sharp limit.
+
+    The probes must avoid ``u = 0``; probes inside the widest strip are
+    excluded from the velocity and v columns, which must keep at least one
+    probe clear of ``[-max(eps), max(eps)]``.  All widths are integrated
+    as one ensemble; rows whose integration fails are flagged and the
+    others are unaffected.
+    """
+    eps_schedule, u_probes, probes_out, rows = _study(
+        model, profile, net, data, eps_schedule, u_probes, rtol, atol)
     failed = [isinstance(row, IntegrationFailure) for row in rows]
     errs = [(math.nan,) * 3 if bad else row for row, bad in zip(rows, failed)]
     err_x, err_xdot, err_v = zip(*errs)

@@ -19,6 +19,7 @@ exponent of a profile by sampling along radial geodesics.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
@@ -39,35 +40,24 @@ __all__ = [
 _BUMP_NORM = 2.2522836210435810105
 
 
-def _bump_scalar(s):
-    if abs(s) >= 1.0:
-        return 0.0
-    return _BUMP_NORM * math.exp(-1.0 / (1.0 - s * s))
-
-
-def _bump_prime_scalar(s):
+def _bump_scalar(s, prime):
+    """The unit bump at a float ``s``, or with ``prime`` its derivative."""
     if abs(s) >= 1.0:
         return 0.0
     q = 1.0 - s * s
-    return _BUMP_NORM * math.exp(-1.0 / q) * (-2.0 * s / (q * q))
+    value = _BUMP_NORM * math.exp(-1.0 / q)
+    return value * (-2.0 * s / (q * q)) if prime else value
 
 
-def _bump_array(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    m = np.abs(s) < 1.0
-    sm = s[m]
-    out[m] = _BUMP_NORM * np.exp(-1.0 / (1.0 - sm * sm))
-    return out
-
-
-def _bump_prime_array(s):
+def _bump_array(s, prime):
+    """:func:`_bump_scalar` on every element of an array ``s``."""
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     m = np.abs(s) < 1.0
     sm = s[m]
     q = 1.0 - sm * sm
-    out[m] = _BUMP_NORM * np.exp(-1.0 / q) * (-2.0 * sm / (q * q))
+    value = _BUMP_NORM * np.exp(-1.0 / q)
+    out[m] = value * (-2.0 * sm / (q * q)) if prime else value
     return out
 
 
@@ -292,27 +282,19 @@ def _bump_net(parts, l1_bound, name):
     integrator passes floats, and ``np.isscalar`` costs about a bump),
     arrays the numpy one.  Sums start at ``-0.0``, which adds exactly.
     """
-    def ev(eps, u):
+    def shape(prime, eps, u):
         if isinstance(u, float) or np.isscalar(u):
             s, bump = u / eps, _bump_scalar
         else:
             s, bump = np.asarray(u, dtype=float) / eps, _bump_array
         total = -0.0
         for w, c, r in parts:
-            total = total + w * bump((s - c) / r) / r
-        return total / eps
+            scale = r * r if prime else r
+            total = total + w * bump((s - c) / r, prime) / scale
+        return total / (eps * eps if prime else eps)
 
-    def dv(eps, u):
-        if isinstance(u, float) or np.isscalar(u):
-            s, bump_prime = u / eps, _bump_prime_scalar
-        else:
-            s, bump_prime = np.asarray(u, dtype=float) / eps, _bump_prime_array
-        total = -0.0
-        for w, c, r in parts:
-            total = total + w * bump_prime((s - c) / r) / (r * r)
-        return total / (eps * eps)
-
-    return DeltaNet(ev, dv, lambda eps: eps, l1_bound, name=name)
+    return DeltaNet(partial(shape, False), partial(shape, True),
+                    lambda eps: eps, l1_bound, name=name)
 
 
 def mollifier_net():

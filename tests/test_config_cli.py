@@ -430,6 +430,98 @@ def test_cli_rejected_argument_values_exit_2(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def _drop(payload, key):
+    """``payload`` without ``key``; ``section.key`` drops a key of a section."""
+    section, _, name = key.rpartition(".")
+    if section:
+        return {**payload, section: _drop(payload[section], name)}
+    return {k: v for k, v in payload.items() if k != name}
+
+
+# configs without a part the command needs, and the message naming it
+NEEDS_CASES = {
+    "sweep-no-schedule": ("sweep", _drop(SWEEP, "eps_schedule"), [],
+                          "sweep needs an eps_schedule"),
+    # a single width from the flag replaces the schedule
+    "sweep-eps-flag": ("sweep", SWEEP, ["--eps", "0.1"],
+                       "sweep needs an eps_schedule"),
+    "sweep-no-probes": ("sweep", _drop(SWEEP, "u_probes"), [],
+                        "sweep needs u_probes"),
+    "verify-net-no-schedule": ("verify-net",
+                               _drop(NET_REPORT, "eps_schedule"), [],
+                               "verify-net needs an eps_schedule"),
+    "growth-no-section": ("classify-growth", _drop(GROWTH, "growth"), [],
+                          "classify-growth needs a growth section"),
+    "growth-no-directions": ("classify-growth",
+                             _drop(GROWTH, "growth.directions"), [],
+                             "growth.directions is required"),
+    "growth-no-radii": ("classify-growth", _drop(GROWTH, "growth.radii"), [],
+                        "growth.radii is required"),
+    "integrate-no-profile": ("integrate", _drop(BASE, "profile"), [],
+                             "this command needs a profile section"),
+    "integrate-no-net": ("integrate", _drop(BASE, "net"), [],
+                         "this command needs a net name"),
+    "integrate-no-data": ("integrate", _drop(BASE, "data"), [],
+                          "this command needs a data section"),
+    "integrate-bump-no-center": (
+        "integrate", {**BASE, "profile": {"name": "gaussian_bump",
+                                          "width": 0.8}}, [],
+        "gaussian_bump profile needs a center"),
+}
+
+
+@pytest.mark.parametrize("command, payload, flags, message",
+                         NEEDS_CASES.values(), ids=NEEDS_CASES.keys())
+def test_cli_missing_parts_exit_2(tmp_path, capsys, command, payload, flags,
+                                  message):
+    cfg = write_cfg(tmp_path, payload)
+    assert main([command, "--config", cfg] + flags) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+def test_eps_flag_replaces_the_schedule(tmp_path):
+    out = tmp_path / "flag.csv"
+    cfg = write_cfg(tmp_path, {**SWEEP, "output": {"csv": str(out)}})
+    assert main(["integrate", "--config", cfg, "--eps", "0.05"]) == 0
+    want = tmp_path / "config.csv"
+    cfg = write_cfg(tmp_path, {**NO_EPS, "eps": 0.05,
+                               "output": {"csv": str(want)}}, "eps.json")
+    assert main(["integrate", "--config", cfg]) == 0
+    assert out.read_bytes() == want.read_bytes()
+
+
+def _raw_config(tmp_path, data):
+    path = tmp_path / "raw.json"
+    path.write_bytes(data)
+    return ["integrate", "--config", str(path)]
+
+
+# a config that cannot be read or decoded, or an output that cannot be
+# written: argv for the run, and the start of its one error line
+UNREADABLE_CASES = {
+    # json.dumps cannot write an integer too long for int() to convert
+    "integer-of-5001-digits": (
+        lambda tmp: _raw_config(tmp, (json.dumps(BASE)[:-1] + ', "seed": 1'
+                                      + "0" * 5000 + "}").encode()),
+        "validation error: config is not valid JSON"),
+    "config-not-utf8": (lambda tmp: _raw_config(tmp, b"\xff\xfe{"),
+                        "validation error: config is not UTF-8 text"),
+    "config-is-a-directory": (
+        lambda tmp: ["integrate", "--config", str(tmp)], "error: "),
+    "csv-is-a-directory": (
+        lambda tmp: ["integrate", "--config", write_cfg(tmp, BASE),
+                     "--csv", str(tmp)], "error: "),
+}
+
+
+@pytest.mark.parametrize("argv, start", UNREADABLE_CASES.values(),
+                         ids=UNREADABLE_CASES.keys())
+def test_cli_unreadable_files_exit_2(tmp_path, capsys, argv, start):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1
+
+
 SMALL = st.floats(-10.0, 10.0, allow_nan=False)
 
 

@@ -290,6 +290,34 @@ def test_ensemble_chart_escape_row_fails_alone():
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
+def _undefined_beyond_two(t, y):
+    # NaN wherever y[0] > 2, so undefined at such an initial state
+    if y[0] > 2.0:
+        return np.full(3, np.nan)
+    return np.array([y[1], -y[0], 0.5 * y[2]])
+
+
+def test_undefined_initial_state_is_a_chart_escape():
+    with pytest.raises(IntegrationFailure,
+                       match="right-hand side undefined at the initial "
+                             "state") as err:
+        solve_rk45(_undefined_beyond_two, 0.0, 1.0, np.array([3.0, 0.0, 1.0]))
+    assert err.value.reason == "chart_escape" and err.value.u == 0.0
+
+    # in an ensemble only that row fails, and the other runs as alone
+    def fun(t, ys, rows):
+        return np.array([_undefined_beyond_two(u, y) for u, y in zip(t, ys)])
+
+    y0 = np.array([[3.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+    (failed, path), _ = solve_rk45(fun, 0.0, 1.0, y0)
+    assert isinstance(failed, IntegrationFailure)
+    assert failed.reason == "chart_escape"
+    assert "undefined at the initial state" in str(failed)
+    alone, _ = solve_rk45(_undefined_beyond_two, 0.0, 1.0, y0[1])
+    for attr in ("ts", "ys", "coeffs"):
+        assert np.array_equal(getattr(path, attr), getattr(alone, attr))
+
+
 def test_ensemble_field_matches_point_field():
     # rows inside and outside their own strips, on a curved chart; each row
     # agrees with the per-point field and does not depend on the batch

@@ -246,6 +246,23 @@ def test_picard_certificate_checks_every_node():
                                certificate=cert)
 
 
+def test_picard_certificate_checks_the_velocity_ball():
+    # a geodesic of the half-plane turns at once, so over alpha = 0.2 its
+    # velocity leaves the tiny ball I2 (c = 1e-3, no impulse) while its
+    # position stays in I1; with the certificate's own alpha it converges
+    model = geometry.hyperbolic_half_plane()
+    zero = profiles.constant_profile(0.0)
+    x0, xdot0 = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    cert = existence.certify(model, zero, x0, xdot0, b=0.5, c=1e-3, k=1.0)
+    with pytest.raises(CertificateViolation, match="I2"):
+        existence.picard_solve(model, zero, NET, 0.01, x0, xdot0, alpha=0.2,
+                               certificate=cert)
+    res = existence.picard_solve(model, zero, NET, cert.eps0, x0, xdot0,
+                                 cert.alpha, certificate=cert)
+    assert res.converged
+    assert cert.contains_x(res.x) and cert.contains_xdot(res.xdot)
+
+
 def test_picard_iterate_leaving_chart_raises():
     # the straight-line seed crosses x2 = 0 at t = 0.1 - eps
     model = geometry.hyperbolic_half_plane()

@@ -20,6 +20,15 @@ def sphere_from_metric():
         name="sphere_from_metric")
 
 
+def sphere_point_forms():
+    """The built-in sphere without its batch forms: the batch forms loop
+    over the point callbacks."""
+    sph = geometry.sphere_stereographic()
+    return geometry.ManifoldModel(
+        2, sph._metric, inverse_metric=sph._inverse_metric,
+        christoffel=sph._christoffel, name="sphere_point_forms")
+
+
 def random_point(model, rng):
     if model.name.startswith("euclidean"):
         return rng.uniform(-2.0, 2.0, size=model.dim)
@@ -149,7 +158,8 @@ def test_chart_domain_errors():
     assert not model.contains(bad)
 
 
-@pytest.mark.parametrize("model", models() + [sphere_from_metric()],
+@pytest.mark.parametrize("model", models() + [sphere_from_metric(),
+                                              sphere_point_forms()],
                          ids=lambda m: m.name)
 def test_batch_forms_match_point_forms(model):
     rng = np.random.default_rng(41)

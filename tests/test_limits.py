@@ -3,7 +3,7 @@ import pytest
 
 from impulse_geo import dynamics, geometry, limits, profiles
 from impulse_geo.dynamics import InitialData, integrate_impulsive_geodesic
-from impulse_geo.errors import IntegrationFailure
+from impulse_geo.errors import ConfigError, IntegrationFailure
 
 
 EU = geometry.euclidean(2)
@@ -212,6 +212,15 @@ def test_convergence_study_validates_probes():
     with pytest.raises(ValueError):
         limits.convergence_study(EU, LINEAR, NET, DATA_FLAT, [0.125],
                                  [-2.0, 0.5])
+
+
+@pytest.mark.parametrize("probes", [[0.1, 0.2], [0.0, 0.5], [-2.0, 0.5]],
+                         ids=["none-clears-strip", "at-shock", "before-data"])
+def test_study_errors_validates_probes(probes):
+    # the one-width study runs the probe checks of convergence_study
+    bump = profiles.gaussian_bump_profile(1.0, [1.0, 0.0], 0.8)
+    with pytest.raises(ConfigError):
+        limits.study_errors(EU, bump, NET, DATA_FLAT, 0.3, probes)
 
 
 def test_convergence_study_flags_failed_rows():

@@ -149,7 +149,15 @@ def builtin_profiles():
             profiles.gaussian_bump_profile(1.0, [0.8, 1.2], 0.8)]
 
 
-@pytest.mark.parametrize("prof", builtin_profiles(), ids=lambda p: p.name)
+def bump_point_forms():
+    """A Gaussian bump given by its point forms only: a batch ``df`` loops
+    over the rows."""
+    bump = profiles.gaussian_bump_profile(1.0, [0.8, 1.2], 0.8)
+    return profiles.WaveProfile(bump.f, bump.df, name="bump_point_forms")
+
+
+@pytest.mark.parametrize("prof", builtin_profiles() + [bump_point_forms()],
+                         ids=lambda p: p.name)
 def test_batch_df_matches_point_df(prof):
     rng = np.random.default_rng(42)
     xs = rng.uniform(-2.0, 2.0, size=(200, 2))
