@@ -14,6 +14,8 @@ config are byte-identical.
 """
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
@@ -87,20 +89,37 @@ def _check_outputs(command, allowed, cfg):
             f"(supported: {', '.join(sorted(allowed))})")
 
 
+def _check_writable(path):
+    """Raise :class:`OSError` unless a file can be written at ``path``."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _write_outputs(cfg, kind, writers):
     """Write the requested outputs in the order of ``writers`` (format ->
-    function of the path), then the sidecar beside the first of them."""
-    outputs = {}
-    for fmt, write in writers.items():
-        if fmt in cfg.output:
-            write(cfg.output[fmt])
-            outputs[fmt] = cfg.output[fmt]
-    if outputs:
-        art = artifacts.RunArtifact(
-            kind=kind, outputs=outputs,
-            provenance=artifacts.provenance_for(serialize_config(cfg),
-                                                cfg.seed))
-        artifacts.write_meta(next(iter(outputs.values())) + ".meta.json", art)
+    function of the path), then the sidecar beside the first of them.
+    Every path is checked first, so a run writes all its files or none."""
+    outputs = {fmt: cfg.output[fmt] for fmt in writers if fmt in cfg.output}
+    if not outputs:
+        return
+    meta = next(iter(outputs.values())) + ".meta.json"
+    for path in [*outputs.values(), meta]:
+        _check_writable(path)
+    for fmt, path in outputs.items():
+        writers[fmt](path)
+    art = artifacts.RunArtifact(
+        kind=kind, outputs=outputs,
+        provenance=artifacts.provenance_for(serialize_config(cfg), cfg.seed))
+    artifacts.write_meta(meta, art)
 
 
 def _require_eps(cfg):

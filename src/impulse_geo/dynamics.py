@@ -9,21 +9,30 @@ second null coordinate ``v``::
 
 where ``delta_eps`` is the impulse regularization.  The forcing is supported
 in the strip ``|u| <= support_radius(eps)``; outside it the system is the
-background geodesic system, and :func:`integrate_impulsive_geodesic`
-integrates the three phases separately with forced step boundaries at
-``u = -eps`` and ``u = +eps``.
+background geodesic system.
 
-A single trajectory uses the per-point field (:func:`_system`).  It checks
-the chart once per call and then evaluates the model's unchecked point
-forms; ``christoffel_at`` and ``inverse_metric_at`` remain the checked
-public forms.  :func:`lagrangian_energy` takes one state or a batch: the
-energy diagnostics of a path and the energy column of its CSV are one call.
+One driver, :func:`_integrate`, runs every integration as a plan of phases,
+one :func:`solve_rk45` call each, named by its ``phase`` keyword:
+``"background"`` alone for a background geodesic, or ``"pre"``, ``"strip"``
+and ``"post"``, with forced step boundaries at ``u = -eps`` and ``u = +eps``
+and the strip step capped at ``support_radius(eps) / 50`` so that the
+controller cannot step over the peaked forcing.  It sums a path's step
+counts, and a failure's ``partial`` becomes the :class:`GeodesicPath` of
+the phases done and its own partial piece (``phase_marks`` None for a
+background path), each in one place.
 
-A convergence study runs one trajectory per width as one ensemble
-(:func:`_integrate_ensemble`): its field takes the ``(B, n)`` batch forms
-of the model and the profile, with a width and a parameter ``u`` per row,
-and its acceleration is the one the Picard iteration integrates
-(:func:`batch_acceleration`).
+As in :func:`solve_rk45`, the form follows the state's shape.  A 1-D state,
+a single trajectory, uses the per-point field (:func:`_system`) and the 1-D
+stage loop, raises its failure and gets energy diagnostics.  The field
+checks the chart once per call and then evaluates the model's unchecked
+point forms; ``christoffel_at`` and ``inverse_metric_at`` remain the
+checked public forms.  :func:`lagrangian_energy` takes one state or a
+batch: the energy diagnostics of a path and the energy column of its CSV
+are one call.  A ``(B, D)`` state, one trajectory per width as in a
+convergence study (:func:`_integrate_ensemble`), uses the ensemble field:
+the ``(B, n)`` batch forms of the model and the profile, a width and a
+``u`` per row, and the acceleration that the Picard iteration integrates
+(:func:`batch_acceleration`).  A row that fails drops out alone.
 
 The raw state vector layout is ``[x (n), xdot (n), v, vdot]``.
 """
@@ -310,16 +319,9 @@ def background_path(model, x0, xdot0, u_start, u_end, *, v0=0.0, vdot0=0.0,
                     rtol=1e-10, atol=1e-10):
     """Integrate the background (impulse-free) geodesic system."""
     x0 = np.asarray(x0, dtype=float)
-    xdot0 = np.asarray(xdot0, dtype=float)
     model.require_inside(x0)
-    y0 = np.concatenate([x0, xdot0, [v0, vdot0]])
-    fun = _system(model, None, None, None)
-    dense, stats = solve_rk45(fun, u_start, u_end, y0, rtol=rtol, atol=atol,
-                              phase="background")
-    diag = PathDiagnostics(stats["n_steps"], stats["n_rejected"], stats["n_rhs"])
-    path = GeodesicPath(model.dim, [dense], diagnostics=diag)
-    _energy_diagnostics(path, model, None, None, None)
-    return path
+    y0 = np.concatenate([x0, np.asarray(xdot0, dtype=float), [v0, vdot0]])
+    return _integrate(model, None, None, None, y0, u_start, u_end, rtol, atol)
 
 
 def _check_inputs(model, eps, data, u_end):
@@ -332,25 +334,72 @@ def _check_inputs(model, eps, data, u_end):
     model.require_inside(data.x0)
 
 
-# inside the strip the step size is capped at support_radius(eps) / 50, so
-# the adaptive controller cannot step over the peaked forcing
 _STRIP_STEP_DIVISOR = 50
 
 
-def _phase_plan(eps, u_end, cap):
-    """``(phase, start, end, step cap)`` of the three phases, for one width
-    or, with arrays, for each row of an ensemble."""
-    return [("pre", -1.0, -eps, math.inf), ("strip", -eps, eps, cap),
-            ("post", eps, u_end, math.inf)]
-
-
-def _with_partial_path(exc, n, pieces, eps):
-    """Attach to ``exc`` the path integrated before it failed: the phases
-    ``pieces`` done and its own partial piece."""
-    done = pieces + ([exc.partial] if exc.partial is not None else [])
-    if done:
-        exc.partial = GeodesicPath(n, done, phase_marks=(-eps, eps))
-    return exc
+def _integrate(model, profile, net, eps, y0, u_start, u_end, rtol, atol):
+    """Integrate the raw state ``y0`` from ``u_start`` to ``u_end`` (see
+    the module docstring).  A ``(B, D)`` state has the width ``eps[r]`` and
+    the end ``u_end[r]`` in row ``r`` and gives per row a path or a failure;
+    ``eps`` None is the background."""
+    batch = np.ndim(y0) == 2
+    y = np.array(y0, dtype=float, ndmin=2)
+    widths = eps if batch else [eps]
+    marks = [None if w is None else (-w, w) for w in widths]
+    if eps is None:
+        plan = [("background", u_start, u_end, math.inf)]
+    else:
+        e = np.array(eps, dtype=float)
+        cap = (np.reshape([net.support_radius(w) for w in widths], e.shape)
+               / _STRIP_STEP_DIVISOR)
+        plan = [("pre", u_start, -e, math.inf), ("strip", -e, e, cap),
+                ("post", e, u_end, math.inf)]
+    point_field = None if batch else _system(model, profile, net, eps)
+    pieces = [[] for _ in y]
+    diags = [PathDiagnostics() for _ in y]
+    out = [None] * len(y)
+    live = list(range(len(y)))
+    for name, t0, t1, cap in plan:
+        if batch:
+            t0, t1, cap = (np.broadcast_to(v, (len(y),))[live]
+                           for v in (t0, t1, cap))
+            fun = _ensemble_system(model, profile, net, e[live])
+            ends, stats = solve_rk45(fun, t0, t1, y[live], rtol=rtol,
+                                     atol=atol, max_step=cap, phase=name)
+            counts = stats["rows"]
+        else:
+            try:
+                end, count = solve_rk45(point_field, t0, t1, y[0], rtol=rtol,
+                                        atol=atol, max_step=cap, phase=name)
+            except IntegrationFailure as exc:
+                end, count = exc, None
+            ends, counts = [end], [count]
+        for r, end, count in zip(live, ends, counts):
+            if isinstance(end, IntegrationFailure):
+                if end.partial is not None:
+                    pieces[r].append(end.partial)
+                if pieces[r]:
+                    end.partial = GeodesicPath(model.dim, pieces[r],
+                                               phase_marks=marks[r])
+                out[r] = end
+                continue
+            pieces[r].append(end)
+            y[r] = end.ys[-1]
+            diags[r].n_steps += count["n_steps"]
+            diags[r].n_rejected += count["n_rejected"]
+            diags[r].n_rhs += count["n_rhs"]
+        live = [r for r in live if out[r] is None]
+        if not live:
+            break
+    for r in live:
+        out[r] = GeodesicPath(model.dim, pieces[r], phase_marks=marks[r],
+                              diagnostics=diags[r])
+    if batch:
+        return out
+    if isinstance(out[0], IntegrationFailure):
+        raise out[0]
+    _energy_diagnostics(out[0], model, profile, net, eps)
+    return out[0]
 
 
 def integrate_impulsive_geodesic(model, profile, net, eps, data, u_end, *,
@@ -358,40 +407,17 @@ def integrate_impulsive_geodesic(model, profile, net, eps, data, u_end, *,
     """Integrate the full geodesic system from ``u = -1`` through the strip.
 
     Three phases are integrated with forced boundaries at ``-eps`` and
-    ``+eps``.  Inside the strip the step size is capped at
-    ``support_radius(eps) / 50`` so the adaptive controller cannot step
-    over the peaked forcing.  All three phases share one field,
-    which skips the impulse terms outside the strip, where they vanish
-    identically anyway.
+    ``+eps`` and a step cap in the strip (see the module docstring).  All
+    three share one field, which skips the impulse terms outside the
+    strip, where they vanish identically anyway.
 
     Raises :class:`IntegrationFailure` if the blow-up guard trips or the
     trajectory leaves the chart; the exception records the failing phase and
     the path integrated so far.
     """
     _check_inputs(model, [eps], data, [u_end])
-    fun = _system(model, profile, net, eps)
-    plan = _phase_plan(eps, u_end,
-                       net.support_radius(eps) / _STRIP_STEP_DIVISOR)
-
-    pieces = []
-    diag = PathDiagnostics()
-    y = data.as_vector()
-    for name, a, b, max_step in plan:
-        try:
-            dense, stats = solve_rk45(fun, a, b, y, rtol=rtol, atol=atol,
-                                      max_step=max_step, phase=name)
-        except IntegrationFailure as exc:
-            raise _with_partial_path(exc, model.dim, pieces, eps)
-        pieces.append(dense)
-        y = dense.ys[-1].copy()
-        diag.n_steps += stats["n_steps"]
-        diag.n_rejected += stats["n_rejected"]
-        diag.n_rhs += stats["n_rhs"]
-
-    path = GeodesicPath(model.dim, pieces, phase_marks=(-eps, eps),
-                        diagnostics=diag)
-    _energy_diagnostics(path, model, profile, net, eps)
-    return path
+    return _integrate(model, profile, net, eps, data.as_vector(), -1.0, u_end,
+                      rtol, atol)
 
 
 def _integrate_ensemble(model, profile, net, eps, data, u_end, *,
@@ -399,46 +425,15 @@ def _integrate_ensemble(model, profile, net, eps, data, u_end, *,
     """Integrate one impulsive geodesic per width ``eps[r]`` from the same
     data, each to ``u_end[r]`` (or a common ``u_end``).
 
-    Each phase of :func:`integrate_impulsive_geodesic` (pre ``[-1, -eps]``,
-    strip ``[-eps, eps]`` with its step cap, post ``[eps, u_end]``) is one
-    ensemble call of :func:`solve_rk45` over the rows still alive.  Returns
-    one entry per width: a :class:`GeodesicPath` with that row's step
-    counts (energy diagnostics are not computed), or the row's
-    :class:`IntegrationFailure`.  A row does not depend on the other
+    Each phase is one ensemble call of :func:`solve_rk45` over the rows
+    still alive.  Returns one entry per width: a :class:`GeodesicPath` with
+    that row's step counts (energy diagnostics are not computed), or the
+    row's :class:`IntegrationFailure`.  A row does not depend on the other
     widths of the batch.
     """
     eps = [float(e) for e in eps]
     u_end = np.broadcast_to(np.asarray(u_end, dtype=float), (len(eps),))
     _check_inputs(model, eps, data, u_end)
-    e = np.array(eps)
-    cap = np.array([net.support_radius(w) for w in eps]) / _STRIP_STEP_DIVISOR
-    plan = _phase_plan(e, u_end, cap)
-    results = [None] * len(eps)
-    pieces = [[] for _ in eps]
-    diags = [PathDiagnostics() for _ in eps]
-    y = np.tile(data.as_vector(), (len(eps), 1))
-    live = np.arange(len(eps))
-    for name, a, b, max_step in plan:
-        a, b, max_step = (np.broadcast_to(v, e.shape)[live]
-                          for v in (a, b, max_step))
-        fun = _ensemble_system(model, profile, net, e[live])
-        outcomes, stats = solve_rk45(fun, a, b, y[live], rtol=rtol, atol=atol,
-                                     max_step=max_step, phase=name)
-        for r, dense, counts in zip(live, outcomes, stats["rows"]):
-            diags[r].n_steps += counts["n_steps"]
-            diags[r].n_rejected += counts["n_rejected"]
-            diags[r].n_rhs += counts["n_rhs"]
-            if isinstance(dense, IntegrationFailure):
-                results[r] = _with_partial_path(dense, model.dim, pieces[r],
-                                                eps[r])
-            else:
-                pieces[r].append(dense)
-                y[r] = dense.ys[-1]
-        live = np.array([r for r in live if results[r] is None], dtype=int)
-        if not live.size:
-            break
-    for r in live:
-        results[r] = GeodesicPath(model.dim, pieces[r],
-                                  phase_marks=(-eps[r], eps[r]),
-                                  diagnostics=diags[r])
-    return results
+    return _integrate(model, profile, net, eps,
+                      np.tile(data.as_vector(), (len(eps), 1)), -1.0, u_end,
+                      rtol, atol)

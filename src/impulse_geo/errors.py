@@ -31,9 +31,14 @@ class IntegrationFailure(NumericalError):
         Raw state vector at ``u``.
     phase : str or None
         Integration phase in which the failure occurred.
-    partial : object or None
-        Dense path covering the part of the trajectory that was completed,
-        when at least one step was accepted.
+    partial : GeodesicPath, DensePath or None
+        The part of the trajectory completed before the failure, or None
+        when nothing was.  A failure from :mod:`impulse_geo.dynamics`
+        carries a :class:`~impulse_geo.dynamics.GeodesicPath` of the phases
+        done and the failing phase's own piece (``phase_marks`` None for a
+        background path); one from
+        :func:`~impulse_geo.odesolve.solve_rk45` called directly carries
+        that phase's :class:`~impulse_geo.odesolve.DensePath`.
     """
 
     def __init__(self, reason, u, state, phase=None, message=None, partial=None):

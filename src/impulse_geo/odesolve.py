@@ -40,9 +40,11 @@ order, from 0 and left to right.  A single trajectory run as
 an ensemble of one was slower: 7-17% on the rounds of the criterion-4
 crossings and 9-14% on those of a user-metric trajectory (process CPU
 time, 2-vCPU VM), since the batch field and the per-step array work do
-not pay off for one row.  Provided ``fun`` computes each row
-independently of the others, every row is bit-identical to the same
-trajectory integrated alone or in any other batch.
+not pay off for one row; so the phase driver of
+:mod:`impulse_geo.dynamics` hands a 1-D state to the 1-D loop.  Provided
+``fun`` computes each row independently of the others, every row is
+bit-identical to the same trajectory integrated alone or in any other
+batch.
 """
 
 import math

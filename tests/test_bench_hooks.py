@@ -8,6 +8,8 @@ when someone runs the benchmark with ``--trace 1``.
 import os
 import sys
 
+import numpy as np
+
 from impulse_geo import dynamics, geometry, limits, profiles, scenarios
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
@@ -64,3 +66,45 @@ def test_tracer_counts_a_single_trajectory():
     assert tracer.counts["odesolve.rhs_evals"] == path.diagnostics.n_rhs == 2131
     assert tracer.calls("dynamics.field_strip") > 0
     assert tracer.calls("dynamics.field_outside") > 0
+
+
+def test_tracer_names_a_background_path_by_its_phase():
+    # the one "background" phase is traced as field work outside the strip
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        path = dynamics.background_path(geometry.hyperbolic_half_plane(),
+                                        [0.1, 1.0], [0.6, 0.4], -1.0, 1.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("dynamics.field_outside") > 0
+    assert tracer.calls("dynamics.field_strip") == 0
+    assert tracer.counts["odesolve.steps"] == path.diagnostics.n_steps
+
+
+def test_tracer_counts_every_step_of_a_study():
+    # the solver calls of a study: its two-width ensemble and the two
+    # background branches of its sharp limit
+    model = geometry.hyperbolic_half_plane()
+    prof = profiles.gaussian_bump_profile(1.0, [0.8, 1.2], 0.8)
+    net = profiles.mollifier_net()
+    data = dynamics.InitialData([0.0, 1.0], [0.6, 0.4])
+    widths, probes = [0.1, 0.05], np.array([-0.5, 0.5, 1.0])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        table = limits.convergence_study(model, prof, net, data, widths,
+                                         probes)
+    finally:
+        tracer.uninstall()
+    assert not table.failed.any()
+    rows = dynamics._integrate_ensemble(
+        model, prof, net, widths, data,
+        [limits._u_end(probes, eps) for eps in widths])
+    limit = limits.limit_geodesic(model, prof, data,
+                                  u_end=limits._u_end(probes, max(widths)))
+    paths = rows + [limit.base_path, limit.refracted_path]
+    assert tracer.counts["odesolve.steps"] == sum(
+        path.diagnostics.n_steps for path in paths)
+    assert tracer.counts["odesolve.rhs_evals"] == sum(
+        path.diagnostics.n_rhs for path in paths)

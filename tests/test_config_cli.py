@@ -522,6 +522,19 @@ def test_cli_unreadable_files_exit_2(tmp_path, capsys, argv, start):
     assert err.startswith(start) and err.count("\n") == 1
 
 
+def test_cli_unwritable_output_writes_nothing(tmp_path, capsys):
+    # the SVG path is a directory: the CSV before it and the sidecar are
+    # not written either
+    csv = tmp_path / "p.csv"
+    cfg = write_cfg(tmp_path, {**BASE, "output": {"csv": str(csv),
+                                                  "svg": str(tmp_path)}})
+    assert main(["integrate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not csv.exists()
+    assert not (tmp_path / "p.csv.meta.json").exists()
+
+
 SMALL = st.floats(-10.0, 10.0, allow_nan=False)
 
 

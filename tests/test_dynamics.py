@@ -482,3 +482,82 @@ def test_batch_energy_diagnostics_of_a_background_path():
                                         1.0)
     e0 = lagrangian_energy(path.state_at(path.u_start), hyp)
     _assert_energy_diagnostics(path, _node_energies(path, hyp), e0)
+
+
+def test_background_failure_carries_a_geodesic_path():
+    # flat metric on the chart x1 < 0.5: the background geodesic from the
+    # origin leaves it at u = 0.5; its partial path is a GeodesicPath whose
+    # one piece is the solver's own partial path
+    flat = geometry.from_metric(2, lambda x: np.eye(2),
+                                chart_domain=lambda x: x[0] < 0.5)
+    with pytest.raises(IntegrationFailure) as err:
+        dynamics.background_path(flat, [0.0, 0.0], [1.0, 0.2], 0.0, 2.0)
+    exc = err.value
+    assert exc.reason == "chart_escape" and exc.phase == "background"
+    assert isinstance(exc.partial, dynamics.GeodesicPath)
+    assert exc.partial.phase_marks is None
+    with pytest.raises(IntegrationFailure) as direct:
+        solve_rk45(dynamics._system(flat, None, None, None), 0.0, 2.0,
+                   np.array([0.0, 0.0, 1.0, 0.2, 0.0, 0.0]),
+                   phase="background")
+    (piece,) = exc.partial.pieces
+    for attr in ("ts", "ys", "coeffs"):
+        assert (getattr(piece, attr).tobytes()
+                == getattr(direct.value.partial, attr).tobytes())
+    assert exc.u == direct.value.u
+    assert exc.state.tobytes() == direct.value.state.tobytes()
+
+
+def test_initial_data_of_the_wrong_dimension_is_a_config_error():
+    data = InitialData([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+    with pytest.raises(ConfigError, match="dimension"):
+        integrate_impulsive_geodesic(EU, LINEAR, NET, 0.1, data, 1.0)
+    with pytest.raises(ConfigError, match="dimension"):
+        dynamics._integrate_ensemble(EU, LINEAR, NET, [0.1, 0.05], data, 1.0)
+
+
+def test_path_needs_contiguous_pieces():
+    a = DensePath([0.0, 1.0], np.zeros((2, 6)), np.zeros((1, 6, 4)))
+    b = DensePath([1.5, 2.0], np.zeros((2, 6)), np.zeros((1, 6, 4)))
+    with pytest.raises(ValueError, match="at least one piece"):
+        dynamics.GeodesicPath(2, [])
+    with pytest.raises(ValueError, match="not contiguous"):
+        dynamics.GeodesicPath(2, [a, b])
+
+
+def test_vdot_at_is_the_last_state_component():
+    # flat linear profile: past the strip vdot has dropped by exactly 5/8,
+    # the kink of the sharp limit
+    data = InitialData([0.0, 0.0], [1.0, 0.0], vdot0=0.3)
+    path = integrate_impulsive_geodesic(EU, LINEAR, NET, 0.05, data, 1.0)
+    us = np.array([-0.5, 0.5, 1.0])
+    assert np.array_equal(path.vdot_at(us), path.sample(us)[:, 5])
+    assert path.vdot_at(-0.5) == 0.3
+    np.testing.assert_allclose(path.vdot_at(us[1:]), 0.3 - 0.625,
+                               rtol=0.0, atol=1e-9)
+
+
+def test_first_step_when_the_field_fails_at_the_trial_point():
+    # y' = 1 from y = 1 guesses h0 = 0.01; the field raises there once, so
+    # the first step is h0 / 1000
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        if len(calls) == 2:
+            assert t == 0.01
+            raise ChartDomainError("undefined at the trial point")
+        return np.ones(1)
+
+    path, stats = solve_rk45(fun, 0.0, 1.0, np.array([1.0]))
+    assert path.ts[1] == 0.01 * 1e-3
+    assert path.t1 == 1.0 and path.ys[-1, 0] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_first_step_of_a_zero_field():
+    # d1 = d2 = 0: the first step is max(1e-6, h0 / 1000) with h0 = 1e-6
+    path, stats = solve_rk45(lambda t, y: np.zeros(2), 0.0, 1.0,
+                             np.array([1.0, -2.0]))
+    assert path.ts[1] == 1e-6
+    assert path.t1 == 1.0 and np.all(path.ys == [1.0, -2.0])
+    assert stats["n_rejected"] == 0

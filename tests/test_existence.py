@@ -3,7 +3,8 @@ import pytest
 
 from impulse_geo import dynamics, existence, geometry, profiles, scenarios
 from impulse_geo.dynamics import InitialData
-from impulse_geo.errors import CertificateViolation, ChartDomainError
+from impulse_geo.errors import (CertificateViolation, ChartDomainError,
+                                NumericalError)
 
 
 EU = geometry.euclidean(2)
@@ -304,3 +305,23 @@ def test_certificate_soundness_sampled(scen):
         dz = np.linalg.norm(xds - entry_cert.xdot0, axis=1)
         assert np.max(dx) <= entry_cert.b + 1e-9
         assert np.max(dz) <= entry_cert.i2_radius + 1e-9
+
+
+def test_picard_without_convergence_raises(monkeypatch):
+    # flat linear needs one corrective iteration beyond the seed; one
+    # iteration in all does not converge
+    monkeypatch.setattr(existence, "_MAX_ITER", 1)
+    with pytest.raises(NumericalError,
+                       match="did not converge within 1 iterations"):
+        existence.picard_solve(EU, LINEAR, NET, 1.0 / 6.0,
+                               np.array([5.0 / 6.0, 0.0]),
+                               np.array([1.0, 0.0]), 2.0 / 3.0)
+
+
+def test_picard_stops_at_max_refinements():
+    res = existence.picard_solve(EU, LINEAR, NET, 1.0 / 6.0,
+                                 np.array([5.0 / 6.0, 0.0]),
+                                 np.array([1.0, 0.0]), 2.0 / 3.0,
+                                 max_refinements=0)
+    assert res.converged and not res.grid_converged
+    assert res.refinements == 0 and res.grid_size == 2001

@@ -363,3 +363,17 @@ def test_distance_chord_lower_bound_when_shooting_fails(monkeypatch, failure,
     assert est.method == "chord_lower_bound" and est.lower_bound
     assert est.value == pytest.approx(2.0 * np.linalg.norm(xbar - x),
                                       rel=1e-15)
+
+
+@pytest.mark.parametrize("endpoint, message", [
+    # the endpoint does not move with the velocity
+    (lambda model, x, w: np.array([5.0, 5.0]), "singular shooting Jacobian"),
+    # |w|^2 + 1 never reaches a target less than one away
+    (lambda model, x, w: x + w * w + 1.0, "shooting did not converge"),
+], ids=["singular", "no-convergence"])
+def test_shooting_failures(monkeypatch, endpoint, message):
+    monkeypatch.setattr(geometry, "_shooting_endpoint", endpoint)
+    model = geometry.from_metric(2, lambda x: np.eye(2))
+    with pytest.raises(ShootingFailure, match=message):
+        geometry._shooting_distance(model, np.array([0.0, 0.0]),
+                                    np.array([0.3, 0.4]))

@@ -299,3 +299,31 @@ def test_failed_row_fails_alone():
     # a study whose only row fails stops after that row's phase
     assert limits.convergence_study(EU, prof, NET, data, [0.4],
                                     [-1.0, 0.5]).failed.tolist() == [True]
+
+
+def test_study_errors_raises_the_failed_row():
+    # the blow-up width of test_failed_row_fails_alone, studied alone
+    prof = profiles.radial_power_profile(1e9, 4.0, [1.0, 0.0])
+    with pytest.raises(IntegrationFailure) as err:
+        limits.study_errors(EU, prof, NET, DATA_FLAT, 0.4, [-1.0, 0.5])
+    exc = err.value
+    assert exc.reason == "blow_up" and exc.phase == "strip"
+    assert isinstance(exc.partial, dynamics.GeodesicPath)
+    assert exc.partial.phase_marks == (-0.4, 0.4)
+    assert exc.partial.u_end < exc.u
+    # the same failure as that row's in a two-width ensemble
+    row, _ = dynamics._integrate_ensemble(EU, prof, NET, [0.4, 1e-4],
+                                          DATA_FLAT, 0.6)
+    assert (row.reason, row.u) == (exc.reason, exc.u)
+    for got, want in zip(exc.partial.pieces, row.partial.pieces,
+                         strict=True):
+        assert np.array_equal(got.ys, want.ys)
+
+
+def test_limit_vdot_drops_by_the_kink():
+    lg = limits.limit_geodesic(EU, LINEAR, InitialData([0.0, 0.0], [1.0, 0.0],
+                                                       vdot0=0.3))
+    vd = lg.vdot_at(np.array([-0.5, 0.0, 0.5, 1.0]))
+    assert vd[:2].tolist() == [0.3, 0.3]
+    assert vd[2:].tolist() == [0.3 + lg.kink_coeff] * 2
+    assert lg.kink_coeff == pytest.approx(-0.625, abs=1e-12)

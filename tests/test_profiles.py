@@ -244,6 +244,18 @@ def test_classify_growth_constant():
     assert report.classification == "subquadratic"
 
 
+def test_classify_growth_without_signal():
+    # a constant-zero profile leaves nothing to fit: exponent 0
+    model, directions, radii = growth_setup()
+    prof = profiles.constant_profile(0.0)
+    report = profiles.classify_growth(prof, model, [0.0, 0.0], directions,
+                                      radii)
+    assert (report.exponent, report.stderr, report.r1, report.r2) == (
+        0.0, 0.0, 0.0, 0.0)
+    assert report.fit_count == 0 and report.classification == "subquadratic"
+    assert len(report.samples) == len(directions) * len(radii)
+
+
 def test_classify_growth_scale_equivariance():
     model, directions, radii = growth_setup()
     prof = profiles.radial_power_profile(0.7, 1.5)
