@@ -29,9 +29,11 @@ point forms; ``christoffel_at`` and ``inverse_metric_at`` remain the
 checked public forms.  :func:`lagrangian_energy` takes one state or a
 batch: the energy diagnostics of a path and the energy column of its CSV
 are one call.  A ``(B, D)`` state, one trajectory per width as in a
-convergence study (:func:`_integrate_ensemble`), uses the ensemble field:
-the ``(B, n)`` batch forms of the model and the profile, a width and a
-``u`` per row, and the acceleration that the Picard iteration integrates
+convergence study (:func:`_integrate_ensemble`), or a background ensemble
+of B geodesics (``eps`` None, :func:`_background_ensemble`) as in the
+Jacobian stencil of geodesic shooting, uses the ensemble field: the
+``(B, n)`` batch forms of the model and the profile, a width and a ``u``
+per row, and the acceleration that the Picard iteration integrates
 (:func:`batch_acceleration`).  A row that fails drops out alone.
 
 The raw state vector layout is ``[x (n), xdot (n), v, vdot]``.
@@ -273,21 +275,27 @@ def batch_acceleration(model, profile, x, xd, forced, delta):
 def _ensemble_system(model, profile, net, eps):
     """The geodesic field ``fun(u, Y, rows)`` of an ensemble: row ``i`` of
     the ``(m, 2n + 2)`` raw states ``Y`` sits at ``u[i]`` and has the width
-    ``eps[rows[i]]``.  Per row it computes what :func:`_system` computes;
-    the impulse is evaluated per strip row, on floats, as there."""
+    ``eps[rows[i]]``; the background field when ``eps`` is None.  Per row
+    it computes what :func:`_system` computes; the impulse is evaluated per
+    strip row, on floats, as there."""
     n = model.dim
-    eps = [float(e) for e in eps]
-    radius = np.array([net.support_radius(e) for e in eps])
+    if eps is not None:
+        eps = [float(e) for e in eps]
+        radius = np.array([net.support_radius(e) for e in eps])
 
     def fun(u, y, rows):
         x = y[:, :n]
         xd = y[:, n:2 * n]
-        r = radius[rows]
-        strip = np.nonzero((-r < u) & (u < r))[0]
-        d = np.array([net.eval(eps[rows[i]], float(u[i])) for i in strip])
-        dd = np.array([net.deriv(eps[rows[i]], float(u[i])) for i in strip])
-        on = (d != 0.0) | (dd != 0.0)
-        forced, d, dd = strip[on], d[on], dd[on]
+        forced = d = dd = ()
+        if eps is not None:
+            r = radius[rows]
+            strip = np.nonzero((-r < u) & (u < r))[0]
+            d = np.array([net.eval(eps[rows[i]], float(u[i]))
+                          for i in strip])
+            dd = np.array([net.deriv(eps[rows[i]], float(u[i]))
+                           for i in strip])
+            on = (d != 0.0) | (dd != 0.0)
+            forced, d, dd = strip[on], d[on], dd[on]
         acc, df = batch_acceleration(model, profile, x, xd, forced, d)
         out = np.empty_like(y)
         out[:, :n] = xd
@@ -324,6 +332,17 @@ def background_path(model, x0, xdot0, u_start, u_end, *, v0=0.0, vdot0=0.0,
     return _integrate(model, None, None, None, y0, u_start, u_end, rtol, atol)
 
 
+def _background_ensemble(model, x0, xdot0, u_start, u_end, rtol, atol):
+    """One background geodesic from ``x0`` per row of the ``(B, n)``
+    velocities ``xdot0``, integrated as one ensemble: per row a path or
+    the row's :class:`IntegrationFailure`."""
+    n = model.dim
+    y0 = np.zeros((len(xdot0), 2 * n + 2))
+    y0[:, :n] = x0
+    y0[:, n:2 * n] = xdot0
+    return _integrate(model, None, None, None, y0, u_start, u_end, rtol, atol)
+
+
 def _check_inputs(model, eps, data, u_end):
     if not all(0.0 < e <= 0.5 for e in eps):
         raise ConfigError("eps must lie in (0, 1/2]")
@@ -344,7 +363,7 @@ def _integrate(model, profile, net, eps, y0, u_start, u_end, rtol, atol):
     ``eps`` None is the background."""
     batch = np.ndim(y0) == 2
     y = np.array(y0, dtype=float, ndmin=2)
-    widths = eps if batch else [eps]
+    widths = eps if batch and eps is not None else [eps] * len(y)
     marks = [None if w is None else (-w, w) for w in widths]
     if eps is None:
         plan = [("background", u_start, u_end, math.inf)]
@@ -363,7 +382,8 @@ def _integrate(model, profile, net, eps, y0, u_start, u_end, rtol, atol):
         if batch:
             t0, t1, cap = (np.broadcast_to(v, (len(y),))[live]
                            for v in (t0, t1, cap))
-            fun = _ensemble_system(model, profile, net, e[live])
+            fun = _ensemble_system(model, profile, net,
+                                   None if eps is None else e[live])
             ends, stats = solve_rk45(fun, t0, t1, y[live], rtol=rtol,
                                      atol=atol, max_step=cap, phase=name)
             counts = stats["rows"]

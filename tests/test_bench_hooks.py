@@ -108,3 +108,38 @@ def test_tracer_counts_every_step_of_a_study():
         path.diagnostics.n_steps for path in paths)
     assert tracer.counts["odesolve.rhs_evals"] == sum(
         path.diagnostics.n_rhs for path in paths)
+
+
+def test_tracer_counts_the_work_of_one_shooting_distance(monkeypatch):
+    # the sphere given by its metric alone shoots; each Newton step that
+    # misses integrates its 2n-velocity stencil as one ensemble, whose
+    # rows do the work of single background paths on the same velocities
+    model = geometry.from_metric(
+        2, lambda x: 4.0 / (1.0 + float(x @ x)) ** 2 * np.eye(2))
+    x, xbar = np.array([0.1, -0.2]), np.array([0.45, 0.15])
+    velocities = []
+    endpoint = geometry._shooting_endpoint
+
+    def recorded(model, x, w):
+        velocities.append(np.array(w, ndmin=2))
+        return endpoint(model, x, w)
+
+    monkeypatch.setattr(geometry, "_shooting_endpoint", recorded)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        est = geometry.distance_estimate(model, x, xbar)
+    finally:
+        tracer.uninstall()
+    assert est.method == "shooting"
+    centres = [w for w in velocities if len(w) == 1]
+    misses = len(centres) - 1
+    assert misses > 0 and len(velocities) == 1 + 2 * misses
+    assert [len(w) for w in velocities[1::2]] == [4] * misses
+    assert tracer.calls("geometry.shooting_integration") == 1 + 2 * misses
+    paths = [dynamics.background_path(model, x, w, 0.0, 1.0)
+             for w in np.concatenate(velocities)]
+    assert tracer.counts["odesolve.steps"] == sum(
+        path.diagnostics.n_steps for path in paths)
+    assert tracer.counts["odesolve.rhs_evals"] == sum(
+        path.diagnostics.n_rhs for path in paths)

@@ -561,3 +561,70 @@ def test_first_step_of_a_zero_field():
     assert path.ts[1] == 1e-6
     assert path.t1 == 1.0 and np.all(path.ys == [1.0, -2.0])
     assert stats["n_rejected"] == 0
+
+
+def _background_rows(model, x0, velocities, tol):
+    """One background ensemble from ``x0``, one row per velocity, over
+    ``[0, 1]``."""
+    return dynamics._background_ensemble(model, x0, velocities, 0.0, 1.0,
+                                         tol, tol)
+
+
+def _assert_same_piece(got, want):
+    for attr in ("ts", "ys", "coeffs"):
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
+
+@pytest.mark.parametrize("model, x0", [
+    (geometry.from_metric(
+        2, lambda x: 4.0 / (1.0 + float(x @ x)) ** 2 * np.eye(2),
+        name="sphere_from_metric"), [0.2, -0.1]),
+    (geometry.hyperbolic_half_plane(), [0.1, 1.0]),
+    (geometry.euclidean(2), [0.3, 0.2]),
+], ids=["sphere_from_metric", "hyperbolic", "euclidean"])
+def test_background_ensemble_rows_equal_single_paths(model, x0):
+    # the no-net ensemble field computes per row what the background point
+    # field computes, so each row repeats background_path bit for bit
+    x0 = np.array(x0)
+    dirs = np.array([[math.cos(a), math.sin(a)] for a in (0.3, 1.9, 3.5, 5.1)])
+    speed = np.einsum("bi,ij,bj->b", dirs, model.metric_at(x0), dirs)
+    velocities = dirs / np.sqrt(speed)[:, None]
+    rows = _background_rows(model, x0, velocities, 1e-9)
+    for w, got in zip(velocities, rows):
+        want = dynamics.background_path(model, x0, w, 0.0, 1.0, rtol=1e-9,
+                                        atol=1e-9)
+        assert got.phase_marks is None
+        (piece,), (want_piece,) = got.pieces, want.pieces
+        _assert_same_piece(piece, want_piece)
+        for key in ("n_steps", "n_rejected", "n_rhs"):
+            assert (getattr(got.diagnostics, key)
+                    == getattr(want.diagnostics, key))
+
+
+def test_background_ensemble_row_leaving_the_chart_fails_alone():
+    # flat metric on the chart x1 < 0.5: only the second velocity reaches
+    # the edge before u = 1; its failure and partial path are those of the
+    # single background path, and the other rows are those of a batch
+    # without it
+    flat = geometry.from_metric(2, lambda x: np.eye(2),
+                                chart_domain=lambda x: x[0] < 0.5)
+    x0 = np.zeros(2)
+    velocities = np.array([[0.0, 1.0], [1.0, 0.2], [-1.0, 0.0], [0.3, -0.9]])
+    velocities /= np.linalg.norm(velocities, axis=1)[:, None]
+    rows = _background_rows(flat, x0, velocities, 1e-9)
+    escaped = rows[1]
+    assert isinstance(escaped, IntegrationFailure)
+    assert escaped.reason == "chart_escape" and escaped.phase == "background"
+    assert isinstance(escaped.partial, dynamics.GeodesicPath)
+    assert escaped.partial.phase_marks is None
+    with pytest.raises(IntegrationFailure) as single:
+        dynamics.background_path(flat, x0, velocities[1], 0.0, 1.0,
+                                 rtol=1e-9, atol=1e-9)
+    assert escaped.u == single.value.u
+    assert escaped.state.tobytes() == single.value.state.tobytes()
+    (piece,), (want,) = escaped.partial.pieces, single.value.partial.pieces
+    _assert_same_piece(piece, want)
+    alone = _background_rows(flat, x0, velocities[[0, 2, 3]], 1e-9)
+    for got, want in zip([rows[0], rows[2], rows[3]], alone):
+        _assert_same_piece(got.pieces[0], want.pieces[0])
+        assert got.diagnostics.n_rhs == want.diagnostics.n_rhs
