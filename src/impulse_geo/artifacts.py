@@ -1,47 +1,36 @@
 """Artifact emission: CSV, aligned text and static SVG plots.
 
-Every run produces a :class:`RunArtifact` carrying provenance (config hash,
-tool version, seed).  CSV output is deterministic: floats are written with
-``repr``, lines end with LF, and the same config and seed reproduce the
-file byte for byte.
+Every run writes a ``.meta.json`` sidecar (:func:`write_meta`) naming its
+kind and outputs with their provenance (config hash, tool version, seed).
+CSV output is deterministic: floats are written with ``repr``, lines end
+with LF, and the same config and seed reproduce the file byte for byte.
 """
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import lagrangian_energy
 
 __all__ = [
-    "RunArtifact", "provenance_for", "write_meta", "write_csv",
-    "write_path_csv",
-    "write_table_csv", "write_net_report_csv", "certificate_text",
-    "net_report_text", "growth_text", "limit_text", "write_text",
-    "svg_loglog", "svg_path",
+    "write_meta", "write_csv", "write_path_csv", "write_table_csv",
+    "write_net_report_csv", "certificate_text", "net_report_text",
+    "growth_text", "limit_text", "write_text", "svg_loglog", "svg_path",
 ]
 
 TOOL_VERSION = "0.1.0"
 
 
-@dataclass
-class RunArtifact:
-    kind: str  # "path" | "certificate" | "table" | "report"
-    outputs: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
-
-
-def provenance_for(config_text, seed):
+def write_meta(path, kind, outputs, config_text, seed):
+    """Write the sidecar of a run of ``kind`` ("path", "certificate",
+    "table" or "report") that wrote ``outputs`` (format -> path) from the
+    config ``config_text`` and ``seed``."""
     digest = hashlib.sha256(config_text.encode("utf-8")).hexdigest()
-    return {"config_sha256": digest, "tool_version": TOOL_VERSION,
-            "seed": int(seed)}
-
-
-def write_meta(path, artifact):
-    payload = {"kind": artifact.kind, "outputs": artifact.outputs,
-               "provenance": artifact.provenance}
+    provenance = {"config_sha256": digest, "tool_version": TOOL_VERSION,
+                  "seed": int(seed)}
+    payload = {"kind": kind, "outputs": outputs, "provenance": provenance}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

@@ -116,10 +116,8 @@ def _write_outputs(cfg, kind, writers):
         _check_writable(path)
     for fmt, path in outputs.items():
         writers[fmt](path)
-    art = artifacts.RunArtifact(
-        kind=kind, outputs=outputs,
-        provenance=artifacts.provenance_for(serialize_config(cfg), cfg.seed))
-    artifacts.write_meta(meta, art)
+    artifacts.write_meta(meta, kind, outputs, serialize_config(cfg),
+                         cfg.seed)
 
 
 def _require_eps(cfg):

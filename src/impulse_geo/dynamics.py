@@ -23,7 +23,7 @@ background path), each in one place.
 
 As in :func:`solve_rk45`, the form follows the state's shape.  A 1-D state,
 a single trajectory, uses the per-point field (:func:`_system`) and the 1-D
-stage loop, raises its failure and gets energy diagnostics.  The field
+loop, raises its failure and gets energy diagnostics.  The field
 checks the chart once per call and then evaluates the model's unchecked
 point forms; ``christoffel_at`` and ``inverse_metric_at`` remain the
 checked public forms.  :func:`lagrangian_energy` takes one state or a

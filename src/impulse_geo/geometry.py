@@ -4,8 +4,11 @@ A :class:`ManifoldModel` is a single chart: a metric callback on chart
 coordinates, optional analytic inverse metric and Christoffel symbols
 (finite differences of the metric otherwise), a chart-domain predicate, and
 a declared completeness flag.  Chart transitions are out of scope; a
-geodesic leaving the chart domain is an integration failure, never a silent
-extrapolation.
+geodesic leaving the chart domain is an integration failure.  The
+integrator checks the chart at every Runge-Kutta stage point, hence at
+every node of a path, but not on the dense interpolant between nodes: a
+step can cross a hole in a non-convex chart unseen when no stage point
+falls in it.
 
 Fields come in two forms: per point (``christoffel_at``,
 ``inverse_metric_at``, ``contains``) and on ``(B, n)`` batches of points

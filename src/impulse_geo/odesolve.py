@@ -22,29 +22,36 @@ ensemble (see Hairer, Norsett and Wanner, *Solving ODEs I*, II.4-6).
 ``t0``, ``t1`` and ``max_step`` may then be given per row, and the
 right-hand side is called as ``fun(t, Y, rows)`` on the ``(m,)``
 parameters and ``(m, D)`` states of the live rows ``rows`` (indices into
-``y0``).  A row whose stage raises
-:class:`~impulse_geo.errors.ChartDomainError` is re-evaluated alone, so a
-failure marks only the rows it concerns.  A row that fails becomes that
-row's :class:`IntegrationFailure` and drops out; the ensemble call itself
-never raises for one row.
+``y0``).  A :class:`~impulse_geo.errors.ChartDomainError` of a stage is
+resolved row by row, so it marks only the rows that raise it.  A row that
+fails becomes that row's :class:`IntegrationFailure` and drops out; the
+ensemble call itself never raises for one row.
 
-One step controller, :class:`_Row`, serves both forms: every trajectory,
-alone or as a row, has its own step size, end point, step cap,
-accept/reject decision, stage-failure halving, blow-up and step-limit
-checks, counts and dense output, with the step-size arithmetic in Python
-floats.  Only the stage arithmetic is written twice: on ``(D,)`` arrays
-with the per-point field for a single trajectory, each stage combination
-written out term by term, and on ``(m, D)`` arrays with the batch field
-for an ensemble, as sums over the tableau rows.  Both add up in the same
-order, from 0 and left to right.  A single trajectory run as
-an ensemble of one was slower: 7-17% on the rounds of the criterion-4
-crossings and 9-14% on those of a user-metric trajectory (process CPU
-time, 2-vCPU VM), since the batch field and the per-step array work do
-not pay off for one row; so the phase driver of
-:mod:`impulse_geo.dynamics` hands a 1-D state to the 1-D loop.  Provided
+One trial step, :func:`_step`, holds the stage arithmetic of both forms:
+on a ``(D,)`` state with the per-point field for a single trajectory, and
+on ``(m, D)`` states with the batch field for an ensemble.  Each stage
+combination is written out term by term and adds up as ``sum()`` would,
+from 0 and left to right.  One step controller, :class:`_Row`, serves both
+forms: every trajectory, alone or as a row, has its own step size, end
+point, step cap, accept/reject decision, blow-up and step-limit checks,
+counts and dense output, with the step-size arithmetic in Python floats.
+One stage-failure rule holds in both forms: a stage that cannot be
+evaluated abandons the trial step, and the rows it failed on retry at half
+the step; in an ensemble every other live row repeats the same trial step
+from the same state, so its bits and counts do not change.  Provided
 ``fun`` computes each row independently of the others, every row is
 bit-identical to the same trajectory integrated alone or in any other
 batch.
+
+The single-trajectory loop stays apart from the ensemble loop, and the
+step's combinations stay written out, because both were measured faster
+(process CPU time, medians of alternating pairs, 2-vCPU VM): the anchor
+trajectory run as an ensemble of one was 26% slower even with the
+per-point field, and 2.6 times as slow with the batch field, since the
+per-step array work does not pay off for one row; a generic ``sum()`` loop
+over the tableau was 4% slower on the 27 single trajectories of the
+built-in scenarios and nets.  So the phase driver of
+:mod:`impulse_geo.dynamics` hands a 1-D state to the 1-D loop.
 """
 
 import math
@@ -151,6 +158,37 @@ def _checked(fun, t, y):
 
 def _rms(v):
     return math.sqrt((v * v).sum() / v.size)
+
+
+def _step(fun, check, t, y, f, h, t_new):
+    """One Dormand-Prince trial step of size ``h`` from ``(t, y)`` with
+    first slope ``f``, ending at ``t_new``: the new state, the error
+    estimate and the seven stage slopes.
+
+    ``check(fun, t, y)`` evaluates a stage or raises :class:`_StageFailure`.
+    The step runs on a ``(D,)`` state with float ``t``, ``h`` and
+    ``t_new``, or on ``(m, D)`` states with ``(m, 1)`` columns of them."""
+    c2, c3, c4, c5, c6 = _C
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76)) = _A
+    e1, e2, e3, e4, e5, e6, e7 = _ERR
+    # each combination adds up as sum() would: from 0, left to right, so
+    # that the results keep every bit, signed zeros included
+    k1 = f
+    k2 = check(fun, t + c2 * h, y + h * (0 + a21 * k1))
+    k3 = check(fun, t + c3 * h, y + h * (0 + a31 * k1 + a32 * k2))
+    k4 = check(fun, t + c4 * h, y + h * (0 + a41 * k1 + a42 * k2 + a43 * k3))
+    k5 = check(fun, t + c5 * h,
+               y + h * (0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
+    k6 = check(fun, t + c6 * h,
+               y + h * (0 + a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4
+                        + a65 * k5))
+    y_new = y + h * (0 + a71 * k1 + a72 * k2 + a73 * k3 + a74 * k4
+                     + a75 * k5 + a76 * k6)
+    k7 = check(fun, t_new, y_new)
+    err = h * (0 + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5
+               + e6 * k6 + e7 * k7)
+    return y_new, err, (k1, k2, k3, k4, k5, k6, k7)
 
 
 class _Row:
@@ -324,40 +362,17 @@ def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
         f1 = None
     row.start(h0, scale, d1, f, f1)
 
-    c2, c3, c4, c5, c6 = _C
-    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76)) = _A
-    e1, e2, e3, e4, e5, e6, e7 = _ERR
     while (h := row.next_step()) is not None:
-        t = row.t
-        # each combination adds up as sum() would: from 0, left to right,
-        # so that the results keep every bit, signed zeros included
+        t_new = row.end_of(h)
         try:
-            k1 = f
-            k2 = _checked(fun, t + c2 * h, y + h * (0 + a21 * k1))
-            k3 = _checked(fun, t + c3 * h, y + h * (0 + a31 * k1 + a32 * k2))
-            k4 = _checked(fun, t + c4 * h,
-                          y + h * (0 + a41 * k1 + a42 * k2 + a43 * k3))
-            k5 = _checked(fun, t + c5 * h,
-                          y + h * (0 + a51 * k1 + a52 * k2 + a53 * k3
-                                   + a54 * k4))
-            k6 = _checked(fun, t + c6 * h,
-                          y + h * (0 + a61 * k1 + a62 * k2 + a63 * k3
-                                   + a64 * k4 + a65 * k5))
-            y_new = y + h * (0 + a71 * k1 + a72 * k2 + a73 * k3 + a74 * k4
-                             + a75 * k5 + a76 * k6)
-            t_new = row.end_of(h)
-            k7 = _checked(fun, t_new, y_new)
+            y_new, err, k = _step(fun, _checked, row.t, y, f, h, t_new)
         except _StageFailure:
             row.stage_failure()
             continue
-        err = h * (0 + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5
-                   + e6 * k6 + e7 * k7)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         if row.accept(_rms(err / scale), t_new, y_new,
-                      np.einsum("sd,sj->dj",
-                                np.array((k1, k2, k3, k4, k5, k6, k7)), _P)):
-            y, f = y_new, k7
+                      np.einsum("sd,sj->dj", np.array(k), _P)):
+            y, f = y_new, k[-1]
     return row.path(), row.counts()
 
 
@@ -384,8 +399,8 @@ def _per_row(value, b):
 def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase):
     """The ensemble form of :func:`solve_rk45` on a ``(B, D)`` state.
 
-    Stage arithmetic runs on the live rows at once; each row's step
-    control is its own :class:`_Row`, as in the single-trajectory loop.
+    The live rows take one :func:`_step` at once; each row's step control
+    is its own :class:`_Row`, as in the single-trajectory loop.
     """
     y = np.array(y0, dtype=float)
     b = len(y)
@@ -397,6 +412,14 @@ def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase):
     for r in np.nonzero(~ok)[0]:
         out[r] = rows[r].failure("chart_escape", msg=_INITIAL_UNDEFINED)
     live = [r for r in range(b) if out[r] is None]
+
+    def stage(fun, t, yi):
+        # a stage on the live rows idx; a failure names the rows that could
+        # not be evaluated
+        fi, ok = _rows_checked(fun, t[:, 0], yi, idx)
+        if not ok.all():
+            raise _StageFailure(idx[~ok])
+        return fi
 
     if live:
         guesses = [rows[r].first_guess(y[r], f[r], rtol, atol) for r in live]
@@ -423,37 +446,28 @@ def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase):
         if not live:
             break
         idx = np.array(live)
-        hv = np.array([rows[r].h for r in live])
-        tv = np.array([rows[r].t for r in live])
-        t_new = np.array([rows[r].end_of(rows[r].h) for r in live])
+        h = np.array([[rows[r].h] for r in live])
+        t_new = np.array([[rows[r].end_of(rows[r].h)] for r in live])
         yv = y[idx]
-        k = [f[idx]]
-        for s, ai in enumerate(_A):
-            yi = yv + hv[:, None] * sum(a * kk for a, kk in zip(ai, k))
-            ui = tv + _C[s] * hv if s < len(_C) else t_new
-            fi, ok = _rows_checked(fun, ui, yi, idx)
-            if not ok.all():
-                for r in idx[~ok]:
-                    rows[r].stage_failure()
-                idx, hv, tv, t_new, yv, yi, fi = (
-                    arr[ok] for arr in (idx, hv, tv, t_new, yv, yi, fi))
-                k = [kk[ok] for kk in k]
-                if not len(idx):
-                    break
-            k.append(fi)
-        else:
-            err = hv[:, None] * sum(e * kk for e, kk in zip(_ERR, k))
-            ratio = err / (atol + rtol * np.maximum(np.abs(yv), np.abs(yi)))
-            err_norms = np.sqrt(np.mean(ratio * ratio, axis=1))
-            dense = np.einsum("sbd,sj->bdj", np.asarray(k), _P)
-            for j, r in enumerate(idx.tolist()):
-                try:
-                    if rows[r].accept(float(err_norms[j]), float(t_new[j]),
-                                      yi[j], dense[j]):
-                        y[r] = yi[j]
-                        f[r] = k[-1][j]
-                except IntegrationFailure as exc:
-                    out[r] = exc
+        try:
+            y_new, err, k = _step(fun, stage, np.array(
+                [[rows[r].t] for r in live]), yv, f[idx], h, t_new)
+        except _StageFailure as exc:
+            # the other rows repeat the same trial step
+            for r in exc.args[0]:
+                rows[r].stage_failure()
+            continue
+        ratio = err / (atol + rtol * np.maximum(np.abs(yv), np.abs(y_new)))
+        err_norms = np.sqrt(np.mean(ratio * ratio, axis=1))
+        dense = np.einsum("sbd,sj->bdj", np.asarray(k), _P)
+        for j, r in enumerate(live):
+            try:
+                if rows[r].accept(float(err_norms[j]), float(t_new[j, 0]),
+                                  y_new[j], dense[j]):
+                    y[r] = y_new[j]
+                    f[r] = k[-1][j]
+            except IntegrationFailure as exc:
+                out[r] = exc
         live = [r for r in live if out[r] is None]
 
     counts = [row.counts() for row in rows]

@@ -140,55 +140,52 @@ def linear_profile(coeffs, offset=0.0):
 def quadratic_form_profile(matrix, center=None):
     q = np.asarray(matrix, dtype=float)
     q = 0.5 * (q + q.T)
-    c = None if center is None else np.asarray(center, dtype=float)
+    # no centre is the origin: x - 0.0 is x, bit for bit
+    c = 0.0 if center is None else np.asarray(center, dtype=float)
 
     def f(x):
-        y = x if c is None else x - c
+        y = x - c
         return float(y @ q @ y)
 
     def df(x):
-        y = x if c is None else x - c
-        return 2.0 * (q @ y)
+        return 2.0 * (q @ (x - c))
 
     def batch_f(xs):
         # two two-operand contractions: with "bi,ij,bj->b" a row's rounding
         # depends on the rest of the batch
-        ys = xs if c is None else xs - c
+        ys = xs - c
         return np.einsum("bk,bk->b", ys, np.einsum("kj,bj->bk", q, ys))
 
     def batch_df(xs):
-        ys = xs if c is None else xs - c
-        return 2.0 * np.einsum("kj,bj->bk", q, ys)
+        return 2.0 * np.einsum("kj,bj->bk", q, xs - c)
 
     prof = WaveProfile(f, df, name="quadratic_form",
                        params={"matrix": tuple(map(tuple, q)),
-                               "center": None if c is None else tuple(c)})
+                               "center": None if center is None
+                               else tuple(c)})
     return _with_batch_forms(prof, batch_f, batch_df)
 
 
 def radial_power_profile(amplitude, exponent, center=None):
     a = float(amplitude)
     p = float(exponent)
-    c = center
-
-    def _y(x):
-        return x if c is None else x - np.asarray(c, dtype=float)
+    c = 0.0 if center is None else np.asarray(center, dtype=float)
 
     def f(x):
-        return a * float(np.linalg.norm(_y(x))) ** p
+        return a * float(np.linalg.norm(x - c)) ** p
 
     def df(x):
-        y = _y(x)
+        y = x - c
         r = float(np.linalg.norm(y))
         if r == 0.0:
             return np.zeros_like(y)
         return a * p * r ** (p - 2.0) * y
 
     def batch_f(xs):
-        return a * np.linalg.norm(_y(xs), axis=1) ** p
+        return a * np.linalg.norm(xs - c, axis=1) ** p
 
     def batch_df(xs):
-        ys = _y(xs)
+        ys = xs - c
         r = np.linalg.norm(ys, axis=1)
         out = np.zeros_like(ys)
         nz = r != 0.0
@@ -197,7 +194,8 @@ def radial_power_profile(amplitude, exponent, center=None):
 
     prof = WaveProfile(f, df, name="radial_power",
                        params={"amplitude": a, "exponent": p,
-                               "center": None if c is None else tuple(c)})
+                               "center": None if center is None
+                               else tuple(center)})
     return _with_batch_forms(prof, batch_f, batch_df)
 
 
@@ -483,7 +481,7 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
     if len(fit) >= 2:
         lx = np.log([s.distance for s in fit])
         ly = np.log([abs(s.value) for s in fit])
-        (slope, intercept), res = np.polyfit(lx, ly, 1), None
+        slope, intercept = np.polyfit(lx, ly, 1)
         pred = slope * lx + intercept
         dof = len(fit) - 2
         sxx = float(np.sum((lx - lx.mean()) ** 2))

@@ -265,6 +265,70 @@ def test_ensemble_rows_repeat_single_trajectories():
         assert type(stats[key]) is int
 
 
+# row r of a damped oscillator, written alike for a point and a batch, is
+# undefined past t = _EDGE[r]
+_EDGE = np.array([0.5, 0.5 + 1e-6, math.inf])
+
+
+def _damped(y0, y1):
+    return -0.1 * y0 + y1, -y0 - 0.1 * y1
+
+
+def _edged_point_field(r):
+    def fun(t, y):
+        if t > _EDGE[r]:
+            raise ChartDomainError("past the row's edge")
+        return np.array(_damped(y[0], y[1]))
+    return fun
+
+
+def test_rows_failing_in_one_step_keep_the_single_trajectory_bits(
+        monkeypatch):
+    # rows 0 and 1 start alike and fail at the same stage of the same
+    # step; every row, failed or not, repeats the 1-D loop byte for byte,
+    # counts included
+    joint = []
+
+    def fun(t, ys, rows):
+        bad = t > _EDGE[rows]
+        if bad.any():
+            if len(rows) > 1:
+                joint.append(int(bad.sum()))
+            raise ChartDomainError("past a row's edge")
+        return np.column_stack(_damped(ys[:, 0], ys[:, 1]))
+
+    y0 = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, -0.3]])
+    outcomes, stats = solve_rk45(fun, 0.0, 1.0, y0)
+    assert max(joint) == 2
+    failure_counts = []
+    failure = odesolve._Row.failure
+
+    def counted_failure(row, *args, **kwargs):
+        failure_counts.append(row.counts())
+        return failure(row, *args, **kwargs)
+
+    monkeypatch.setattr(odesolve._Row, "failure", counted_failure)
+    for r, got in enumerate(outcomes):
+        try:
+            want, want_counts = solve_rk45(_edged_point_field(r), 0.0, 1.0,
+                                           y0[r])
+        except IntegrationFailure as exc:
+            want, want_counts = exc, failure_counts[-1]
+        assert stats["rows"][r] == want_counts
+        assert type(got) is type(want)
+        if isinstance(want, IntegrationFailure):
+            assert want.reason == "chart_escape"
+            assert (got.reason, got.u.hex(), got.phase) == (
+                want.reason, want.u.hex(), want.phase)
+            assert got.state.tobytes() == want.state.tobytes()
+            got, want = got.partial, want.partial
+        for attr in ("ts", "ys", "coeffs"):
+            assert (getattr(got, attr).tobytes()
+                    == getattr(want, attr).tobytes())
+    assert [isinstance(got, IntegrationFailure) for got in outcomes] == [
+        True, True, False]
+
+
 def test_ensemble_chart_escape_row_fails_alone():
     # flat metric on the chart x1 < 0.5: the first row reaches the edge at
     # u = -0.5; its difference neighbours fail first, and only its own row

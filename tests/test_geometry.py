@@ -444,6 +444,29 @@ def test_centre_leaving_the_chart_gives_the_chord_bound(monkeypatch):
                                       rel=1e-15)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the chart is checked at Runge-Kutta stage points only, not on "
+           "the dense interpolant between nodes: the flat field lets the "
+           "error control step from u = 0.145 to 0.732 across the hole "
+           "(x_at(0.5) is its centre), and shooting returns 1.0770.  Strict "
+           "xfail: a fix that sees the hole must remove the marker.")
+def test_step_across_a_chart_hole_is_a_chart_escape():
+    # the plane without the disc of radius 0.1 about (0.5, 0.2); the
+    # straight geodesic from the origin with velocity (1, 0.4) runs through
+    # the centre of the disc at u = 0.5
+    hole = np.array([0.5, 0.2])
+    model = geometry.from_metric(
+        2, lambda p: np.eye(2),
+        chart_domain=lambda p: float((p - hole) @ (p - hole)) > 0.1 ** 2)
+    x, w = np.array([0.0, 0.0]), np.array([1.0, 0.4])
+    with pytest.raises(IntegrationFailure) as info:
+        dynamics.background_path(model, x, w, 0.0, 1.0)
+    assert info.value.reason == "chart_escape"
+    est = geometry.distance_estimate(model, x, x + w)
+    assert est.method == "chord_lower_bound" and est.lower_bound
+
+
 def _sphere_pairs(seed, count):
     rng = np.random.default_rng(seed)
     for _ in range(count):
