@@ -2,8 +2,9 @@
 
 Every run writes a ``.meta.json`` sidecar (:func:`write_meta`) naming its
 kind and outputs with their provenance (config hash, tool version, seed).
-CSV output is deterministic: floats are written with ``repr``, lines end
-with LF, and the same config and seed reproduce the file byte for byte.
+Every CSV layout is decided here.  CSV output is deterministic: floats are
+written with ``repr``, lines end with LF, and the same config and seed
+reproduce the file byte for byte.
 """
 
 import hashlib
@@ -15,8 +16,9 @@ import numpy as np
 from .dynamics import lagrangian_energy
 
 __all__ = [
-    "write_meta", "write_csv", "write_path_csv", "write_table_csv",
-    "write_net_report_csv", "certificate_text", "net_report_text",
+    "write_meta", "write_csv", "write_path_csv", "write_limit_csv",
+    "write_table_csv", "write_net_report_csv", "write_certificate_csv",
+    "certificate_text", "net_report_text",
     "growth_text", "limit_text", "write_text", "svg_loglog", "svg_path",
 ]
 
@@ -50,22 +52,31 @@ def write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _state_header(n):
+    return (["u"] + [f"x{i+1}" for i in range(n)]
+            + [f"xdot{i+1}" for i in range(n)] + ["v"])
+
+
 def write_path_csv(path, geo_path, us, model, profile=None, net=None,
                    eps=None):
     """Path CSV with the fixed column schema
     ``u, x1..xn, xdot1..xdotn, v, vdot, energy``."""
-    n = geo_path.n
-    header = (["u"] + [f"x{i+1}" for i in range(n)]
-              + [f"xdot{i+1}" for i in range(n)] + ["v", "vdot", "energy"])
     st = geo_path.state_at(us)
     energy = lagrangian_energy(st, model, profile, net, eps)
-    write_csv(path, header,
+    write_csv(path, _state_header(geo_path.n) + ["vdot", "energy"],
               np.column_stack([st.u, st.x, st.xdot, st.v, st.vdot, energy]))
+
+
+def write_limit_csv(path, lg, us):
+    """Sharp-limit CSV: the path CSV's columns up to ``v``."""
+    write_csv(path, _state_header(lg.base_path.n),
+              np.column_stack([us, lg.x_at(us), lg.xdot_at(us), lg.v_at(us)]))
 
 
 def write_table_csv(path, table):
     write_csv(path, ["eps", "err_x", "err_xdot", "err_v", "order"],
-               table.csv_rows())
+              np.column_stack([table.eps, table.err_x, table.err_xdot,
+                               table.err_v, table.order_so_far]))
 
 
 def write_net_report_csv(path, report):
@@ -85,25 +96,30 @@ def _vec(x):
     return "[" + ", ".join(repr(float(v)) for v in np.atleast_1d(x)) + "]"
 
 
+# the certificate report in the order of its text, label -> attribute; the
+# CSV leaves out the anchor and the sampling
+_CERTIFICATE = {
+    "chart": "chart", "anchor_x": "x0", "anchor_xdot": "xdot0", "b": "b",
+    "c": "c", "K": "k", "norm_F1": "norm_F1", "norm_F2": "norm_F2",
+    "lip_F1": "lip_F1", "lip_F2": "lip_F2", "i2_radius": "i2_radius",
+    "alpha": "alpha", "eps0": "eps0", "grid": "grid", "safety": "safety",
+}
+_TEXT_ONLY = ("anchor_x", "anchor_xdot", "grid", "safety")
+
+
+def _certificate_items(cert, leave_out=()):
+    return [(label, getattr(cert, attr))
+            for label, attr in _CERTIFICATE.items() if label not in leave_out]
+
+
 def certificate_text(cert):
-    pairs = [
-        ("chart", cert.chart),
-        ("anchor_x", _vec(cert.x0)),
-        ("anchor_xdot", _vec(cert.xdot0)),
-        ("b", _fmt(cert.b)),
-        ("c", _fmt(cert.c)),
-        ("K", _fmt(cert.k)),
-        ("norm_F1", _fmt(cert.norm_F1)),
-        ("norm_F2", _fmt(cert.norm_F2)),
-        ("lip_F1", _fmt(cert.lip_F1)),
-        ("lip_F2", _fmt(cert.lip_F2)),
-        ("i2_radius", _fmt(cert.i2_radius)),
-        ("alpha", _fmt(cert.alpha)),
-        ("eps0", _fmt(cert.eps0)),
-        ("grid", str(cert.grid)),
-        ("safety", _fmt(cert.safety)),
-    ]
-    return _aligned(pairs)
+    return _aligned([(label, _vec(v) if np.ndim(v) else _fmt(v))
+                     for label, v in _certificate_items(cert)])
+
+
+def write_certificate_csv(path, cert):
+    labels, values = zip(*_certificate_items(cert, _TEXT_ONLY))
+    write_csv(path, labels, [values])
 
 
 def net_report_text(report):

@@ -164,15 +164,10 @@ def cmd_limit(cfg):
     text = artifacts.limit_text(lg)
     print(text, end="")
 
-    def csv(out):
-        us = np.linspace(-1.0, lg.u_end, cfg.samples)
-        header = (["u"] + [f"x{i+1}" for i in range(model.dim)]
-                  + [f"xdot{i+1}" for i in range(model.dim)] + ["v"])
-        artifacts.write_csv(out, header, np.column_stack(
-            [us, lg.x_at(us), lg.xdot_at(us), lg.v_at(us)]))
-
+    us = np.linspace(-1.0, lg.u_end, cfg.samples)
     return "report", {
-        "text": lambda out: artifacts.write_text(out, text), "csv": csv}
+        "text": lambda out: artifacts.write_text(out, text),
+        "csv": lambda out: artifacts.write_limit_csv(out, lg, us)}
 
 
 def cmd_certify(cfg):
@@ -189,13 +184,9 @@ def cmd_certify(cfg):
                              **_given(cfg.existence, "b", "c", "grid"))
     text = artifacts.certificate_text(cert)
     print(text, end="")
-    rows = [(cert.chart, cert.b, cert.c, cert.k, cert.norm_F1, cert.norm_F2,
-             cert.lip_F1, cert.lip_F2, cert.i2_radius, cert.alpha, cert.eps0)]
-    header = ["chart", "b", "c", "K", "norm_F1", "norm_F2", "lip_F1",
-              "lip_F2", "i2_radius", "alpha", "eps0"]
     return "certificate", {
         "text": lambda out: artifacts.write_text(out, text),
-        "csv": lambda out: artifacts.write_csv(out, header, rows)}
+        "csv": lambda out: artifacts.write_certificate_csv(out, cert)}
 
 
 def cmd_sweep(cfg):

@@ -16,10 +16,11 @@ one :func:`solve_rk45` call each, named by its ``phase`` keyword:
 ``"background"`` alone for a background geodesic, or ``"pre"``, ``"strip"``
 and ``"post"``, with forced step boundaries at ``u = -eps`` and ``u = +eps``
 and the strip step capped at ``support_radius(eps) / 50`` so that the
-controller cannot step over the peaked forcing.  It sums a path's step
-counts, and a failure's ``partial`` becomes the :class:`GeodesicPath` of
-the phases done and its own partial piece (``phase_marks`` None for a
-background path), each in one place.
+controller cannot step over the peaked forcing.  It sums the step counts
+of a path, or of a failure (the phases done and the failing phase), into
+one :class:`PathDiagnostics`; a failure's ``partial`` becomes the
+:class:`GeodesicPath` of the phases done and its own partial piece
+(``phase_marks`` None for a background path), with the same counts.
 
 As in :func:`solve_rk45`, the form follows the state's shape.  A 1-D state,
 a single trajectory, uses the per-point field (:func:`_system`) and the 1-D
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IntegrationFailure
-from .odesolve import solve_rk45
+from .odesolve import PathDiagnostics, solve_rk45
 
 __all__ = [
     "GeodesicState", "StateRate", "InitialData", "PathDiagnostics",
@@ -99,15 +100,6 @@ class InitialData:
         return np.concatenate([self.x0, self.xdot0, [self.v0, self.vdot0]])
 
 
-@dataclass
-class PathDiagnostics:
-    n_steps: int = 0
-    n_rejected: int = 0
-    n_rhs: int = 0
-    energy_start: float = math.nan
-    energy_drift: float = math.nan
-
-
 def _state_from_vector(n, u, y):
     """The state of a raw vector, or the batch of states of a batch."""
     if y.ndim == 2:
@@ -152,7 +144,7 @@ class GeodesicPath:
         lo, hi = self.u_start, self.u_end
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
         if uq.min() < lo - slack or uq.max() > hi + slack:
-            raise ValueError(
+            raise ConfigError(
                 f"query outside path range [{lo:g}, {hi:g}]")
         uq = np.clip(uq, lo, hi)
         idx = np.minimum(np.searchsorted(self._ends, uq, side="left"),
@@ -323,12 +315,18 @@ def _energy_diagnostics(path, model, profile, net, eps):
     path.diagnostics.energy_drift = float(np.max(np.abs(e - e[0])))
 
 
-def background_path(model, x0, xdot0, u_start, u_end, *, v0=0.0, vdot0=0.0,
-                    rtol=1e-10, atol=1e-10):
-    """Integrate the background (impulse-free) geodesic system."""
+def background_path(model, x0, xdot0, u_start, u_end, *, rtol=1e-10,
+                    atol=1e-10):
+    """Integrate the background (impulse-free) geodesic system from
+    ``u_start`` to ``u_end``, with ``v = vdot = 0`` at ``u_start``."""
     x0 = np.asarray(x0, dtype=float)
+    xdot0 = np.asarray(xdot0, dtype=float)
+    if xdot0.shape != x0.shape:
+        raise ConfigError("xdot0 must have the shape of x0")
+    if not u_end > u_start:
+        raise ConfigError("u_end must exceed u_start")
     model.require_inside(x0)
-    y0 = np.concatenate([x0, np.asarray(xdot0, dtype=float), [v0, vdot0]])
+    y0 = np.concatenate([x0, xdot0, [0.0, 0.0]])
     return _integrate(model, None, None, None, y0, u_start, u_end, rtol, atol)
 
 
@@ -392,22 +390,24 @@ def _integrate(model, profile, net, eps, y0, u_start, u_end, rtol, atol):
                 end, count = solve_rk45(point_field, t0, t1, y[0], rtol=rtol,
                                         atol=atol, max_step=cap, phase=name)
             except IntegrationFailure as exc:
-                end, count = exc, None
+                end, count = exc, vars(exc.diagnostics)
             ends, counts = [end], [count]
         for r, end, count in zip(live, ends, counts):
+            diags[r].n_steps += count["n_steps"]
+            diags[r].n_rejected += count["n_rejected"]
+            diags[r].n_rhs += count["n_rhs"]
             if isinstance(end, IntegrationFailure):
                 if end.partial is not None:
                     pieces[r].append(end.partial)
                 if pieces[r]:
                     end.partial = GeodesicPath(model.dim, pieces[r],
-                                               phase_marks=marks[r])
+                                               phase_marks=marks[r],
+                                               diagnostics=diags[r])
+                end.diagnostics = diags[r]
                 out[r] = end
                 continue
             pieces[r].append(end)
             y[r] = end.ys[-1]
-            diags[r].n_steps += count["n_steps"]
-            diags[r].n_rejected += count["n_rejected"]
-            diags[r].n_rhs += count["n_rhs"]
         live = [r for r in live if out[r] is None]
         if not live:
             break

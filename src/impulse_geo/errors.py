@@ -39,6 +39,13 @@ class IntegrationFailure(NumericalError):
         background path); one from
         :func:`~impulse_geo.odesolve.solve_rk45` called directly carries
         that phase's :class:`~impulse_geo.odesolve.DensePath`.
+    diagnostics : PathDiagnostics or None
+        The work done up to the failure: accepted steps, rejections and
+        right-hand side evaluations, with the energies left NaN.  A failure
+        from :mod:`impulse_geo.dynamics` counts the phases done and the
+        failing phase, and its ``partial`` holds the same counts; one from
+        :func:`~impulse_geo.odesolve.solve_rk45` called directly counts
+        that phase.  None on a failure built by hand.
     """
 
     def __init__(self, reason, u, state, phase=None, message=None, partial=None):
@@ -47,6 +54,7 @@ class IntegrationFailure(NumericalError):
         self.state = state
         self.phase = phase
         self.partial = partial
+        self.diagnostics = None
         super().__init__(message or f"integration failed ({reason}) at u={u:.6g}")
 
 

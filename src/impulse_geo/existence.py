@@ -36,7 +36,7 @@ whose summability drives convergence (:func:`weissinger_coefficient`).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -55,6 +55,8 @@ __all__ = [
 
 # the sampled balls are enlarged by this factor; see estimate_sup_norms
 _SAFETY = 1.1
+# containment tolerance of the balls I1 and I2
+_SLACK = 1e-9
 # fixed-point iterations per grid, and the first grid of picard_solve (odd,
 # so that every other node of a refined grid is a node of the coarser one)
 _MAX_ITER = 60
@@ -73,34 +75,28 @@ class SupNormEstimate:
 
 
 @dataclass
-class ExistenceCertificate:
-    """Crossing certificate anchored at the strip-entry data."""
+class ExistenceCertificate(SupNormEstimate):
+    """Crossing certificate anchored at the strip-entry data: the sup-norm
+    estimate over its balls, the anchor, the radii and the bounds."""
 
     x0: np.ndarray
     xdot0: np.ndarray
     b: float
     c: float
     k: float
-    norm_F1: float
-    norm_F2: float
-    lip_F1: float
-    lip_F2: float
-    i2_radius: float
     alpha: float
     eps0: float
     chart: str
-    grid: int
-    safety: float
 
-    def contains_x(self, x, slack=1e-9):
+    def contains_x(self, x):
         """Whether ``x``, a point or every row of a batch, lies in ``I1``."""
         dist = np.linalg.norm(np.asarray(x) - self.x0, axis=-1)
-        return bool(np.all(dist <= self.b + slack))
+        return bool(np.all(dist <= self.b + _SLACK))
 
-    def contains_xdot(self, z, slack=1e-9):
+    def contains_xdot(self, z):
         """Whether ``z``, a point or every row of a batch, lies in ``I2``."""
         dist = np.linalg.norm(np.asarray(z) - self.xdot0, axis=-1)
-        return bool(np.all(dist <= self.i2_radius + slack))
+        return bool(np.all(dist <= self.i2_radius + _SLACK))
 
 
 def _ball_grid(center, radius, per_axis):
@@ -128,6 +124,8 @@ def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
         raise ConfigError("grid must be at least 9 points per axis")
     x0 = np.asarray(x0, dtype=float)
     xdot0 = np.asarray(xdot0, dtype=float)
+    if xdot0.shape != x0.shape:
+        raise ConfigError("xdot0 must have the shape of x0")
     model.require_inside(x0)
 
     if not model.inside(_ball_grid(x0, b, grid)).all():
@@ -201,10 +199,8 @@ def certify(model, profile, x0, xdot0, *, b=1.0, c=1.0, k=1.0, grid=9):
     speed = float(np.linalg.norm(xdot0))
     alpha, eps0 = alpha_bound(speed, b, c, est.norm_F1, est.norm_F2, k)
     return ExistenceCertificate(
-        x0=x0.copy(), xdot0=xdot0.copy(), b=float(b), c=float(c), k=float(k),
-        norm_F1=est.norm_F1, norm_F2=est.norm_F2, lip_F1=est.lip_F1,
-        lip_F2=est.lip_F2, i2_radius=est.i2_radius, alpha=alpha, eps0=eps0,
-        chart=model.name, grid=grid, safety=_SAFETY)
+        **vars(est), x0=x0.copy(), xdot0=xdot0.copy(), b=float(b),
+        c=float(c), k=float(k), alpha=alpha, eps0=eps0, chart=model.name)
 
 
 @dataclass
@@ -272,14 +268,18 @@ def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
     most ``max_refinements`` times, until the fixed point itself shifts by
     at most ``tol`` between grids.
 
-    Requires ``eps <= alpha / 2`` so the interval reaches ``u = eps``.
+    Requires ``0 < eps <= alpha / 2`` so the interval reaches ``u = eps``.
     When a certificate is supplied, iterates leaving its containment region
     raise :class:`CertificateViolation`.
     """
+    if not eps > 0.0:
+        raise ConfigError("eps must be positive")
     if eps > alpha / 2.0 + 1e-12:
         raise ConfigError("eps must be at most alpha/2")
     x0 = np.asarray(x0, dtype=float)
     xdot0 = np.asarray(xdot0, dtype=float)
+    if xdot0.shape != x0.shape:
+        raise ConfigError("xdot0 must have the shape of x0")
     model.require_inside(x0)
 
     nodes = _BASE_GRID

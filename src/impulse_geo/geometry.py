@@ -46,7 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics
-from .errors import ChartDomainError, IntegrationFailure, ShootingFailure
+from .errors import (ChartDomainError, ConfigError, IntegrationFailure,
+                     ShootingFailure)
 
 __all__ = [
     "ManifoldModel", "euclidean", "hyperbolic_half_plane",
@@ -148,7 +149,7 @@ class ManifoldModel:
         """Chart test on a ``(B, n)`` batch: a ``(B,)`` boolean mask."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise ValueError(f"expected a (B, {self.dim}) batch of points")
+            raise ConfigError(f"expected a (B, {self.dim}) batch of points")
         ok = np.all(np.isfinite(xs), axis=1)
         if self._chart_domain is None:
             return ok
@@ -386,15 +387,21 @@ def _shooting_endpoint(model, x, w):
     return np.array([path.x_at(1.0) for path in paths])
 
 
-def _shooting_distance(model, x, xbar, tol=1e-9, max_iter=40):
+# the shooting stops when the miss is below _SHOOTING_TOL * (1 + |xbar|),
+# and fails after _SHOOTING_MAX_ITER Newton steps
+_SHOOTING_TOL = 1e-9
+_SHOOTING_MAX_ITER = 40
+
+
+def _shooting_distance(model, x, xbar):
     # Newton iteration on the initial velocity of a unit-time geodesic;
     # the geodesic has constant speed, so its length is sqrt(h(w, w)).
     w = xbar - x
     scale = 1.0 + float(np.linalg.norm(xbar))
     axes = np.arange(model.dim)
-    for _ in range(max_iter):
+    for _ in range(_SHOOTING_MAX_ITER):
         miss = _shooting_endpoint(model, x, w) - xbar
-        if float(np.linalg.norm(miss)) <= tol * scale:
+        if float(np.linalg.norm(miss)) <= _SHOOTING_TOL * scale:
             return model.norm_at(x, w)
         # the central-difference stencil, rows w + dw_0 e_0, w - dw_0 e_0,
         # w + dw_1 e_1, ..., integrated as one batch

@@ -185,14 +185,6 @@ class ConvergenceTable:
                    monotone=monotone, u_probes=tuple(u_probes),
                    u_probes_xdot=tuple(u_probes_xdot))
 
-    def csv_rows(self):
-        rows = []
-        for i in range(len(self.eps)):
-            rows.append((float(self.eps[i]), float(self.err_x[i]),
-                         float(self.err_xdot[i]), float(self.err_v[i]),
-                         float(self.order_so_far[i])))
-        return rows
-
 
 def _u_end(u_probes, eps):
     """Where a study integrates to: past every probe and the strip."""

@@ -55,12 +55,13 @@ built-in scenarios and nets.  So the phase driver of
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ChartDomainError, ConfigError, IntegrationFailure
 
-__all__ = ["DensePath", "solve_rk45"]
+__all__ = ["DensePath", "PathDiagnostics", "solve_rk45"]
 
 # Dormand-Prince 5(4) tableau.  The last row of _A is the propagating weight
 # vector, so the seventh (FSAL) stage is the first stage of the next step.
@@ -102,6 +103,19 @@ _MAX_FACTOR = 5.0
 _MAX_STEPS = 1_000_000
 # an accepted state of larger magnitude has blown up
 _BLOWUP = 1e8
+
+
+@dataclass
+class PathDiagnostics:
+    """The work of an integration: accepted steps, rejected steps and
+    right-hand side evaluations; :mod:`impulse_geo.dynamics` adds the
+    energy at the first node and its drift for a single trajectory."""
+
+    n_steps: int = 0
+    n_rejected: int = 0
+    n_rhs: int = 0
+    energy_start: float = math.nan
+    energy_drift: float = math.nan
 
 
 class _StageFailure(Exception):
@@ -308,12 +322,15 @@ class _Row:
 
     def failure(self, reason, u=None, state=None, msg=None):
         """The row's :class:`IntegrationFailure`, by default at its last
-        accepted state, carrying the path integrated so far."""
+        accepted state, carrying the path integrated so far and its
+        counts."""
         if u is None:
             u, state = self.t, self.ys[self.n_accepted].copy()
-        return IntegrationFailure(
+        exc = IntegrationFailure(
             reason, u, state, self.phase, msg,
             partial=self.path() if self.n_accepted else None)
+        exc.diagnostics = PathDiagnostics(**self.counts())
+        return exc
 
 
 def _grown(buf):
@@ -333,7 +350,8 @@ def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
     Returns ``(path, stats)`` where ``path`` is a :class:`DensePath` over
     ``[t0, t1]`` and ``stats`` is a dict with step counts.  Raises
     :class:`IntegrationFailure` on blow-up, chart escape or step collapse;
-    the exception carries the last accepted state and the partial path.
+    the exception carries the last accepted state, the partial path and
+    the phase's counts as a :class:`PathDiagnostics`.
 
     A ``(B, D)`` state ``y0`` is an ensemble (see the module docstring):
     ``path`` is then a list holding, per row, a :class:`DensePath` or the

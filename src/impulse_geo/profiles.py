@@ -426,8 +426,12 @@ class GrowthReport:
     fit_count: int = 0
 
 
+# integrator tolerances (rtol and atol) of the radial geodesics
+_RAY_TOL = 1e-9
+
+
 def classify_growth(profile, model, xbar, ray_directions, radii, *,
-                    margin=0.1, rtol=1e-9, atol=1e-9):
+                    margin=0.1):
     """Classify the radial growth of a profile around a base point.
 
     Samples ``f`` along unit-speed radial geodesics from ``xbar`` at the
@@ -463,7 +467,7 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
         w = w / speed
         try:
             ray = dynamics.background_path(model, xbar, w, 0.0, radii[-1],
-                                           rtol=rtol, atol=atol)
+                                           rtol=_RAY_TOL, atol=_RAY_TOL)
         except IntegrationFailure:
             dropped.append(idx)
             continue

@@ -117,6 +117,42 @@ def test_cli_sweep_csv_and_svg(tmp_path):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
+def test_cli_certify_flat_linear_report_values(tmp_path):
+    # the CSV holds exactly these bytes; the text has the same value under
+    # each shared key, and every key but anchor_x (whose last bit comes
+    # from the integrator) is pinned too
+    payload = {**NO_EPS, "output": {"text": str(tmp_path / "cert.txt"),
+                                    "csv": str(tmp_path / "cert.csv")}}
+    assert main(["certify", "--config", write_cfg(tmp_path, payload)]) == 0
+    header, row = (tmp_path / "cert.csv").read_text().splitlines()
+    assert header == ("chart,b,c,K,norm_F1,norm_F2,lip_F1,lip_F2,i2_radius,"
+                      "alpha,eps0")
+    assert row == ("euclidean(2),1.0,1.0,1.0,0.0,0.5,0.0,0.0,1.5,"
+                   "0.6666666666666666,0.3333333333333333")
+    text = dict(line.split(None, 1)
+                for line in (tmp_path / "cert.txt").read_text().splitlines())
+    anchor = text.pop("anchor_x")
+    assert np.allclose(json.loads(anchor), [1.0, 0.0], rtol=0.0, atol=1e-12)
+    assert text == {**dict(zip(header.split(","), row.split(","))),
+                    "anchor_xdot": "[1.0, 0.0]", "grid": "9",
+                    "safety": "1.1"}
+
+
+def test_cli_sweep_rows_are_the_table_columns(tmp_path):
+    out = tmp_path / "sweep.csv"
+    payload = {**HYP_BUMP, "eps_schedule": [0.2, 0.1, 0.05],
+               "u_probes": [-0.5, 0.5, 1.0], "output": {"csv": str(out)}}
+    assert main(["sweep", "--config", write_cfg(tmp_path, payload)]) == 0
+    cfg = config.parse_config(json.dumps(payload))
+    model = config.build_model(cfg)
+    table = limits.convergence_study(
+        model, config.build_profile(cfg), config.build_net(cfg),
+        config.build_data(cfg, model.dim), cfg.eps_schedule, cfg.u_probes)
+    columns = (table.eps, table.err_x, table.err_xdot, table.err_v,
+               table.order_so_far)
+    assert _csv_lines(out) == [_repr_row(values) for values in zip(*columns)]
+
+
 def test_cli_sweep_workers_agree(tmp_path):
     # the worker count is validated but does not change the sweep: flat and
     # linear (Gamma = 0), then curved with a bump profile and three widths

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from impulse_geo import dynamics, geometry, odesolve, profiles, scenarios
+from impulse_geo import (dynamics, existence, geometry, limits, odesolve,
+                         profiles, scenarios)
 from impulse_geo.dynamics import (GeodesicState, InitialData,
                                   integrate_impulsive_geodesic,
                                   lagrangian_energy, rhs)
@@ -69,8 +70,7 @@ def test_zero_profile_path_is_background_with_affine_v():
     zero = profiles.constant_profile(0.0)
     data = InitialData([0.0, 1.0], [0.4, 0.3], v0=0.2, vdot0=-0.5)
     path = integrate_impulsive_geodesic(model, zero, NET, 0.1, data, 1.0)
-    ref = dynamics.background_path(model, data.x0, data.xdot0, -1.0, 1.0,
-                                   v0=data.v0, vdot0=data.vdot0)
+    ref = dynamics.background_path(model, data.x0, data.xdot0, -1.0, 1.0)
     us = np.linspace(-1.0, 1.0, 101)
     assert np.max(np.abs(path.x_at(us) - ref.x_at(us))) < 1e-9
     assert np.max(np.abs(path.v_at(us)
@@ -282,8 +282,7 @@ def _edged_point_field(r):
     return fun
 
 
-def test_rows_failing_in_one_step_keep_the_single_trajectory_bits(
-        monkeypatch):
+def test_rows_failing_in_one_step_keep_the_single_trajectory_bits():
     # rows 0 and 1 start alike and fail at the same stage of the same
     # step; every row, failed or not, repeats the 1-D loop byte for byte,
     # counts included
@@ -300,20 +299,15 @@ def test_rows_failing_in_one_step_keep_the_single_trajectory_bits(
     y0 = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, -0.3]])
     outcomes, stats = solve_rk45(fun, 0.0, 1.0, y0)
     assert max(joint) == 2
-    failure_counts = []
-    failure = odesolve._Row.failure
-
-    def counted_failure(row, *args, **kwargs):
-        failure_counts.append(row.counts())
-        return failure(row, *args, **kwargs)
-
-    monkeypatch.setattr(odesolve._Row, "failure", counted_failure)
     for r, got in enumerate(outcomes):
         try:
             want, want_counts = solve_rk45(_edged_point_field(r), 0.0, 1.0,
                                            y0[r])
         except IntegrationFailure as exc:
-            want, want_counts = exc, failure_counts[-1]
+            diag = exc.diagnostics
+            want, want_counts = exc, {"n_steps": diag.n_steps,
+                                      "n_rejected": diag.n_rejected,
+                                      "n_rhs": diag.n_rhs}
         assert stats["rows"][r] == want_counts
         assert type(got) is type(want)
         if isinstance(want, IntegrationFailure):
@@ -692,3 +686,85 @@ def test_background_ensemble_row_leaving_the_chart_fails_alone():
     for got, want in zip([rows[0], rows[2], rows[3]], alone):
         _assert_same_piece(got.pieces[0], want.pieces[0])
         assert got.diagnostics.n_rhs == want.diagnostics.n_rhs
+
+
+def _counts(diag):
+    return diag.n_steps, diag.n_rejected, diag.n_rhs
+
+
+def test_failures_count_the_work_done_before_them():
+    # on the sphere's chart, a profile constant in x1 keeps the geodesic up
+    # the x2-axis through the strip, and it leaves for infinity after it
+    sphere = geometry.sphere_stereographic()
+    prof = profiles.linear_profile([0.0, 0.2])
+    data = InitialData([0.0, 0.5], [0.0, 0.5])
+    with pytest.raises(IntegrationFailure) as alone:
+        integrate_impulsive_geodesic(sphere, prof, NET, 0.1, data, 6.0)
+    with pytest.raises(IntegrationFailure) as background:
+        dynamics.background_path(sphere, [0.0, 0.5], [0.0, 30.0], 0.0, 5.0)
+    # the second row ends before it blows up
+    row, done = dynamics._integrate_ensemble(sphere, prof, NET, [0.1, 0.05],
+                                             data, [6.0, 1.0])
+    assert alone.value.phase == "post" and len(alone.value.partial.pieces) == 3
+    assert background.value.reason == "blow_up"
+    assert isinstance(done, dynamics.GeodesicPath)
+    for failure in (alone.value, background.value, row):
+        diag = failure.diagnostics
+        assert diag.n_steps == sum(len(p.ts) - 1
+                                   for p in failure.partial.pieces)
+        assert diag.n_rhs > 6 * diag.n_steps
+        assert _counts(failure.partial.diagnostics) == _counts(diag)
+    assert (row.reason, row.phase, row.u) == (
+        alone.value.reason, alone.value.phase, alone.value.u)
+    assert row.state.tobytes() == alone.value.state.tobytes()
+    assert _counts(row.diagnostics) == _counts(alone.value.diagnostics)
+
+
+_PATH = dynamics.background_path(EU, [0.0, 0.0], [1.0, 0.0], 0.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: geometry.background_geodesic(geometry.euclidean(2), [0.0, 0.0],
+                                         [1.0, 0.0, 0.0], 0.0, 1.0),
+    lambda: dynamics.background_path(EU, [0.0, 0.0], [1.0, 0.0], 1.0, 0.0),
+    lambda: limits.limit_geodesic(EU, LINEAR,
+                                  InitialData([0.0, 0.0], [1.0, 0.0]),
+                                  u_end=-0.5),
+    lambda: existence.certify(EU, LINEAR, [0.0, 0.0], [1.0, 0.0, 0.0]),
+    lambda: existence.picard_solve(EU, LINEAR, NET, 0.1, [0.0, 0.0],
+                                   [1.0, 0.0, 0.0], 0.5),
+    lambda: existence.picard_solve(EU, LINEAR, NET, -0.1, [0.0, 0.0],
+                                   [1.0, 0.0], 0.5),
+    lambda: _PATH.sample(1.5),
+    lambda: EU.inside(np.zeros((4, 3))),
+], ids=["velocity-shape", "reversed-interval", "limit-u_end-negative",
+        "certify-velocity-shape", "picard-velocity-shape",
+        "picard-eps-negative", "sample-out-of-range", "inside-batch-shape"])
+def test_caller_mistakes_raise_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dynamics.background_path(EU, [0.0, 0.0], [1.0, 0.0], 0.0, 1.0,
+                                     v0=1.0),
+    lambda: dynamics.background_path(EU, [0.0, 0.0], [1.0, 0.0], 0.0, 1.0,
+                                     vdot0=1.0),
+    lambda: profiles.classify_growth(LINEAR, EU, [0.0, 0.0], [[1.0, 0.0]],
+                                     [1.0, 2.0], rtol=1e-9),
+    lambda: profiles.classify_growth(LINEAR, EU, [0.0, 0.0], [[1.0, 0.0]],
+                                     [1.0, 2.0], atol=1e-9),
+    lambda: existence.certify(EU, LINEAR, [0.0, 0.0],
+                              [1.0, 0.0]).contains_x([0.0, 0.0], slack=0.0),
+    lambda: existence.certify(EU, LINEAR, [0.0, 0.0],
+                              [1.0, 0.0]).contains_xdot([1.0, 0.0],
+                                                        slack=0.0),
+    lambda: geometry._shooting_distance(EU, np.zeros(2), np.ones(2),
+                                        tol=1e-9),
+    lambda: geometry._shooting_distance(EU, np.zeros(2), np.ones(2),
+                                        max_iter=40),
+], ids=["v0", "vdot0", "rtol", "atol", "contains_x-slack",
+        "contains_xdot-slack", "shooting-tol", "shooting-max_iter"])
+def test_retired_parameters_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call()
