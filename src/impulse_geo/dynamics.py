@@ -118,12 +118,12 @@ class GeodesicPath:
 
     def __init__(self, n, pieces, *, phase_marks=None, diagnostics=None):
         if not pieces:
-            raise ValueError("a path needs at least one piece")
+            raise ConfigError("a path needs at least one piece")
         self.n = n
         self.pieces = list(pieces)
         for a, b in zip(self.pieces, self.pieces[1:]):
             if abs(a.t1 - b.t0) > 1e-12 * max(1.0, abs(a.t1)):
-                raise ValueError("path pieces are not contiguous")
+                raise ConfigError("path pieces are not contiguous")
         self.phase_marks = phase_marks
         self.diagnostics = diagnostics or PathDiagnostics()
         self._ends = np.array([p.t1 for p in self.pieces])

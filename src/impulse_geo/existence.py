@@ -27,8 +27,13 @@ proof-grade interval arithmetic, and the certificate records the grid and
 the factor used.  Both the sampling and the iteration evaluate the fields on
 whole grids at once, through the batch forms of the model and the profile.
 The iteration itself is carried out by :func:`picard_solve` on a uniform grid
-with composite Simpson quadrature; it is contractive in the iterated sense
-only, with n-step constants
+with cumulative composite Simpson quadrature: scipy's
+``cumulative_simpson`` rule for unequal intervals (Cartwright's formula),
+written in numpy with its weights set once per grid, so that importing the
+package does not import scipy.  It gives scipy's bits and keeps scipy's
+Fortran memory order, in which the charts' column reads ``x[..., i]`` are
+contiguous.  The iteration is contractive in the iterated sense only, with
+n-step constants
 
     a_n = 4 max(Lip(F1, I3), K Lip(F2, I1)) alpha^(2n-2) / (2n-2)!
 
@@ -39,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .dynamics import batch_acceleration
 from .errors import (CertificateViolation, ChartDomainError, ConfigError,
@@ -217,9 +221,64 @@ class PicardResult:
     grid_converged: bool
 
 
+def _simpson_weights(t):
+    """The grid-only coefficients of :func:`_cumulative_simpson` on nodes
+    ``t`` (at least 3, strictly increasing).
+
+    Cartwright's formula (eq. 8 of K. V. Cartwright, "Simpson's Rule
+    Cumulative Integration with MS Excel and Irregularly-spaced Data")
+    integrates the quadratic through nodes 1, 2, 3, spaced ``x21`` and
+    ``x32``, over ``[x1, x2]`` as ``x21/6 (c1 y1 + c2 y2 + c3 y3)``.  The h1
+    half applies it to each interval and its right neighbour; the h2 half,
+    with ``x21`` and ``x32`` swapped and ``y3`` taking ``c1``, to each
+    interval and its left one.  Both are written as scipy writes them, so
+    the bits agree.  Interval ``i`` takes h1 when ``i`` is even and h2 when
+    it is odd; on an even number of nodes the last interval takes h2 too.
+    """
+    dx = np.diff(t)
+
+    def half(x21, x32):
+        x31 = x21 + x32
+        r31 = x21 / x31
+        r = r31 * (x21 / x32)
+        return np.array([x21 / 6, 3 - r31, 3 + r + r31, -r])
+
+    h1 = half(dx[:-1], dx[1:])
+    h2 = half(dx[1:], dx[:-1])
+    return (np.ascontiguousarray(h1[:, ::2]), np.ascontiguousarray(h2[:, ::2]),
+            h2[:, -1] if len(t) % 2 == 0 else None)
+
+
+def _cumulative_simpson(y, weights):
+    """``scipy.integrate.cumulative_simpson(y, x=t, axis=0, initial=0.0)``
+    for the ``weights`` of :func:`_simpson_weights` on ``t``, bit for bit.
+
+    Like scipy it works along the last axis of ``y.T`` and sums the
+    interval integrals in order, so the result keeps scipy's Fortran order;
+    the leading 0.0 of the sum stands for scipy's ``initial``, which it
+    matches on a signed zero too.
+    """
+    h1, h2, last = weights
+    y = y.T
+    n, m = y.shape
+    k = (m - 1) // 2
+    y0, y1, y2 = y[:, :-2:2], y[:, 1:-1:2], y[:, 2::2]
+    out = np.empty((n, m))
+    out[:, 0] = 0.0
+    w, c1, c2, c3 = h1
+    out[:, 1:2 * k:2] = w * (c1 * y0 + c2 * y1 + c3 * y2)
+    w, c1, c2, c3 = h2
+    out[:, 2::2] = w * (c1 * y2 + c2 * y1 + c3 * y0)
+    if last is not None:
+        w, c1, c2, c3 = last
+        out[:, -1] = w * (c1 * y[:, -1] + c2 * y[:, -2] + c3 * y[:, -3])
+    return np.cumsum(out, axis=1, out=out).T
+
+
 def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol,
                     certificate):
     m = len(t)
+    weights = _simpson_weights(t)
     delta = np.asarray(net.eval(eps, t), dtype=float)
     active = np.nonzero(delta != 0.0)[0]
     x = x0 + np.outer(t + eps, xdot0)
@@ -233,8 +292,8 @@ def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol,
         # and F2 on the nodes where the impulse is active
         integrand, _ = batch_acceleration(model, profile, x, xd, active,
                                           delta[active])
-        xd_new = xdot0 + cumulative_simpson(integrand, x=t, axis=0, initial=0.0)
-        x_new = x0 + cumulative_simpson(xd_new, x=t, axis=0, initial=0.0)
+        xd_new = xdot0 + _cumulative_simpson(integrand, weights)
+        x_new = x0 + _cumulative_simpson(xd_new, weights)
         shift = (float(np.max(np.abs(x_new - x)))
                  + float(np.max(np.abs(xd_new - xd))))
         shifts.append(shift)
@@ -263,10 +322,15 @@ def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
 
     from the straight-line seed on ``J = [-eps, alpha - eps]``, evaluating
     the nested integrals by cumulative composite Simpson quadrature on 2001
-    nodes.  The iteration stops when the discrete C1 norm of the update
-    falls below ``tol``, within 60 iterations.  The grid is then doubled, at
-    most ``max_refinements`` times, until the fixed point itself shifts by
-    at most ``tol`` between grids.
+    nodes.  The rule is scipy's ``cumulative_simpson(y, x=t, axis=0,
+    initial=0.0)`` (Cartwright's unequal-interval formula), bit for bit,
+    with its weights computed once per grid rather than on each of the two
+    integrals of every iteration.  Its result keeps scipy's Fortran order:
+    the charts read the columns ``x[..., i]`` of every iterate, which are
+    then contiguous.  The iteration stops when the discrete C1 norm of the
+    update falls below ``tol``, within 60 iterations.  The grid is then
+    doubled, at most ``max_refinements`` times, until the fixed point itself
+    shifts by at most ``tol`` between grids.
 
     Requires ``0 < eps <= alpha / 2`` so the interval reaches ``u = eps``.
     When a certificate is supplied, iterates leaving its containment region

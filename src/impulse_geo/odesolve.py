@@ -135,7 +135,7 @@ class DensePath:
         self.ys = np.asarray(ys, dtype=float)
         self.coeffs = np.asarray(coeffs, dtype=float)  # (steps, dim, 4)
         if len(self.ts) < 2:
-            raise ValueError("a dense path needs at least one accepted step")
+            raise ConfigError("a dense path needs at least one accepted step")
 
     @property
     def t0(self):
@@ -216,7 +216,7 @@ class _Row:
 
     def __init__(self, t0, t1, cap, y0, phase):
         if not t1 > t0:
-            raise ValueError("t1 must exceed t0")
+            raise ConfigError("t1 must exceed t0")
         self.t0, self.t1, self.cap = float(t0), float(t1), float(cap)
         self.phase = phase
         self.t = self.t0

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import dynamics, geometry
 from .errors import ConfigError, IntegrationFailure, NumericalError
@@ -244,7 +243,8 @@ def metric_gradient(profile, model, x):
 class DeltaNet:
     """Family of smooth impulse regularizations indexed by the width eps.
 
-    ``eval(eps, u)`` and ``deriv(eps, u)`` accept scalars or arrays.  The
+    ``eval(eps, u)`` and ``deriv(eps, u)`` accept scalars or arrays ``u``;
+    all three methods raise :class:`ConfigError` unless ``eps > 0``.  The
     derivative is analytic for built-in nets: it scales like ``eps**-2``
     and finite-differencing it would be badly conditioned.
     ``support_radius(eps)`` never exceeds ``eps``; ``l1_bound`` is the
@@ -263,13 +263,26 @@ class DeltaNet:
         return f"DeltaNet({self.name!r}, K={self.l1_bound})"
 
     def eval(self, eps, u):
-        return self._eval(float(eps), u)
+        eps = float(eps)
+        if not eps > 0.0:
+            raise _width_error(eps)
+        return self._eval(eps, u)
 
     def deriv(self, eps, u):
-        return self._deriv(float(eps), u)
+        eps = float(eps)
+        if not eps > 0.0:
+            raise _width_error(eps)
+        return self._deriv(eps, u)
 
     def support_radius(self, eps):
-        return float(self._support(float(eps)))
+        eps = float(eps)
+        if not eps > 0.0:
+            raise _width_error(eps)
+        return float(self._support(eps))
+
+
+def _width_error(eps):
+    return ConfigError(f"net width eps must be positive, got {eps!r}")
 
 
 def _bump_net(parts, l1_bound, name):
@@ -365,6 +378,9 @@ def verify_strict_delta_net(net, eps_schedule, tol=1e-8):
     exceeds the requested absolute tolerance by a wide margin are flagged
     indeterminate.
     """
+    # scipy is imported here so that importing the package does not load it
+    from scipy.integrate import quad
+
     eps_schedule = [float(e) for e in eps_schedule]
     tol = float(tol)
     if not eps_schedule or any(e <= 0 for e in eps_schedule):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -685,3 +688,19 @@ def test_build_defaults_are_pinned(kind, given, expected):
         us = np.linspace(-0.02, 0.02, 9)
         assert got.l1_bound == want.l1_bound
         assert np.array_equal(got.eval(0.01, us), want.eval(0.01, us))
+
+
+def test_import_loads_no_scipy():
+    # scipy is needed by verify_strict_delta_net alone, which imports it
+    import impulse_geo
+
+    src = os.path.dirname(os.path.dirname(impulse_geo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, impulse_geo, impulse_geo.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -577,9 +577,9 @@ def test_initial_data_of_the_wrong_dimension_is_a_config_error():
 def test_path_needs_contiguous_pieces():
     a = DensePath([0.0, 1.0], np.zeros((2, 6)), np.zeros((1, 6, 4)))
     b = DensePath([1.5, 2.0], np.zeros((2, 6)), np.zeros((1, 6, 4)))
-    with pytest.raises(ValueError, match="at least one piece"):
+    with pytest.raises(ConfigError, match="at least one piece"):
         dynamics.GeodesicPath(2, [])
-    with pytest.raises(ValueError, match="not contiguous"):
+    with pytest.raises(ConfigError, match="not contiguous"):
         dynamics.GeodesicPath(2, [a, b])
 
 
@@ -737,9 +737,12 @@ _PATH = dynamics.background_path(EU, [0.0, 0.0], [1.0, 0.0], 0.0, 1.0)
                                    [1.0, 0.0], 0.5),
     lambda: _PATH.sample(1.5),
     lambda: EU.inside(np.zeros((4, 3))),
+    lambda: DensePath([0.0], np.zeros((1, 6)), np.zeros((0, 6, 4))),
+    lambda: solve_rk45(_toy_point_field, 1.0, 0.0, np.array([1.0, 0.0, 1.0])),
 ], ids=["velocity-shape", "reversed-interval", "limit-u_end-negative",
         "certify-velocity-shape", "picard-velocity-shape",
-        "picard-eps-negative", "sample-out-of-range", "inside-batch-shape"])
+        "picard-eps-negative", "sample-out-of-range", "inside-batch-shape",
+        "dense-path-no-step", "solve-reversed-interval"])
 def test_caller_mistakes_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

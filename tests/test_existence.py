@@ -161,6 +161,25 @@ def test_picard_flat_linear_one_corrective_iteration():
         assert abs(res.x[i, 1]) < 1e-15
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 2001, 4001])
+@pytest.mark.parametrize("cols", [2, 3])
+def test_cumulative_simpson_is_scipys_bit_for_bit(m, cols):
+    from scipy.integrate import cumulative_simpson
+
+    rng = np.random.default_rng(m * cols)
+    t = np.linspace(-0.1, 0.6, m)
+    weights = existence._simpson_weights(t)
+    ys = [rng.standard_normal((m, cols)),
+          np.asfortranarray(rng.standard_normal((m, cols)))]
+    ys[0][0] = -0.0
+    for y in ys:
+        want = cumulative_simpson(y, x=t, axis=0, initial=0.0)
+        got = existence._cumulative_simpson(y, weights)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
 def overlap_case(case):
     """Model, Gaussian-bump profile and data of a Picard/RK overlap case."""
     if case == "hyperbolic":

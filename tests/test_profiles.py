@@ -115,6 +115,19 @@ def test_verify_rejects_bad_schedule():
                                          [0.1, 0.2], tol=1e-8)
 
 
+@pytest.mark.parametrize("net", all_nets(), ids=lambda n: n.name)
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("u", [0.05, np.linspace(-0.2, 0.2, 5)],
+                         ids=["float", "array"])
+def test_net_rejects_a_width_that_is_not_positive(net, eps, u):
+    with pytest.raises(ConfigError, match="eps must be positive"):
+        net.eval(eps, u)
+    with pytest.raises(ConfigError, match="eps must be positive"):
+        net.deriv(eps, u)
+    with pytest.raises(ConfigError, match="eps must be positive"):
+        net.support_radius(eps)
+
+
 def test_metric_gradient_flat_linear():
     model = geometry.euclidean(2)
     prof = profiles.linear_profile([1.0, 0.0])
