@@ -22,20 +22,21 @@ one :class:`PathDiagnostics`; a failure's ``partial`` becomes the
 :class:`GeodesicPath` of the phases done and its own partial piece
 (``phase_marks`` None for a background path), with the same counts.
 
-As in :func:`solve_rk45`, the form follows the state's shape.  A 1-D state,
-a single trajectory, uses the per-point field (:func:`_system`) and the 1-D
-loop, raises its failure and gets energy diagnostics.  The field
-checks the chart once per call and then evaluates the model's unchecked
-point forms; ``christoffel_at`` and ``inverse_metric_at`` remain the
-checked public forms.  :func:`lagrangian_energy` takes one state or a
-batch: the energy diagnostics of a path and the energy column of its CSV
-are one call.  A ``(B, D)`` state, one trajectory per width as in a
-convergence study (:func:`_integrate_ensemble`), or a background ensemble
-of B geodesics (``eps`` None, :func:`_background_ensemble`) as in the
-Jacobian stencil of geodesic shooting, uses the ensemble field: the
-``(B, n)`` batch forms of the model and the profile, a width and a ``u``
-per row, and the acceleration that the Picard iteration integrates
-(:func:`batch_acceleration`).  A row that fails drops out alone.
+As in :func:`solve_rk45`, the form follows the state's shape, in the entry
+points too.  A single trajectory (one velocity, one width) has a 1-D state:
+it uses the per-point field (:func:`_system`) and the 1-D loop, raises its
+failure and gets energy diagnostics.  The field checks the chart once per
+call and then evaluates the model's unchecked point forms;
+``christoffel_at`` and ``inverse_metric_at`` remain the checked public
+forms.  :func:`lagrangian_energy` takes one state or a batch: the energy
+diagnostics of a path and the energy column of its CSV are one call.  A
+batch of B velocities from one point (geodesic shooting) or of B widths
+from one datum (a convergence study) has a ``(B, D)`` state and uses the
+ensemble field: the ``(B, n)`` batch forms of the model and the profile, a
+width and a ``u`` per row, and the acceleration that the Picard iteration
+integrates (:func:`batch_acceleration`).  It gives per row a path or the
+row's failure, which drops out alone.  Batch rows carry no energy
+diagnostics: no caller reads them, and they would add 4-6% to a sweep.
 
 The raw state vector layout is ``[x (n), xdot (n), v, vdot]``.
 """
@@ -95,6 +96,8 @@ class InitialData:
             raise ConfigError("x0 and xdot0 must be 1-d arrays of equal length")
         self.v0 = float(self.v0)
         self.vdot0 = float(self.vdot0)
+        if not np.isfinite(self.as_vector()).all():
+            raise ConfigError("initial data must be finite")
 
     def as_vector(self):
         return np.concatenate([self.x0, self.xdot0, [self.v0, self.vdot0]])
@@ -143,7 +146,7 @@ class GeodesicPath:
         uq = np.atleast_1d(us).astype(float)
         lo, hi = self.u_start, self.u_end
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-        if uq.min() < lo - slack or uq.max() > hi + slack:
+        if uq.size and not (uq.min() >= lo - slack and uq.max() <= hi + slack):
             raise ConfigError(
                 f"query outside path range [{lo:g}, {hi:g}]")
         uq = np.clip(uq, lo, hi)
@@ -315,40 +318,38 @@ def _energy_diagnostics(path, model, profile, net, eps):
     path.diagnostics.energy_drift = float(np.max(np.abs(e - e[0])))
 
 
-def background_path(model, x0, xdot0, u_start, u_end, *, rtol=1e-10,
-                    atol=1e-10):
-    """Integrate the background (impulse-free) geodesic system from
-    ``u_start`` to ``u_end``, with ``v = vdot = 0`` at ``u_start``."""
+def _initial_state(model, x0, xdot0, v0=0.0, vdot0=0.0):
+    """The raw state of data posed at ``x0``: a vector for a ``(n,)``
+    velocity ``xdot0``, a ``(B, D)`` batch for ``(B, n)`` velocities."""
     x0 = np.asarray(x0, dtype=float)
     xdot0 = np.asarray(xdot0, dtype=float)
-    if xdot0.shape != x0.shape:
-        raise ConfigError("xdot0 must have the shape of x0")
+    if xdot0.ndim > 2 or xdot0.shape[-1:] != x0.shape:
+        raise ConfigError("xdot0 must have the shape of x0, or be (B, n)")
+    if x0.shape != (model.dim,):
+        raise ConfigError("initial data dimension does not match the manifold")
+    model.require_inside(x0)
+    n = model.dim
+    y0 = np.empty(xdot0.shape[:-1] + (2 * n + 2,))
+    y0[..., :n] = x0
+    y0[..., n:2 * n] = xdot0
+    y0[..., 2 * n:] = v0, vdot0
+    return y0
+
+
+def background_path(model, x0, xdot0, u_start, u_end, *, rtol=1e-10,
+                    atol=1e-10):
+    """Solve the background geodesic equation ``xddot = -Gamma(xdot, xdot)``
+    from data posed at ``u_start`` to ``u_end``, with ``v = vdot = 0``.
+
+    The path conserves the Riemannian speed ``h(xdot, xdot)`` up to the
+    integrator tolerance.  A ``(B, n)`` batch of velocities ``xdot0`` gives
+    B geodesics from ``x0`` as one ensemble (see the module docstring): per
+    row a path without energy diagnostics, or the row's failure.
+    """
     if not u_end > u_start:
         raise ConfigError("u_end must exceed u_start")
-    model.require_inside(x0)
-    y0 = np.concatenate([x0, xdot0, [0.0, 0.0]])
+    y0 = _initial_state(model, x0, xdot0)
     return _integrate(model, None, None, None, y0, u_start, u_end, rtol, atol)
-
-
-def _background_ensemble(model, x0, xdot0, u_start, u_end, rtol, atol):
-    """One background geodesic from ``x0`` per row of the ``(B, n)``
-    velocities ``xdot0``, integrated as one ensemble: per row a path or
-    the row's :class:`IntegrationFailure`."""
-    n = model.dim
-    y0 = np.zeros((len(xdot0), 2 * n + 2))
-    y0[:, :n] = x0
-    y0[:, n:2 * n] = xdot0
-    return _integrate(model, None, None, None, y0, u_start, u_end, rtol, atol)
-
-
-def _check_inputs(model, eps, data, u_end):
-    if not all(0.0 < e <= 0.5 for e in eps):
-        raise ConfigError("eps must lie in (0, 1/2]")
-    if not all(u > e for e, u in zip(eps, u_end)):
-        raise ConfigError("u_end must exceed eps")
-    if len(data.x0) != model.dim:
-        raise ConfigError("initial data dimension does not match the manifold")
-    model.require_inside(data.x0)
 
 
 _STRIP_STEP_DIVISOR = 50
@@ -434,26 +435,23 @@ def integrate_impulsive_geodesic(model, profile, net, eps, data, u_end, *,
     Raises :class:`IntegrationFailure` if the blow-up guard trips or the
     trajectory leaves the chart; the exception records the failing phase and
     the path integrated so far.
+
+    A 1-D sequence of widths ``eps`` integrates one trajectory per width
+    from ``data`` as one ensemble (see the module docstring), to a shared
+    ``u_end`` or one per width: per width a path without energy
+    diagnostics, or the row's failure.
     """
-    _check_inputs(model, [eps], data, [u_end])
-    return _integrate(model, profile, net, eps, data.as_vector(), -1.0, u_end,
-                      rtol, atol)
-
-
-def _integrate_ensemble(model, profile, net, eps, data, u_end, *,
-                        rtol=1e-10, atol=1e-10):
-    """Integrate one impulsive geodesic per width ``eps[r]`` from the same
-    data, each to ``u_end[r]`` (or a common ``u_end``).
-
-    Each phase is one ensemble call of :func:`solve_rk45` over the rows
-    still alive.  Returns one entry per width: a :class:`GeodesicPath` with
-    that row's step counts (energy diagnostics are not computed), or the
-    row's :class:`IntegrationFailure`.  A row does not depend on the other
-    widths of the batch.
-    """
-    eps = [float(e) for e in eps]
-    u_end = np.broadcast_to(np.asarray(u_end, dtype=float), (len(eps),))
-    _check_inputs(model, eps, data, u_end)
-    return _integrate(model, profile, net, eps,
-                      np.tile(data.as_vector(), (len(eps), 1)), -1.0, u_end,
-                      rtol, atol)
+    widths = np.asarray(eps, dtype=float)
+    ends = np.asarray(u_end, dtype=float)
+    if widths.ndim > 1 or ends.shape not in ((), widths.shape):
+        raise ConfigError("eps must be one width or a 1-d sequence of them, "
+                          "and u_end one value or one per width")
+    if not np.all((0.0 < widths) & (widths <= 0.5)):
+        raise ConfigError("eps must lie in (0, 1/2]")
+    if not np.all(ends > widths):
+        raise ConfigError("u_end must exceed eps")
+    if widths.ndim:
+        eps = widths.tolist()
+    xdot0 = np.broadcast_to(data.xdot0, widths.shape + data.xdot0.shape)
+    y0 = _initial_state(model, data.x0, xdot0, data.v0, data.vdot0)
+    return _integrate(model, profile, net, eps, y0, -1.0, u_end, rtol, atol)

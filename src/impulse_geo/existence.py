@@ -122,9 +122,9 @@ def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
     be admissible.  ``I2`` is rebuilt from the computed ``||F2||``, which
     depends on ``I1`` only, so one pass resolves its self-reference.
     """
-    if b <= 0 or c_seed <= 0 or k <= 0:
+    if not (b > 0 and c_seed > 0 and k > 0):
         raise ConfigError("b, c and K must be positive")
-    if grid < 9:
+    if not grid >= 9:
         raise ConfigError("grid must be at least 9 points per axis")
     x0 = np.asarray(x0, dtype=float)
     xdot0 = np.asarray(xdot0, dtype=float)
@@ -180,10 +180,10 @@ def alpha_bound(speed, b, c, norm_F1, norm_F2, k):
     chart, a constant-gradient profile and resting data every ratio is
     infinite and alpha = 1.
     """
-    if b <= 0 or c <= 0 or k <= 0:
+    if not (b > 0 and c > 0 and k > 0):
         raise ConfigError("b, c and K must be positive")
-    if min(speed, norm_F1, norm_F2) < 0:
-        raise ConfigError("norms must be nonnegative")
+    if not (speed >= 0 and norm_F1 >= 0 and norm_F2 >= 0):
+        raise ConfigError("speed and norms must be nonnegative")
     denom = speed + norm_F1 + k * norm_F2
     ratio_b = b / denom if denom > 0 else math.inf
     ratio_c = c / norm_F1 if norm_F1 > 0 else math.inf
@@ -338,8 +338,10 @@ def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
     """
     if not eps > 0.0:
         raise ConfigError("eps must be positive")
-    if eps > alpha / 2.0 + 1e-12:
+    if not eps <= alpha / 2.0 + 1e-12:
         raise ConfigError("eps must be at most alpha/2")
+    if not tol > 0.0:
+        raise ConfigError("tol must be positive")
     x0 = np.asarray(x0, dtype=float)
     xdot0 = np.asarray(xdot0, dtype=float)
     if xdot0.shape != x0.shape:

@@ -119,7 +119,7 @@ class ManifoldModel:
     def _point_inverse_metric(self, x):
         if self._inverse_metric is not None:
             return np.asarray(self._inverse_metric(x), dtype=float)
-        return np.linalg.inv(np.asarray(self._metric(x), dtype=float))
+        return self._inverted(np.asarray(self._metric(x), dtype=float), x)
 
     def _point_christoffel(self, x):
         if self._christoffel is not None:
@@ -130,11 +130,21 @@ class ManifoldModel:
         """Christoffel symbols of a checked ``(B, n)`` batch from the metric."""
         # dh[b, l, i, j] = d_l h_ij; a neighbour outside the chart raises
         h, dh = central_difference(self._metrics, xs)
-        hinv = (np.linalg.inv(h) if self._inverse_metric is None
+        hinv = (self._inverted(h, xs) if self._inverse_metric is None
                 else self._inverse_rows(xs))
         # T[b, i, j, l] = d_i h_jl + d_j h_il - d_l h_ij
         t = dh + dh.transpose(0, 2, 1, 3) - dh.transpose(0, 2, 3, 1)
         return 0.5 * np.einsum("bkl,bijl->bkij", hinv, t)
+
+    def _inverted(self, h, xs):
+        """The inverse of the metric ``h`` at ``xs``, or of a batch of them;
+        a singular metric raises as a point outside the chart does."""
+        try:
+            return np.linalg.inv(h)
+        except np.linalg.LinAlgError:
+            det = np.linalg.det(np.reshape(h, (-1, self.dim, self.dim)))
+            x = np.reshape(xs, (-1, self.dim))[np.argmin(np.abs(det))]
+            raise ChartDomainError(f"singular metric at point {x}") from None
 
     def _metrics(self, xs):
         """The metric callback on a ``(B, n)`` batch inside the chart."""
@@ -170,7 +180,7 @@ class ManifoldModel:
         if self._batch_inverse_metric is not None:
             return self._batch_inverse_metric(self._require_batch_inside(xs))
         if self._inverse_metric is None:
-            return np.linalg.inv(self._metrics(xs))
+            return self._inverted(self._metrics(xs), xs)
         return self._inverse_rows(self._require_batch_inside(xs))
 
     def christoffel(self, xs):
@@ -353,15 +363,8 @@ def from_metric(dim, metric, *, chart_domain=None, complete=False,
                          complete=complete, name=name)
 
 
-def background_geodesic(model, x0, xdot0, u_start, u_end, *, rtol=1e-10,
-                        atol=1e-10):
-    """Solve the background geodesic equation ``xddot = -Gamma(xdot, xdot)``.
-
-    Data is posed at ``u_start``.  The returned path conserves the
-    Riemannian speed ``h(xdot, xdot)`` up to the integrator tolerance.
-    """
-    return dynamics.background_path(model, x0, xdot0, u_start, u_end,
-                                    rtol=rtol, atol=atol)
+# one background geodesic solver under two public names
+background_geodesic = dynamics.background_path
 
 
 class DistanceEstimate(NamedTuple):
@@ -375,12 +378,10 @@ def _shooting_endpoint(model, x, w):
     ``w``, or the ``(B, n)`` points of a ``(B, n)`` batch of velocities,
     integrated as one background ensemble.  A failed row raises its
     :class:`IntegrationFailure`, the first in row order."""
+    paths = dynamics.background_path(model, x, w, 0.0, 1.0, rtol=1e-10,
+                                     atol=1e-10)
     if np.ndim(w) == 1:
-        path = dynamics.background_path(model, x, w, 0.0, 1.0,
-                                        rtol=1e-10, atol=1e-10)
-        return path.x_at(1.0)
-    paths = dynamics._background_ensemble(model, x, w, 0.0, 1.0, 1e-10,
-                                          1e-10)
+        return paths.x_at(1.0)
     for path in paths:
         if isinstance(path, IntegrationFailure):
             raise path

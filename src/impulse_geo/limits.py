@@ -201,7 +201,7 @@ def _study(model, profile, net, data, eps_schedule, u_probes, rtol, atol):
     each equals the same width studied alone.
     """
     eps_schedule = [float(e) for e in eps_schedule]
-    if any(e <= 0 for e in eps_schedule):
+    if not all(e > 0 for e in eps_schedule):
         raise ConfigError("eps schedule must be positive")
     eps_schedule = sorted(eps_schedule, reverse=True)
     u_probes = np.asarray(u_probes, dtype=float)
@@ -219,7 +219,7 @@ def _study(model, profile, net, data, eps_schedule, u_probes, rtol, atol):
     limit = limit_geodesic(model, profile, data,
                            u_end=_u_end(u_probes, eps_max), rtol=rtol,
                            atol=atol)
-    paths = dynamics._integrate_ensemble(
+    paths = dynamics.integrate_impulsive_geodesic(
         model, profile, net, eps_schedule, data,
         [_u_end(u_probes, eps) for eps in eps_schedule],
         rtol=rtol, atol=atol)

@@ -341,6 +341,7 @@ def _grown(buf):
 
 
 _INITIAL_UNDEFINED = "right-hand side undefined at the initial state"
+_NON_FINITE = "initial state {} is not finite"
 
 
 def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
@@ -351,7 +352,9 @@ def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
     ``[t0, t1]`` and ``stats`` is a dict with step counts.  Raises
     :class:`IntegrationFailure` on blow-up, chart escape or step collapse;
     the exception carries the last accepted state, the partial path and
-    the phase's counts as a :class:`PathDiagnostics`.
+    the phase's counts as a :class:`PathDiagnostics`.  An initial state
+    that is not finite, or where ``fun`` is undefined, fails at once as a
+    chart escape.
 
     A ``(B, D)`` state ``y0`` is an ensemble (see the module docstring):
     ``path`` is then a list holding, per row, a :class:`DensePath` or the
@@ -369,6 +372,8 @@ def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
         return _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase)
     row = _Row(t0, t1, max_step, np.asarray(y0, dtype=float), phase)
     y = row.ys[0]
+    if not np.isfinite(y).all():
+        raise row.failure("chart_escape", msg=_NON_FINITE.format(y))
     try:
         f = _checked(fun, row.t, y)
     except _StageFailure:
@@ -427,8 +432,10 @@ def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase):
     out = [None] * b
     f, ok = _rows_checked(fun, np.array([row.t for row in rows]), y,
                           np.arange(b))
-    for r in np.nonzero(~ok)[0]:
-        out[r] = rows[r].failure("chart_escape", msg=_INITIAL_UNDEFINED)
+    finite = np.all(np.isfinite(y), axis=1)
+    for r in np.nonzero(~(ok & finite))[0]:
+        out[r] = rows[r].failure("chart_escape", msg=_INITIAL_UNDEFINED
+                                 if finite[r] else _NON_FINITE.format(y[r]))
     live = [r for r in range(b) if out[r] is None]
 
     def stage(fun, t, yi):

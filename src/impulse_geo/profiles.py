@@ -383,8 +383,8 @@ def verify_strict_delta_net(net, eps_schedule, tol=1e-8):
 
     eps_schedule = [float(e) for e in eps_schedule]
     tol = float(tol)
-    if not eps_schedule or any(e <= 0 for e in eps_schedule):
-        raise ConfigError("eps schedule must be positive")
+    if not eps_schedule or not all(0 < e < math.inf for e in eps_schedule):
+        raise ConfigError("eps schedule must be positive and finite")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ConfigError("eps schedule must be strictly decreasing")
 
@@ -466,12 +466,14 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
     margin = float(margin)
     model.require_inside(xbar)
     radii = [float(r) for r in radii]
-    if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
+    if len(radii) < 2 or not all(b > a for a, b in zip(radii, radii[1:])):
         raise ConfigError("radii must be increasing with at least two values")
-    if any(r <= 0 for r in radii):
+    if not all(r > 0 for r in radii):
         raise ConfigError("radii must be positive")
     if len(ray_directions) == 0:
         raise ConfigError("classify_growth needs at least one ray direction")
+    if any(np.shape(d) != (model.dim,) for d in ray_directions):
+        raise ConfigError(f"ray directions must have {model.dim} components")
 
     samples = []
     dropped = []

@@ -98,7 +98,7 @@ def test_tracer_counts_every_step_of_a_study():
     finally:
         tracer.uninstall()
     assert not table.failed.any()
-    rows = dynamics._integrate_ensemble(
+    rows = dynamics.integrate_impulsive_geodesic(
         model, prof, net, widths, data,
         [limits._u_end(probes, eps) for eps in widths])
     limit = limits.limit_geodesic(model, prof, data,

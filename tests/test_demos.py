@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,3 +36,24 @@ def test_demo_runs(tmp_path, demo):
     found = {p.name for p in out.iterdir()} if out.exists() else set()
     assert found == DEMOS[demo]  # a new demo needs an entry in DEMOS
     assert all((out / name).stat().st_size > 0 for name in found)
+
+
+def _readme_quick_start():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_prints_what_its_comments_claim(capsys):
+    scope = {}
+    exec(compile(_readme_quick_start(), "README.md", "exec"), scope)
+    assert capsys.readouterr().out
+    tol = dict(rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(scope["path"].xdot_at(0.01), [1.5, 0.0], **tol)
+    lg, cert = scope["lg"], scope["cert"]
+    np.testing.assert_allclose([lg.jump_coeff, lg.kink_coeff], [-0.5, -0.625],
+                               **tol)
+    np.testing.assert_allclose([cert.alpha, cert.eps0], [2 / 3, 1 / 3], **tol)
+    assert len(scope["paths"]) == 3
+    for path in scope["paths"]:
+        np.testing.assert_allclose(path.xdot_at(1.0), [1.5, 0.0], **tol)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -218,6 +219,41 @@ def test_sample_rejects_out_of_range():
     path = integrate_impulsive_geodesic(EU, LINEAR, NET, 0.1, data, 1.0)
     with pytest.raises(ValueError):
         path.sample(1.5)
+
+
+def test_sample_of_no_parameters_is_an_empty_batch():
+    assert _PATH.sample([]).shape == (0, 6)
+    assert _PATH.x_at([]).shape == (0, 2)
+    assert _PATH.state_at(np.array([])).v.shape == (0,)
+
+
+def test_non_finite_initial_state_fails_at_once():
+    # a NaN state made the first step size NaN: data with v0 = NaN took a
+    # million rejected steps, and a zero field returned a NaN node
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="finite"):
+        integrate_impulsive_geodesic(
+            EU, LINEAR, NET, 0.1,
+            InitialData([0.0, 0.0], [1.0, 0.0], v0=math.nan), 1.0)
+    assert time.perf_counter() - start < 1.0
+
+    def zero(t, y):
+        return np.zeros(2)
+
+    with pytest.raises(IntegrationFailure, match="not finite") as single:
+        solve_rk45(zero, 0.0, 1.0, np.array([math.nan, 0.0]))
+    assert single.value.reason == "chart_escape"
+    assert single.value.partial is None
+    assert single.value.diagnostics.n_steps == 0
+    # in an ensemble the non-finite row fails alone, before any step
+    rows, stats = solve_rk45(lambda t, ys, rows: np.zeros_like(ys), 0.0, 1.0,
+                             np.array([[1.0, -2.0], [math.inf, 0.0]]))
+    assert isinstance(rows[1], IntegrationFailure)
+    assert rows[1].reason == "chart_escape" and "not finite" in str(rows[1])
+    assert stats["rows"][1]["n_steps"] == 0
+    alone, _ = solve_rk45(zero, 0.0, 1.0, np.array([1.0, -2.0]))
+    _assert_same_piece(rows[0], alone)
+    assert time.perf_counter() - start < 1.0
 
 
 def _toy_point_field(t, y):
@@ -571,7 +607,7 @@ def test_initial_data_of_the_wrong_dimension_is_a_config_error():
     with pytest.raises(ConfigError, match="dimension"):
         integrate_impulsive_geodesic(EU, LINEAR, NET, 0.1, data, 1.0)
     with pytest.raises(ConfigError, match="dimension"):
-        dynamics._integrate_ensemble(EU, LINEAR, NET, [0.1, 0.05], data, 1.0)
+        integrate_impulsive_geodesic(EU, LINEAR, NET, [0.1, 0.05], data, 1.0)
 
 
 def test_path_needs_contiguous_pieces():
@@ -624,8 +660,8 @@ def test_first_step_of_a_zero_field():
 def _background_rows(model, x0, velocities, tol):
     """One background ensemble from ``x0``, one row per velocity, over
     ``[0, 1]``."""
-    return dynamics._background_ensemble(model, x0, velocities, 0.0, 1.0,
-                                         tol, tol)
+    return dynamics.background_path(model, x0, velocities, 0.0, 1.0,
+                                    rtol=tol, atol=tol)
 
 
 def _assert_same_piece(got, want):
@@ -703,7 +739,7 @@ def test_failures_count_the_work_done_before_them():
     with pytest.raises(IntegrationFailure) as background:
         dynamics.background_path(sphere, [0.0, 0.5], [0.0, 30.0], 0.0, 5.0)
     # the second row ends before it blows up
-    row, done = dynamics._integrate_ensemble(sphere, prof, NET, [0.1, 0.05],
+    row, done = integrate_impulsive_geodesic(sphere, prof, NET, [0.1, 0.05],
                                              data, [6.0, 1.0])
     assert alone.value.phase == "post" and len(alone.value.partial.pieces) == 3
     assert background.value.reason == "blow_up"
@@ -721,6 +757,7 @@ def test_failures_count_the_work_done_before_them():
 
 
 _PATH = dynamics.background_path(EU, [0.0, 0.0], [1.0, 0.0], 0.0, 1.0)
+DATA = InitialData([0.0, 0.0], [1.0, 0.0])
 
 
 @pytest.mark.parametrize("call", [
@@ -739,10 +776,42 @@ _PATH = dynamics.background_path(EU, [0.0, 0.0], [1.0, 0.0], 0.0, 1.0)
     lambda: EU.inside(np.zeros((4, 3))),
     lambda: DensePath([0.0], np.zeros((1, 6)), np.zeros((0, 6, 4))),
     lambda: solve_rk45(_toy_point_field, 1.0, 0.0, np.array([1.0, 0.0, 1.0])),
+    lambda: InitialData([0.0, math.inf], [1.0, 0.0]),
+    lambda: InitialData([0.0, 0.0], [1.0, 0.0], vdot0=math.nan),
+    lambda: dynamics.background_path(EU, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                     0.0, 1.0),
+    lambda: dynamics.background_path(EU, [0.0, 0.0], np.ones((2, 2, 2)),
+                                     0.0, 1.0),
+    lambda: integrate_impulsive_geodesic(EU, LINEAR, NET, [[0.1]], DATA, 1.0),
+    lambda: integrate_impulsive_geodesic(EU, LINEAR, NET, [0.1, 0.05], DATA,
+                                         [1.0, 1.0, 1.0]),
+    lambda: integrate_impulsive_geodesic(EU, LINEAR, NET, [0.1, math.nan],
+                                         DATA, 1.0),
+    lambda: _PATH.sample(math.nan),
+    lambda: existence.alpha_bound(1.0, 1.0, 1.0, math.nan, 0.0, 1.0),
+    lambda: existence.alpha_bound(math.nan, 1.0, 1.0, 0.0, 0.0, 1.0),
+    lambda: existence.certify(EU, LINEAR, [0.0, 0.0], [1.0, 0.0], b=math.nan),
+    lambda: existence.certify(EU, LINEAR, [0.0, 0.0], [1.0, 0.0], c=math.nan),
+    lambda: existence.certify(EU, LINEAR, [0.0, 0.0], [1.0, 0.0], k=math.nan),
+    lambda: existence.picard_solve(EU, LINEAR, NET, 0.1, [0.0, 0.0],
+                                   [1.0, 0.0], math.nan),
+    lambda: existence.picard_solve(EU, LINEAR, NET, 0.1, [0.0, 0.0],
+                                   [1.0, 0.0], 0.5, tol=math.nan),
+    lambda: profiles.verify_strict_delta_net(NET, [math.inf, 0.25]),
+    lambda: profiles.classify_growth(LINEAR, EU, [0.0, 0.0], [[1.0, 0.0, 0.0]],
+                                     [1.0, 2.0]),
+    lambda: profiles.classify_growth(LINEAR, EU, [0.0, 0.0], [[1.0, 0.0]],
+                                     [math.nan, 1.0]),
 ], ids=["velocity-shape", "reversed-interval", "limit-u_end-negative",
         "certify-velocity-shape", "picard-velocity-shape",
         "picard-eps-negative", "sample-out-of-range", "inside-batch-shape",
-        "dense-path-no-step", "solve-reversed-interval"])
+        "dense-path-no-step", "solve-reversed-interval", "data-x0-infinite",
+        "data-vdot0-nan", "background-dimension", "background-batch-shape",
+        "eps-nested", "u_end-per-width-count", "eps-nan-in-batch",
+        "sample-nan", "alpha-norm-nan", "alpha-speed-nan", "certify-b-nan",
+        "certify-c-nan", "certify-k-nan", "picard-alpha-nan",
+        "picard-tol-nan", "net-schedule-infinite", "growth-direction-length",
+        "growth-radius-nan"])
 def test_caller_mistakes_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

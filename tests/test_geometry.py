@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from impulse_geo import dynamics, geometry, profiles
+from impulse_geo import dynamics, existence, geometry, profiles
 from impulse_geo.errors import (ChartDomainError, IntegrationFailure,
                                 ShootingFailure)
 
@@ -207,6 +207,34 @@ def test_batch_forms_reject_points_outside_chart():
         for form in (model.christoffel, model.inverse_metric):
             with pytest.raises(ChartDomainError):
                 form(bad)
+
+
+def test_singular_metric_is_a_chart_error():
+    # diag(1, x1^2) degenerates on the line x1 = 0, inside its chart: the
+    # three inverses of the metric raise as a point outside the chart would
+    model = geometry.from_metric(2, lambda x: np.diag([1.0, x[0] ** 2]))
+    point = np.array([0.0, 0.3])
+    for form in (model.christoffel_at, model.inverse_metric_at):
+        with pytest.raises(ChartDomainError, match="singular metric"):
+            form(point)
+    with pytest.raises(ChartDomainError, match="singular metric") as err:
+        model.inverse_metric(np.array([[1.0, 0.3], point]))
+    assert str(err.value).endswith(str(point))
+    with pytest.raises(ChartDomainError, match="singular metric"):
+        existence.certify(model, profiles.linear_profile([1.0, 0.0]),
+                          [0.0, 0.0], [1.0, 0.0])
+    # the integrator meets it at the first stage, as it would a chart edge
+    with pytest.raises(IntegrationFailure) as failure:
+        geometry.background_geodesic(model, point, [1.0, 0.0], 0.0, 1.0)
+    assert failure.value.reason == "chart_escape"
+    # off the line the inverse is the one of numpy, bit for bit
+    x = np.array([0.7, -0.2])
+    assert (model.inverse_metric_at(x).tobytes()
+            == np.linalg.inv(np.diag([1.0, 0.7 ** 2])).tobytes())
+
+
+def test_background_geodesic_is_background_path():
+    assert geometry.background_geodesic is dynamics.background_path
 
 
 def test_background_straight_line():

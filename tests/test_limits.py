@@ -259,9 +259,9 @@ def test_convergence_rows_do_not_depend_on_the_batch(model, prof, data):
         alone = limits.study_errors(model, prof, NET, data, eps, probes)
         assert alone == (table.err_x[i], table.err_xdot[i], table.err_v[i])
     # the same widths permuted, and a subset: every path repeats bit for bit
-    ref = dynamics._integrate_ensemble(model, prof, NET, schedule, data, 1.1)
+    ref = integrate_impulsive_geodesic(model, prof, NET, schedule, data, 1.1)
     for order in ([0.05, 0.2, 0.1], [0.1]):
-        paths = dynamics._integrate_ensemble(model, prof, NET, order, data,
+        paths = integrate_impulsive_geodesic(model, prof, NET, order, data,
                                              1.1)
         for eps, path in zip(order, paths):
             want = ref[schedule.index(eps)]
@@ -290,7 +290,7 @@ def test_failed_row_fails_alone():
     assert both.failed.tolist() == [True, False]
     assert ((both.err_x[1], both.err_xdot[1], both.err_v[1])
             == (alone.err_x[0], alone.err_xdot[0], alone.err_v[0]))
-    failure, path = dynamics._integrate_ensemble(EU, prof, NET, [0.4, 1e-4],
+    failure, path = integrate_impulsive_geodesic(EU, prof, NET, [0.4, 1e-4],
                                                  data, 0.6)
     assert isinstance(failure, IntegrationFailure)
     assert failure.reason == "blow_up"
@@ -312,7 +312,7 @@ def test_study_errors_raises_the_failed_row():
     assert exc.partial.phase_marks == (-0.4, 0.4)
     assert exc.partial.u_end < exc.u
     # the same failure as that row's in a two-width ensemble
-    row, _ = dynamics._integrate_ensemble(EU, prof, NET, [0.4, 1e-4],
+    row, _ = integrate_impulsive_geodesic(EU, prof, NET, [0.4, 1e-4],
                                           DATA_FLAT, 0.6)
     assert (row.reason, row.u) == (exc.reason, exc.u)
     for got, want in zip(exc.partial.pieces, row.partial.pieces,
