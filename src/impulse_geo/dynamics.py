@@ -25,18 +25,17 @@ one :class:`PathDiagnostics`; a failure's ``partial`` becomes the
 As in :func:`solve_rk45`, the form follows the state's shape, in the entry
 points too.  A single trajectory (one velocity, one width) has a 1-D state:
 it uses the per-point field (:func:`_system`) and the 1-D loop, raises its
-failure and gets energy diagnostics.  The field checks the chart once per
-call and then evaluates the model's unchecked point forms;
-``christoffel_at`` and ``inverse_metric_at`` remain the checked public
-forms.  :func:`lagrangian_energy` takes one state or a batch: the energy
-diagnostics of a path and the energy column of its CSV are one call.  A
-batch of B velocities from one point (geodesic shooting) or of B widths
-from one datum (a convergence study) has a ``(B, D)`` state and uses the
-ensemble field: the ``(B, n)`` batch forms of the model and the profile, a
-width and a ``u`` per row, and the acceleration that the Picard iteration
-integrates (:func:`batch_acceleration`).  It gives per row a path or the
-row's failure, which drops out alone.  Batch rows carry no energy
-diagnostics: no caller reads them, and they would add 4-6% to a sweep.
+failure and gets energy diagnostics.  :func:`lagrangian_energy` takes one
+state or a batch: the energy diagnostics of a path and the energy column
+of its CSV are one call.  A batch of B velocities from one point (geodesic
+shooting) or of B widths from one datum (a convergence study) has a
+``(B, D)`` state and uses the ensemble field: the ``(B, n)`` batch forms
+of the model and the profile, a width and a ``u`` per row, and the
+acceleration that the Picard iteration integrates
+(:func:`batch_acceleration`).  It gives per row a path or the row's
+failure, which drops out alone.  Batch rows carry no energy diagnostics:
+no caller reads them, and they would add 4-6% to a sweep.  Each field
+checks the chart once per call, then evaluates the model's unchecked forms.
 
 The raw state vector layout is ``[x (n), xdot (n), v, vdot]``.
 """
@@ -250,19 +249,21 @@ def _system(model, profile, net, eps):
 
 def batch_acceleration(model, profile, x, xd, forced, delta):
     """``-Gamma(xd, xd)`` on a ``(B, n)`` batch, plus ``1/2 delta grad f``
-    on the rows ``forced``, where ``delta`` holds the impulse values.
+    on the rows ``forced`` (indices or a slice), where ``delta`` holds the
+    impulse values.  One chart check covers the batch.
 
     Returns the acceleration and ``df`` on the forced rows.  Every row is
     computed from its own inputs only: the forcing is indexed, never
     multiplied by a zero mask, which would turn an infinite gradient on a
     row outside the strip into NaN.
     """
-    acc = -np.einsum("bkij,bi,bj->bk", model.christoffel(x), xd, xd)
-    if not len(forced):
+    x = model._require_batch_inside(x)
+    acc = -np.einsum("bkij,bi,bj->bk", model._batch_christoffel(x), xd, xd)
+    if not len(delta):
         return acc, None
     xf = x[forced]
     df = profile.df(xf)
-    grad = np.einsum("bkm,bm->bk", model.inverse_metric(xf), df)
+    grad = np.einsum("bkm,bm->bk", model._batch_inverse_metric(xf), df)
     acc[forced] += (0.5 * delta)[:, None] * grad
     return acc, df
 
@@ -275,8 +276,8 @@ def _ensemble_system(model, profile, net, eps):
     strip row, on floats, as there."""
     n = model.dim
     if eps is not None:
-        eps = [float(e) for e in eps]
-        radius = np.array([net.support_radius(e) for e in eps])
+        eps = np.array(eps, dtype=float)
+        radius = np.array([net.support_radius(e) for e in eps.tolist()])
 
     def fun(u, y, rows):
         x = y[:, :n]
@@ -285,19 +286,21 @@ def _ensemble_system(model, profile, net, eps):
         if eps is not None:
             r = radius[rows]
             strip = np.nonzero((-r < u) & (u < r))[0]
-            d = np.array([net.eval(eps[rows[i]], float(u[i]))
-                          for i in strip])
-            dd = np.array([net.deriv(eps[rows[i]], float(u[i]))
-                           for i in strip])
-            on = (d != 0.0) | (dd != 0.0)
-            forced, d, dd = strip[on], d[on], dd[on]
+            if len(strip):
+                d, dd = np.array(
+                    [(net.eval(e, t), net.deriv(e, t)) for e, t in
+                     zip(eps[rows[strip]].tolist(), u[strip].tolist())]).T
+                on = (d != 0.0) | (dd != 0.0)
+                forced = slice(None)  # the usual strip step forces every row
+                if not on.all() or len(strip) < len(y):
+                    forced, d, dd = strip[on], d[on], dd[on]
         acc, df = batch_acceleration(model, profile, x, xd, forced, d)
         out = np.empty_like(y)
         out[:, :n] = xd
         out[:, n:2 * n] = acc
         out[:, 2 * n] = y[:, 2 * n + 1]
         out[:, 2 * n + 1] = 0.0
-        if len(forced):
+        if len(d):
             slope = np.einsum("bi,bi->b", df, xd[forced])
             out[forced, 2 * n + 1] = (-slope * d
                                       - 0.5 * profile.f(x[forced]) * dd)

@@ -13,11 +13,10 @@ falls in it.
 Fields come in two forms: per point (``christoffel_at``,
 ``inverse_metric_at``, ``contains``) and on ``(B, n)`` batches of points
 (``christoffel``, ``inverse_metric``, ``inside``).  The ``*_at`` methods
-are the checked public point forms: each checks the chart, then calls the
-model's unchecked point form (the closed-form callback, or the fallback
-from the metric).  The geodesic field of a single trajectory checks the
-chart once per call with ``require_inside`` and then calls the unchecked
-forms itself.
+and ``christoffel``/``inverse_metric`` are the checked public forms: each
+checks the chart, then calls the model's unchecked form (the closed-form
+callback, or the fallback from the metric).  The geodesic fields check the
+chart once per call and then call the unchecked forms themselves.
 
 The built-in models evaluate batches in closed form.  Models given only by
 a metric take their Christoffel symbols from one batched central
@@ -75,9 +74,9 @@ class ManifoldModel:
         self._exact_distance = exact_distance
         # closed-form batch callbacks of the built-in models; None means
         # the batch forms loop over the per-point ones
-        self._batch_christoffel = None
-        self._batch_inverse_metric = None
-        self._batch_chart_domain = None
+        self._closed_christoffel = None
+        self._closed_inverse_metric = None
+        self._closed_chart_domain = None
 
     def __repr__(self):
         return f"ManifoldModel({self.name!r}, dim={self.dim})"
@@ -113,9 +112,9 @@ class ManifoldModel:
         self.require_inside(x)
         return self._point_christoffel(x)
 
-    # The unchecked point forms, for a float ``(n,)`` point the caller has
-    # already checked with require_inside: the closed-form callback, or the
-    # fallback from the metric.
+    # The unchecked forms, for a float ``(n,)`` point or ``(B, n)`` batch
+    # the caller has checked: the closed-form callback, or the fallback from
+    # the metric.
     def _point_inverse_metric(self, x):
         if self._inverse_metric is not None:
             return np.asarray(self._inverse_metric(x), dtype=float)
@@ -126,12 +125,27 @@ class ManifoldModel:
             return np.asarray(self._christoffel(x), dtype=float)
         return self._fd_christoffel(x[None])[0]
 
+    def _batch_inverse_metric(self, xs):
+        if self._closed_inverse_metric is not None:
+            return self._closed_inverse_metric(xs)
+        if self._inverse_metric is not None:
+            return _stack_rows(self._inverse_metric, xs, (self.dim,) * 2)
+        h = _stack_rows(self._metric, xs, (self.dim,) * 2)
+        return self._inverted(h, xs)
+
+    def _batch_christoffel(self, xs):
+        if self._closed_christoffel is not None:
+            return self._closed_christoffel(xs)
+        if self._christoffel is None:
+            return self._fd_christoffel(xs)
+        return _stack_rows(self._point_christoffel, xs, (self.dim,) * 3)
+
     def _fd_christoffel(self, xs):
         """Christoffel symbols of a checked ``(B, n)`` batch from the metric."""
         # dh[b, l, i, j] = d_l h_ij; a neighbour outside the chart raises
         h, dh = central_difference(self._metrics, xs)
         hinv = (self._inverted(h, xs) if self._inverse_metric is None
-                else self._inverse_rows(xs))
+                else self._batch_inverse_metric(xs))
         # T[b, i, j, l] = d_i h_jl + d_j h_il - d_l h_ij
         t = dh + dh.transpose(0, 2, 1, 3) - dh.transpose(0, 2, 3, 1)
         return 0.5 * np.einsum("bkl,bijl->bkij", hinv, t)
@@ -151,10 +165,6 @@ class ManifoldModel:
         xs = self._require_batch_inside(xs)
         return _stack_rows(self._metric, xs, (self.dim, self.dim))
 
-    def _inverse_rows(self, xs):
-        """The inverse-metric callback on a checked ``(B, n)`` batch."""
-        return _stack_rows(self._inverse_metric, xs, (self.dim, self.dim))
-
     def inside(self, xs):
         """Chart test on a ``(B, n)`` batch: a ``(B,)`` boolean mask."""
         xs = np.asarray(xs, dtype=float)
@@ -163,8 +173,8 @@ class ManifoldModel:
         ok = np.all(np.isfinite(xs), axis=1)
         if self._chart_domain is None:
             return ok
-        if self._batch_chart_domain is not None:
-            return ok & self._batch_chart_domain(xs)
+        if self._closed_chart_domain is not None:
+            return ok & self._closed_chart_domain(xs)
         return np.array([self.contains(x) for x in xs], dtype=bool)
 
     def _require_batch_inside(self, xs):
@@ -177,19 +187,11 @@ class ManifoldModel:
 
     def inverse_metric(self, xs):
         """Inverse metrics ``(B, n, n)`` on a ``(B, n)`` batch of points."""
-        if self._batch_inverse_metric is not None:
-            return self._batch_inverse_metric(self._require_batch_inside(xs))
-        if self._inverse_metric is None:
-            return self._inverted(self._metrics(xs), xs)
-        return self._inverse_rows(self._require_batch_inside(xs))
+        return self._batch_inverse_metric(self._require_batch_inside(xs))
 
     def christoffel(self, xs):
         """Christoffel symbols ``Gamma[b, k, i, j]`` on a ``(B, n)`` batch."""
-        if self._batch_christoffel is not None:
-            return self._batch_christoffel(self._require_batch_inside(xs))
-        if self._christoffel is None:
-            return self._fd_christoffel(self._require_batch_inside(xs))
-        return _stack_rows(self.christoffel_at, xs, (self.dim,) * 3)
+        return self._batch_christoffel(self._require_batch_inside(xs))
 
     def norm_at(self, x, w):
         """Riemannian norm ``sqrt(h(w, w))`` of a tangent vector at ``x``."""
@@ -242,9 +244,9 @@ def _stack_rows(point_form, xs, shape):
 
 
 def _with_batch_forms(model, christoffel, inverse_metric, chart_domain=None):
-    model._batch_christoffel = christoffel
-    model._batch_inverse_metric = inverse_metric
-    model._batch_chart_domain = chart_domain
+    model._closed_christoffel = christoffel
+    model._closed_inverse_metric = inverse_metric
+    model._closed_chart_domain = chart_domain
     return model
 
 
@@ -317,6 +319,8 @@ def _sphere_embed(x):
 
 
 def sphere_stereographic():
+    flip = np.array([1.0, -1.0])
+
     def metric(x):
         c = 2.0 / (1.0 + float(x @ x))
         return (c * c) * np.eye(2)
@@ -330,7 +334,7 @@ def sphere_stereographic():
         # conformal metric exp(2 phi) I with phi = log 2 - log(1 + |x|^2):
         # Gamma^k_ij = delta^k_i w_j + delta^k_j w_i - delta_ij w_k
         w0, w1 = (-2.0 * x / (1.0 + float(x @ x))).tolist()
-        return np.array([[[w0, w1], [w1, -w0]], [[-w1, w0], [w0, w1]]])
+        return np.array([w0, w1, w1, -w0, -w1, w0, w0, w1]).reshape(2, 2, 2)
 
     def batch_inverse(xs):
         c = 2.0 / (1.0 + np.einsum("bi,bi->b", xs, xs))
@@ -338,9 +342,8 @@ def sphere_stereographic():
 
     def batch_christoffel(xs):
         w = -2.0 * xs / (1.0 + np.einsum("bi,bi->b", xs, xs))[:, None]
-        w0, w1 = w[:, 0], w[:, 1]
-        return np.stack([w0, w1, w1, -w0, -w1, w0, w0, w1],
-                        axis=-1).reshape(-1, 2, 2, 2)
+        rot = w[:, ::-1] * flip  # (w1, -w0); Gamma is w, rot, -rot, w
+        return np.concatenate((w, rot, -rot, w), axis=1).reshape(-1, 2, 2, 2)
 
     def dist(a, b):
         pa = _sphere_embed(np.asarray(a, dtype=float))

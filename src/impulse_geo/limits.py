@@ -201,8 +201,8 @@ def _study(model, profile, net, data, eps_schedule, u_probes, rtol, atol):
     each equals the same width studied alone.
     """
     eps_schedule = [float(e) for e in eps_schedule]
-    if not all(e > 0 for e in eps_schedule):
-        raise ConfigError("eps schedule must be positive")
+    if not eps_schedule or not all(e > 0 for e in eps_schedule):
+        raise ConfigError("eps schedule must be non-empty and positive")
     eps_schedule = sorted(eps_schedule, reverse=True)
     u_probes = np.asarray(u_probes, dtype=float)
     if np.any(u_probes == 0.0):

@@ -30,28 +30,24 @@ ensemble call itself never raises for one row.
 One trial step, :func:`_step`, holds the stage arithmetic of both forms:
 on a ``(D,)`` state with the per-point field for a single trajectory, and
 on ``(m, D)`` states with the batch field for an ensemble.  Each stage
-combination is written out term by term and adds up as ``sum()`` would,
-from 0 and left to right.  One step controller, :class:`_Row`, serves both
-forms: every trajectory, alone or as a row, has its own step size, end
-point, step cap, accept/reject decision, blow-up and step-limit checks,
-counts and dense output, with the step-size arithmetic in Python floats.
-One stage-failure rule holds in both forms: a stage that cannot be
-evaluated abandons the trial step, and the rows it failed on retry at half
-the step; in an ensemble every other live row repeats the same trial step
-from the same state, so its bits and counts do not change.  Provided
+combination is one ``np.add.reduce`` over the stage axis of the slopes,
+from 0.0.  numpy adds that axis in order, so this is the written-out
+``0 + a1*k1 + a2*k2 + ...`` bit for bit, signed zeros included, in a few
+numpy calls rather than one per term.  One step controller, :class:`_Row`,
+serves both forms: every trajectory, alone or as a row, has its own step
+size, end point, step cap, accept/reject decision, blow-up and step-limit
+checks, counts and dense output, with the step-size arithmetic in Python
+floats.  One stage-failure rule holds in both forms: a stage that cannot
+be evaluated abandons the trial step, and the rows it failed on retry at
+half the step; in an ensemble every other live row repeats the same trial
+step from the same state, so its bits and counts do not change.  Provided
 ``fun`` computes each row independently of the others, every row is
 bit-identical to the same trajectory integrated alone or in any other
 batch.
 
-The single-trajectory loop stays apart from the ensemble loop, and the
-step's combinations stay written out, because both were measured faster
-(process CPU time, medians of alternating pairs, 2-vCPU VM): the anchor
-trajectory run as an ensemble of one was 26% slower even with the
-per-point field, and 2.6 times as slow with the batch field, since the
-per-step array work does not pay off for one row; a generic ``sum()`` loop
-over the tableau was 4% slower on the 27 single trajectories of the
-built-in scenarios and nets.  So the phase driver of
-:mod:`impulse_geo.dynamics` hands a 1-D state to the 1-D loop.
+The single-trajectory loop stays apart from the ensemble loop: the anchor
+trajectory run as an ensemble of one was 26% slower.  So the phase driver
+of :mod:`impulse_geo.dynamics` hands a 1-D state to the 1-D loop.
 """
 
 import math
@@ -78,6 +74,9 @@ _A = (
 )
 _ERR = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
         -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+# the rows of _A and _ERR as columns against (D,) [1] or (m, D) [2] slopes
+_WEIGHTS = {nd: [np.reshape(w, (-1,) + (1,) * nd) for w in _A + (_ERR,)]
+            for nd in (1, 2)}
 
 # quartic dense-output weights of the pair: y(t + s h) =
 # y + h * (K^T P) . (s, s^2, s^3, s^4) with K the 7 stage slopes
@@ -177,32 +176,23 @@ def _rms(v):
 def _step(fun, check, t, y, f, h, t_new):
     """One Dormand-Prince trial step of size ``h`` from ``(t, y)`` with
     first slope ``f``, ending at ``t_new``: the new state, the error
-    estimate and the seven stage slopes.
+    estimate and the ``(7,) + y.shape`` array of the seven stage slopes.
 
     ``check(fun, t, y)`` evaluates a stage or raises :class:`_StageFailure`.
     The step runs on a ``(D,)`` state with float ``t``, ``h`` and
-    ``t_new``, or on ``(m, D)`` states with ``(m, 1)`` columns of them."""
-    c2, c3, c4, c5, c6 = _C
-    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76)) = _A
-    e1, e2, e3, e4, e5, e6, e7 = _ERR
-    # each combination adds up as sum() would: from 0, left to right, so
-    # that the results keep every bit, signed zeros included
-    k1 = f
-    k2 = check(fun, t + c2 * h, y + h * (0 + a21 * k1))
-    k3 = check(fun, t + c3 * h, y + h * (0 + a31 * k1 + a32 * k2))
-    k4 = check(fun, t + c4 * h, y + h * (0 + a41 * k1 + a42 * k2 + a43 * k3))
-    k5 = check(fun, t + c5 * h,
-               y + h * (0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
-    k6 = check(fun, t + c6 * h,
-               y + h * (0 + a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4
-                        + a65 * k5))
-    y_new = y + h * (0 + a71 * k1 + a72 * k2 + a73 * k3 + a74 * k4
-                     + a75 * k5 + a76 * k6)
-    k7 = check(fun, t_new, y_new)
-    err = h * (0 + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5
-               + e6 * k6 + e7 * k7)
-    return y_new, err, (k1, k2, k3, k4, k5, k6, k7)
+    ``t_new``, or on ``(m, D)`` states with ``(m, 1)`` columns of them.
+    Its stage sums keep every bit of the written-out chain (module doc)."""
+    w = _WEIGHTS[y.ndim]
+    k = np.empty((7,) + y.shape)
+    k[0] = f
+    for i, c in enumerate(_C, 1):
+        k[i] = check(fun, t + c * h,
+                     y + h * np.add.reduce(w[i - 1] * k[:i], axis=0,
+                                           initial=0.0))
+    y_new = y + h * np.add.reduce(w[5] * k[:6], axis=0, initial=0.0)
+    k[6] = check(fun, t_new, y_new)
+    err = h * np.add.reduce(w[6] * k, axis=0, initial=0.0)
+    return y_new, err, k
 
 
 class _Row:
@@ -394,7 +384,7 @@ def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
             continue
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         if row.accept(_rms(err / scale), t_new, y_new,
-                      np.einsum("sd,sj->dj", np.array(k), _P)):
+                      np.einsum("sd,sj->dj", k, _P)):
             y, f = y_new, k[-1]
     return row.path(), row.counts()
 
@@ -471,12 +461,12 @@ def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase):
         if not live:
             break
         idx = np.array(live)
-        h = np.array([[rows[r].h] for r in live])
-        t_new = np.array([[rows[r].end_of(rows[r].h)] for r in live])
+        # (m, 1) columns of each live row's t, h and step end
+        t, h, t_new = np.array([(row.t, row.h, row.end_of(row.h)) for row in
+                                (rows[r] for r in live)]).T[:, :, None]
         yv = y[idx]
         try:
-            y_new, err, k = _step(fun, stage, np.array(
-                [[rows[r].t] for r in live]), yv, f[idx], h, t_new)
+            y_new, err, k = _step(fun, stage, t, yv, f[idx], h, t_new)
         except _StageFailure as exc:
             # the other rows repeat the same trial step
             for r in exc.args[0]:
@@ -484,15 +474,17 @@ def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase):
             continue
         ratio = err / (atol + rtol * np.maximum(np.abs(yv), np.abs(y_new)))
         err_norms = np.sqrt(np.mean(ratio * ratio, axis=1))
-        dense = np.einsum("sbd,sj->bdj", np.asarray(k), _P)
-        for j, r in enumerate(live):
+        dense = np.einsum("sbd,sj->bdj", k, _P)
+        accepted = []
+        for j, (r, err_norm, end) in enumerate(
+                zip(live, err_norms.tolist(), t_new[:, 0].tolist())):
             try:
-                if rows[r].accept(float(err_norms[j]), float(t_new[j, 0]),
-                                  y_new[j], dense[j]):
-                    y[r] = y_new[j]
-                    f[r] = k[-1][j]
+                if rows[r].accept(err_norm, end, y_new[j], dense[j]):
+                    accepted.append(j)
             except IntegrationFailure as exc:
                 out[r] = exc
+        y[idx[accepted]] = y_new[accepted]
+        f[idx[accepted]] = k[-1][accepted]
         live = [r for r in live if out[r] is None]
 
     counts = [row.counts() for row in rows]

@@ -464,6 +464,8 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
     """
     xbar = np.asarray(xbar, dtype=float)
     margin = float(margin)
+    if not 0.0 <= margin < math.inf:
+        raise ConfigError(f"margin must be finite and >= 0, got {margin}")
     model.require_inside(xbar)
     radii = [float(r) for r in radii]
     if len(radii) < 2 or not all(b > a for a, b in zip(radii, radii[1:])):

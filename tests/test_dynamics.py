@@ -384,6 +384,106 @@ def test_ensemble_chart_escape_row_fails_alone():
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
+def test_hyperbolic_widths_row_leaving_the_chart_fails_alone():
+    # f = 10 a x2^-0.1 grows exponentially in the distance towards x2 = 0.
+    # After the widest strip that row heads down so fast that x2 decays
+    # through the subnormal doubles before u = 1 and reaches 0.  Its stages
+    # pass the one batch chart check while 1/x2 overflows to inf (a
+    # non-finite stage; errstate quiets the overflow), then fail it: a
+    # chart escape in that row only.  Every row repeats its single call
+    # byte for byte.
+    hyp = geometry.hyperbolic_half_plane()
+    a = 300.0
+    steep = profiles.WaveProfile(lambda x: 10.0 * a * x[1] ** -0.1,
+                                 lambda x: np.array([0.0, -a * x[1] ** -1.1]))
+    data = InitialData([0.0, 1.0], [0.3, 0.0])
+    widths = [0.2, 0.1, 0.05]
+    with np.errstate(over="ignore"):
+        escaped, *kept = integrate_impulsive_geodesic(hyp, steep, NET, widths,
+                                                      data, 1.0)
+        with pytest.raises(IntegrationFailure) as single:
+            integrate_impulsive_geodesic(hyp, steep, NET, widths[0], data, 1.0)
+        alone = [integrate_impulsive_geodesic(hyp, steep, NET, w, data, 1.0)
+                 for w in widths[1:]]
+    assert isinstance(escaped, IntegrationFailure)
+    assert escaped.reason == "chart_escape" and escaped.phase == "post"
+    assert (escaped.u, escaped.phase) == (single.value.u, single.value.phase)
+    assert escaped.state.tobytes() == single.value.state.tobytes()
+    assert escaped.state[1] < 1e-300
+    for got, want in zip(kept, alone):
+        assert not isinstance(got, IntegrationFailure)
+        assert len(got.pieces) == len(want.pieces) == 3
+        for piece, want_piece in zip(got.pieces, want.pieces):
+            _assert_same_piece(piece, want_piece)
+
+
+def _written_out_step(fun, check, t, y, f, h, t_new):
+    """The Dormand-Prince trial step with every stage combination written
+    out term by term, from 0 and left to right: the reference for the
+    reductions of ``odesolve._step``."""
+    c2, c3, c4, c5, c6 = odesolve._C
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76)) = odesolve._A
+    e1, e2, e3, e4, e5, e6, e7 = odesolve._ERR
+    k1 = f
+    k2 = check(fun, t + c2 * h, y + h * (0 + a21 * k1))
+    k3 = check(fun, t + c3 * h, y + h * (0 + a31 * k1 + a32 * k2))
+    k4 = check(fun, t + c4 * h, y + h * (0 + a41 * k1 + a42 * k2 + a43 * k3))
+    k5 = check(fun, t + c5 * h,
+               y + h * (0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
+    k6 = check(fun, t + c6 * h,
+               y + h * (0 + a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4
+                        + a65 * k5))
+    y_new = y + h * (0 + a71 * k1 + a72 * k2 + a73 * k3 + a74 * k4
+                     + a75 * k5 + a76 * k6)
+    k7 = check(fun, t_new, y_new)
+    err = h * (0 + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5
+               + e6 * k6 + e7 * k7)
+    return y_new, err, (k1, k2, k3, k4, k5, k6, k7)
+
+
+def _awkward(rng, shape):
+    """Values of both signs from 1e-8 to 1e8, with signed zeros."""
+    v = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    v[rng.random(shape) < 0.15] = 0.0
+    v[rng.random(shape) < 0.15] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("shape", [(6,), (5, 6)], ids=["point", "ensemble"])
+def test_step_reductions_repeat_the_written_out_chain(shape):
+    # the stage sums of odesolve._step are numpy reductions over the stage
+    # axis; they keep every bit only while numpy adds that axis in order,
+    # so a numpy that sums it otherwise fails here
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        y, f = _awkward(rng, shape), _awkward(rng, shape)
+        slopes = [_awkward(rng, shape) for _ in range(6)]
+        # one component of mostly negative zeros: a sum from 0.0 gives +0.0
+        # there, a sum from its first term -0.0
+        d = rng.integers(shape[-1])
+        for v in [y, f] + slopes:
+            v[..., d] = np.where(rng.random(shape[:-1]) < 0.8, -0.0, 0.0)
+        # (m, 1) columns for an ensemble, floats for a point, as in the loops
+        t = rng.uniform(-1.0, 1.0, shape[:-1] + (1,))
+        h = 10.0 ** rng.uniform(-6, 0, t.shape)
+        if len(shape) == 1:
+            t, h = float(t[0]), float(h[0])
+        outputs = []
+        for step in (odesolve._step, _written_out_step):
+            seen = []
+
+            def check(fun, ts, ys):
+                seen.append((np.array(ts), ys.copy()))
+                return slopes[len(seen) - 1]
+
+            y_new, err, k = step(None, check, t, y, f, h, t + h)
+            outputs.append([y_new, err, np.array(k)]
+                           + [a for pair in seen for a in pair])
+        for got, want in zip(*outputs):
+            assert got.tobytes() == want.tobytes()
+
+
 def _undefined_beyond_two(t, y):
     # NaN wherever y[0] > 2, so undefined at such an initial state
     if y[0] > 2.0:
@@ -802,6 +902,13 @@ DATA = InitialData([0.0, 0.0], [1.0, 0.0])
                                      [1.0, 2.0]),
     lambda: profiles.classify_growth(LINEAR, EU, [0.0, 0.0], [[1.0, 0.0]],
                                      [math.nan, 1.0]),
+    lambda: profiles.classify_growth(LINEAR, EU, [0.0, 0.0], [[1.0, 0.0]],
+                                     [1.0, 2.0], margin=math.nan),
+    lambda: profiles.classify_growth(LINEAR, EU, [0.0, 0.0], [[1.0, 0.0]],
+                                     [1.0, 2.0], margin=-1.0),
+    lambda: profiles.classify_growth(LINEAR, EU, [0.0, 0.0], [[1.0, 0.0]],
+                                     [1.0, 2.0], margin=math.inf),
+    lambda: limits.convergence_study(EU, LINEAR, NET, DATA, [], [0.5]),
 ], ids=["velocity-shape", "reversed-interval", "limit-u_end-negative",
         "certify-velocity-shape", "picard-velocity-shape",
         "picard-eps-negative", "sample-out-of-range", "inside-batch-shape",
@@ -811,7 +918,8 @@ DATA = InitialData([0.0, 0.0], [1.0, 0.0])
         "sample-nan", "alpha-norm-nan", "alpha-speed-nan", "certify-b-nan",
         "certify-c-nan", "certify-k-nan", "picard-alpha-nan",
         "picard-tol-nan", "net-schedule-infinite", "growth-direction-length",
-        "growth-radius-nan"])
+        "growth-radius-nan", "growth-margin-nan", "growth-margin-negative",
+        "growth-margin-infinite", "study-empty-schedule"])
 def test_caller_mistakes_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
