@@ -249,8 +249,8 @@ def _system(model, profile, net, eps):
 
 def batch_acceleration(model, profile, x, xd, forced, delta):
     """``-Gamma(xd, xd)`` on a ``(B, n)`` batch, plus ``1/2 delta grad f``
-    on the rows ``forced`` (indices or a slice), where ``delta`` holds the
-    impulse values.  One chart check covers the batch.
+    on the rows ``forced``, where ``delta`` holds the impulse values.  One
+    chart check covers the batch.
 
     Returns the acceleration and ``df`` on the forced rows.  Every row is
     computed from its own inputs only: the forcing is indexed, never
@@ -259,7 +259,7 @@ def batch_acceleration(model, profile, x, xd, forced, delta):
     """
     x = model._require_batch_inside(x)
     acc = -np.einsum("bkij,bi,bj->bk", model._batch_christoffel(x), xd, xd)
-    if not len(delta):
+    if not len(forced):
         return acc, None
     xf = x[forced]
     df = profile.df(xf)
@@ -291,16 +291,14 @@ def _ensemble_system(model, profile, net, eps):
                     [(net.eval(e, t), net.deriv(e, t)) for e, t in
                      zip(eps[rows[strip]].tolist(), u[strip].tolist())]).T
                 on = (d != 0.0) | (dd != 0.0)
-                forced = slice(None)  # the usual strip step forces every row
-                if not on.all() or len(strip) < len(y):
-                    forced, d, dd = strip[on], d[on], dd[on]
+                forced, d, dd = strip[on], d[on], dd[on]
         acc, df = batch_acceleration(model, profile, x, xd, forced, d)
         out = np.empty_like(y)
         out[:, :n] = xd
         out[:, n:2 * n] = acc
         out[:, 2 * n] = y[:, 2 * n + 1]
         out[:, 2 * n + 1] = 0.0
-        if len(d):
+        if len(forced):
             slope = np.einsum("bi,bi->b", df, xd[forced])
             out[forced, 2 * n + 1] = (-slope * d
                                       - 0.5 * profile.f(x[forced]) * dd)

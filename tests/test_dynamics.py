@@ -406,10 +406,9 @@ def test_hyperbolic_widths_row_leaving_the_chart_fails_alone():
         alone = [integrate_impulsive_geodesic(hyp, steep, NET, w, data, 1.0)
                  for w in widths[1:]]
     assert isinstance(escaped, IntegrationFailure)
-    assert escaped.reason == "chart_escape" and escaped.phase == "post"
+    assert escaped.reason == "chart_escape"
     assert (escaped.u, escaped.phase) == (single.value.u, single.value.phase)
     assert escaped.state.tobytes() == single.value.state.tobytes()
-    assert escaped.state[1] < 1e-300
     for got, want in zip(kept, alone):
         assert not isinstance(got, IntegrationFailure)
         assert len(got.pieces) == len(want.pieces) == 3

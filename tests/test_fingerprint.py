@@ -20,3 +20,7 @@ def test_two_digests_of_one_scenario_agree():
     assert fingerprint.trajectories([scen]) == first
     assert len(first) == 64
     assert fingerprint.trajectories(scenarios.builtin_scenarios()[:1]) != first
+
+    # every group runs end to end: one that stops working fails here
+    for name, group in fingerprint.GROUPS.items():
+        assert len(group()) == 64, name

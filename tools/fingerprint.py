@@ -19,7 +19,9 @@ It takes no options.  The groups:
     shooting distances on the round sphere given only by its metric;
 ``sweeps``
     the CSVs of ``sweep`` on the benchmark's three sweep configs (round 0
-    of seed 1 of ``perfbench``'s ``cli_sweep``).
+    of seed 1 of ``perfbench``'s ``cli_sweep``).  This digest depends on
+    those configs as well as on the solver: compare it only between trees
+    with the same ``perfbench/workloads.py``.
 
 A failed trajectory or row enters its digest by its reason, phase, ``u``
 and state.
@@ -96,14 +98,10 @@ def background_batches():
     return h.hexdigest()
 
 
-def _sphere_metric(x):
-    c = 2.0 / (1.0 + float(x @ x))
-    return (c * c) * np.eye(2)
-
-
 def shooting():
     h = hashlib.sha256()
-    model = geometry.from_metric(2, _sphere_metric, name="sphere-user")
+    model = geometry.from_metric(2, geometry.sphere_stereographic()._metric,
+                                 name="sphere-user")
     rng = np.random.default_rng(7)
     for _ in range(4):
         x = rng.uniform(-0.5, 0.5, 2)
