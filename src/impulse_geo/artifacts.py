@@ -33,8 +33,7 @@ def write_meta(path, kind, outputs, config_text, seed):
     provenance = {"config_sha256": digest, "tool_version": TOOL_VERSION,
                   "seed": int(seed)}
     payload = {"kind": kind, "outputs": outputs, "provenance": provenance}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _fmt(value):
@@ -46,10 +45,8 @@ def _fmt(value):
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = [header] + [[_fmt(v) for v in row] for row in rows]
+    write_text(path, "".join(",".join(line) + "\n" for line in lines))
 
 
 def _state_header(n):
@@ -169,6 +166,7 @@ def limit_text(lg):
 
 
 def write_text(path, text):
+    """Write ``text`` as UTF-8 with LF line ends; every writer ends here."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -223,8 +221,7 @@ def _write_svg(path, title, x_label, series, x_map, y_map, grid, markers):
                  f'text-anchor="middle" font-family="sans-serif" '
                  f'font-size="12">{x_label}</text>\n')
     parts.append("</svg>\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(parts))
+    write_text(path, "".join(parts))
 
 
 def svg_loglog(path, eps, series, title="convergence"):

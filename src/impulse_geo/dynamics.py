@@ -347,8 +347,6 @@ def background_path(model, x0, xdot0, u_start, u_end, *, rtol=1e-10,
     B geodesics from ``x0`` as one ensemble (see the module docstring): per
     row a path without energy diagnostics, or the row's failure.
     """
-    if not u_end > u_start:
-        raise ConfigError("u_end must exceed u_start")
     y0 = _initial_state(model, x0, xdot0)
     return _integrate(model, None, None, None, y0, u_start, u_end, rtol, atol)
 
@@ -449,8 +447,8 @@ def integrate_impulsive_geodesic(model, profile, net, eps, data, u_end, *,
                           "and u_end one value or one per width")
     if not np.all((0.0 < widths) & (widths <= 0.5)):
         raise ConfigError("eps must lie in (0, 1/2]")
-    if not np.all(ends > widths):
-        raise ConfigError("u_end must exceed eps")
+    if not np.all((widths < ends) & (ends < math.inf)):
+        raise ConfigError("u_end must be finite and exceed eps")
     if widths.ndim:
         eps = widths.tolist()
     xdot0 = np.broadcast_to(data.xdot0, widths.shape + data.xdot0.shape)

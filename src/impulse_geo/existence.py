@@ -41,6 +41,7 @@ whose summability drives convergence (:func:`weissinger_coefficient`).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,16 @@ def _ball_grid(center, radius, per_axis):
     return pts[keep]
 
 
+def _anchor(model, x0, xdot0):
+    """The anchor as float arrays of one shape, ``x0`` inside the chart."""
+    x0 = np.asarray(x0, dtype=float)
+    xdot0 = np.asarray(xdot0, dtype=float)
+    if xdot0.shape != x0.shape:
+        raise ConfigError("xdot0 must have the shape of x0")
+    model.require_inside(x0)
+    return x0, xdot0
+
+
 def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
                        grid=9):
     """Sample-based sup norms and Lipschitz constants of F1 and F2.
@@ -122,15 +133,12 @@ def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
     be admissible.  ``I2`` is rebuilt from the computed ``||F2||``, which
     depends on ``I1`` only, so one pass resolves its self-reference.
     """
-    if not (b > 0 and c_seed > 0 and k > 0):
-        raise ConfigError("b, c and K must be positive")
-    if not grid >= 9:
-        raise ConfigError("grid must be at least 9 points per axis")
-    x0 = np.asarray(x0, dtype=float)
-    xdot0 = np.asarray(xdot0, dtype=float)
-    if xdot0.shape != x0.shape:
-        raise ConfigError("xdot0 must have the shape of x0")
-    model.require_inside(x0)
+    if not all(0.0 < v < math.inf for v in (b, c_seed, k)):
+        raise ConfigError("b, c and K must be positive and finite")
+    if not (hasattr(grid, "__index__") and grid >= 9):
+        raise ConfigError("grid must be an integer of at least 9 per axis")
+    grid = operator.index(grid)
+    x0, xdot0 = _anchor(model, x0, xdot0)
 
     if not model.inside(_ball_grid(x0, b, grid)).all():
         raise ChartDomainError("ball I1 leaves the chart domain; shrink b")
@@ -180,8 +188,8 @@ def alpha_bound(speed, b, c, norm_F1, norm_F2, k):
     chart, a constant-gradient profile and resting data every ratio is
     infinite and alpha = 1.
     """
-    if not (b > 0 and c > 0 and k > 0):
-        raise ConfigError("b, c and K must be positive")
+    if not all(0.0 < v < math.inf for v in (b, c, k)):
+        raise ConfigError("b, c and K must be positive and finite")
     if not (speed >= 0 and norm_F1 >= 0 and norm_F2 >= 0):
         raise ConfigError("speed and norms must be nonnegative")
     denom = speed + norm_F1 + k * norm_F2
@@ -197,13 +205,12 @@ def certify(model, profile, x0, xdot0, *, b=1.0, c=1.0, k=1.0, grid=9):
     The anchor is the strip-entry data of the IVP; ``k`` is the L1 bound of
     the impulse family in use.
     """
-    x0 = np.asarray(x0, dtype=float)
-    xdot0 = np.asarray(xdot0, dtype=float)
     est = estimate_sup_norms(model, profile, x0, xdot0, b, c, k=k, grid=grid)
     speed = float(np.linalg.norm(xdot0))
     alpha, eps0 = alpha_bound(speed, b, c, est.norm_F1, est.norm_F2, k)
     return ExistenceCertificate(
-        **vars(est), x0=x0.copy(), xdot0=xdot0.copy(), b=float(b),
+        **vars(est), x0=np.array(x0, dtype=float),
+        xdot0=np.array(xdot0, dtype=float), b=float(b),
         c=float(c), k=float(k), alpha=alpha, eps0=eps0, chart=model.name)
 
 
@@ -277,6 +284,7 @@ def _cumulative_simpson(y, weights):
 
 def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol,
                     certificate):
+    """The last iterate on the grid ``t`` and each iteration's shift."""
     m = len(t)
     weights = _simpson_weights(t)
     delta = np.asarray(net.eval(eps, t), dtype=float)
@@ -284,10 +292,7 @@ def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol,
     x = x0 + np.outer(t + eps, xdot0)
     xd = np.tile(xdot0, (m, 1))
     shifts = []
-    converged = False
-    iterations = 0
     for _ in range(_MAX_ITER):
-        iterations += 1
         # F1 on every node (which also tests every node against the chart)
         # and F2 on the nodes where the impulse is active
         integrand, _ = batch_acceleration(model, profile, x, xd, active,
@@ -306,9 +311,8 @@ def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol,
                 raise CertificateViolation(
                     "iterate velocity left I2; c was chosen too small")
         if shift <= tol:
-            converged = True
             break
-    return x, xd, shifts, converged, iterations
+    return x, xd, shifts
 
 
 def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
@@ -338,15 +342,13 @@ def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
     """
     if not eps > 0.0:
         raise ConfigError("eps must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ConfigError("alpha must be positive and finite")
     if not eps <= alpha / 2.0 + 1e-12:
         raise ConfigError("eps must be at most alpha/2")
-    if not tol > 0.0:
-        raise ConfigError("tol must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    xdot0 = np.asarray(xdot0, dtype=float)
-    if xdot0.shape != x0.shape:
-        raise ConfigError("xdot0 must have the shape of x0")
-    model.require_inside(x0)
+    if not 0.0 < tol < math.inf:
+        raise ConfigError("tol must be positive and finite")
+    x0, xdot0 = _anchor(model, x0, xdot0)
 
     nodes = _BASE_GRID
     prev = None
@@ -354,9 +356,9 @@ def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
     grid_converged = False
     while True:
         t = np.linspace(-eps, alpha - eps, nodes)
-        x, xd, shifts, converged, iters = _picard_on_grid(
-            model, profile, net, eps, t, x0, xdot0, tol, certificate)
-        if not converged:
+        x, xd, shifts = _picard_on_grid(model, profile, net, eps, t, x0,
+                                        xdot0, tol, certificate)
+        if not shifts[-1] <= tol:
             raise NumericalError(
                 f"fixed-point iteration did not converge within {_MAX_ITER} "
                 f"iterations (last shift {shifts[-1]:.3e})")
@@ -374,9 +376,9 @@ def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
         refinements += 1
 
     corrective = sum(1 for s in shifts if s > tol)
-    return PicardResult(t=t, x=x, xdot=xd, iterations=iters,
+    return PicardResult(t=t, x=x, xdot=xd, iterations=len(shifts),
                         corrective_iterations=corrective,
-                        converged=converged, shifts=shifts, grid_size=nodes,
+                        converged=True, shifts=shifts, grid_size=nodes,
                         refinements=refinements, grid_converged=grid_converged)
 
 
@@ -388,8 +390,8 @@ def weissinger_coefficient(n, alpha, lip_F1, lip_F2, k):
     return lead * alpha ** (2 * n - 2) / math.factorial(2 * n - 2)
 
 
-def weissinger_budget(alpha, lip_F1, lip_F2, k, n_max=60):
-    """Partial sums of the contraction series, the iteration budget."""
+def weissinger_budget(alpha, lip_F1, lip_F2, k):
+    """Partial sums of the contraction series over the iteration budget."""
     terms = np.array([weissinger_coefficient(n, alpha, lip_F1, lip_F2, k)
-                      for n in range(2, n_max + 1)])
+                      for n in range(2, _MAX_ITER + 1)])
     return np.cumsum(terms)

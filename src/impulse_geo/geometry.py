@@ -270,11 +270,12 @@ def euclidean(n):
 
 
 def hyperbolic_half_plane():
+    # x2 * x2 in every form: numpy's scalar ** 2 (pow) rounds otherwise
     def metric(x):
-        return np.diag([1.0, 1.0]) / x[1] ** 2
+        return np.diag([1.0, 1.0]) / (x[1] * x[1])
 
     def inverse(x):
-        y2 = x[1] ** 2
+        y2 = x[1] * x[1]
         return np.array([[y2, 0.0], [0.0, y2]])
 
     def christoffel(x):
@@ -287,7 +288,7 @@ def hyperbolic_half_plane():
 
     def batch_inverse(xs):
         out = np.zeros((len(xs), 2, 2))
-        out[:, 0, 0] = out[:, 1, 1] = xs[:, 1] ** 2
+        out[:, 0, 0] = out[:, 1, 1] = xs[:, 1] * xs[:, 1]
         return out
 
     def batch_christoffel(xs):
@@ -321,19 +322,24 @@ def _sphere_embed(x):
 def sphere_stereographic():
     flip = np.array([1.0, -1.0])
 
+    # each point form sums |x|^2 as the batch forms' einsum sums a row
     def metric(x):
-        c = 2.0 / (1.0 + float(x @ x))
+        x0, x1 = x.tolist()
+        c = 2.0 / (1.0 + (x0 * x0 + x1 * x1))
         return (c * c) * np.eye(2)
 
     def inverse(x):
-        c = 2.0 / (1.0 + float(x @ x))
+        x0, x1 = x.tolist()
+        c = 2.0 / (1.0 + (x0 * x0 + x1 * x1))
         s = 1.0 / (c * c)
         return np.array([[s, 0.0], [0.0, s]])
 
     def christoffel(x):
         # conformal metric exp(2 phi) I with phi = log 2 - log(1 + |x|^2):
         # Gamma^k_ij = delta^k_i w_j + delta^k_j w_i - delta_ij w_k
-        w0, w1 = (-2.0 * x / (1.0 + float(x @ x))).tolist()
+        x0, x1 = x.tolist()
+        r = 1.0 + (x0 * x0 + x1 * x1)
+        w0, w1 = -2.0 * x0 / r, -2.0 * x1 / r
         return np.array([w0, w1, w1, -w0, -w1, w0, w0, w1]).reshape(2, 2, 2)
 
     def batch_inverse(xs):

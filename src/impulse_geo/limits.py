@@ -153,8 +153,6 @@ class ConvergenceTable:
         failed = np.asarray(failed, dtype=bool)
 
         def fit(le, lv):
-            if len(le) < 2:
-                return math.nan
             return float(np.polyfit(le, lv, 1)[0])
 
         def column_order(err):

@@ -201,13 +201,17 @@ class _Row:
     Its dense output sits in buffers (node i at ``[i]``, the step from node
     i at ``[i]``) whose used part is the row's :class:`DensePath`."""
 
-    __slots__ = ("t0", "t1", "cap", "phase", "t", "h", "stage_failed",
-                 "n_accepted", "n_rejected", "n_rhs", "ts", "ys", "coeffs")
+    __slots__ = ("t0", "t1", "cap", "end_tol", "phase", "t", "h",
+                 "stage_failed", "n_accepted", "n_rejected", "n_rhs", "ts",
+                 "ys", "coeffs")
 
     def __init__(self, t0, t1, cap, y0, phase):
-        if not t1 > t0:
-            raise ConfigError("t1 must exceed t0")
         self.t0, self.t1, self.cap = float(t0), float(t1), float(cap)
+        self.end_tol = 1e-14 * max(1.0, abs(self.t0), abs(self.t1))
+        # an infinite or NaN bound fails this too
+        if not self.end_tol < self.t1 - self.t0 < math.inf:
+            raise ConfigError(f"phase t0={self.t0!r}, t1={self.t1!r}: need "
+                              "finite t1 - t0 > 1e-14 max(1, |t0|, |t1|)")
         self.phase = phase
         self.t = self.t0
         self.h = 0.0
@@ -253,8 +257,7 @@ class _Row:
 
         Raises the row's :class:`IntegrationFailure` when the step budget
         is spent or the step size has collapsed."""
-        if not self.t1 - self.t > 1e-14 * max(1.0, abs(self.t0),
-                                              abs(self.t1)):
+        if not self.t1 - self.t > self.end_tol:
             return None
         if self.n_accepted + self.n_rejected >= _MAX_STEPS:
             raise self.failure("step_limit")

@@ -470,8 +470,8 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
     radii = [float(r) for r in radii]
     if len(radii) < 2 or not all(b > a for a, b in zip(radii, radii[1:])):
         raise ConfigError("radii must be increasing with at least two values")
-    if not all(r > 0 for r in radii):
-        raise ConfigError("radii must be positive")
+    if not all(0.0 < r < math.inf for r in radii):
+        raise ConfigError("radii must be positive and finite")
     if len(ray_directions) == 0:
         raise ConfigError("classify_growth needs at least one ray direction")
     if any(np.shape(d) != (model.dim,) for d in ray_directions):

@@ -301,6 +301,28 @@ def test_ensemble_rows_repeat_single_trajectories():
         assert type(stats[key]) is int
 
 
+def test_hyperbolic_linear_width_rows_repeat_single_trajectories():
+    # the hyperbolic chart and the linear profile round each point as its
+    # batch row, so every width row repeats its single trajectory byte for
+    # byte; data perturbed as in criterion 4
+    scen = next(s for s in scenarios.builtin_scenarios()
+                if s.name == "hyperbolic_half_plane-linear")
+    widths = [0.2, 0.05, 0.01, 0.003]
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        data = InitialData(scen.data.x0 + rng.uniform(-0.05, 0.05, 2),
+                           scen.data.xdot0 + rng.uniform(-0.15, 0.15, 2))
+        rows = integrate_impulsive_geodesic(scen.model, scen.profile, NET,
+                                            widths, data, 1.0)
+        for eps, row in zip(widths, rows):
+            want = integrate_impulsive_geodesic(scen.model, scen.profile, NET,
+                                                eps, data, 1.0)
+            assert _counts(row.diagnostics) == _counts(want.diagnostics)
+            for got_piece, want_piece in zip(row.pieces, want.pieces,
+                                             strict=True):
+                _assert_same_piece(got_piece, want_piece)
+
+
 # row r of a damped oscillator, written alike for a point and a batch, is
 # undefined past t = _EDGE[r]
 _EDGE = np.array([0.5, 0.5 + 1e-6, math.inf])
@@ -772,9 +794,10 @@ def _assert_same_piece(got, want):
     (geometry.from_metric(
         2, lambda x: 4.0 / (1.0 + float(x @ x)) ** 2 * np.eye(2),
         name="sphere_from_metric"), [0.2, -0.1]),
+    (geometry.sphere_stereographic(), [0.2, -0.1]),
     (geometry.hyperbolic_half_plane(), [0.1, 1.0]),
     (geometry.euclidean(2), [0.3, 0.2]),
-], ids=["sphere_from_metric", "hyperbolic", "euclidean"])
+], ids=["sphere_from_metric", "sphere", "hyperbolic", "euclidean"])
 def test_background_ensemble_rows_equal_single_paths(model, x0):
     # the no-net ensemble field computes per row what the background point
     # field computes, so each row repeats background_path bit for bit
@@ -908,6 +931,28 @@ DATA = InitialData([0.0, 0.0], [1.0, 0.0])
     lambda: profiles.classify_growth(LINEAR, EU, [0.0, 0.0], [[1.0, 0.0]],
                                      [1.0, 2.0], margin=math.inf),
     lambda: limits.convergence_study(EU, LINEAR, NET, DATA, [], [0.5]),
+    lambda: existence.certify(EU, LINEAR, [0.0, 0.0], [1.0, 0.0], grid=9.5),
+    lambda: existence.certify(EU, LINEAR, [0.0, 0.0], [1.0, 0.0], grid=10.0),
+    lambda: existence.certify(EU, LINEAR, [0.0, 0.0], [1.0, 0.0], b=math.inf),
+    lambda: existence.certify(EU, LINEAR, [0.0, 0.0], [1.0, 0.0], c=math.inf),
+    lambda: existence.certify(EU, LINEAR, [0.0, 0.0], [1.0, 0.0], k=math.inf),
+    lambda: existence.alpha_bound(1.0, math.inf, 1.0, 0.0, 0.0, 1.0),
+    lambda: existence.picard_solve(EU, LINEAR, NET, 0.1, [0.0, 0.0],
+                                   [1.0, 0.0], math.inf),
+    lambda: existence.picard_solve(EU, LINEAR, NET, 0.1, [0.0, 0.0],
+                                   [1.0, 0.0], 0.5, tol=math.inf),
+    lambda: integrate_impulsive_geodesic(EU, LINEAR, NET, 0.1, DATA,
+                                         math.inf),
+    lambda: integrate_impulsive_geodesic(EU, LINEAR, NET, [0.1, 0.05], DATA,
+                                         math.inf),
+    lambda: dynamics.background_path(EU, [0.0, 0.0], [1.0, 0.0], -math.inf,
+                                     0.0),
+    lambda: limits.limit_geodesic(EU, LINEAR, DATA, u_end=math.inf),
+    lambda: profiles.classify_growth(LINEAR, EU, [0.0, 0.0], [[1.0, 0.0]],
+                                     [1.0, math.inf]),
+    lambda: integrate_impulsive_geodesic(EU, LINEAR, NET, 0.1, DATA,
+                                         0.1 + 1e-15),
+    lambda: dynamics.background_path(EU, [0.0, 0.0], [1.0, 0.0], 0.0, 1e-15),
 ], ids=["velocity-shape", "reversed-interval", "limit-u_end-negative",
         "certify-velocity-shape", "picard-velocity-shape",
         "picard-eps-negative", "sample-out-of-range", "inside-batch-shape",
@@ -918,10 +963,24 @@ DATA = InitialData([0.0, 0.0], [1.0, 0.0])
         "certify-c-nan", "certify-k-nan", "picard-alpha-nan",
         "picard-tol-nan", "net-schedule-infinite", "growth-direction-length",
         "growth-radius-nan", "growth-margin-nan", "growth-margin-negative",
-        "growth-margin-infinite", "study-empty-schedule"])
+        "growth-margin-infinite", "study-empty-schedule",
+        "certify-grid-fraction", "certify-grid-float", "certify-b-infinite",
+        "certify-c-infinite", "certify-k-infinite", "alpha-b-infinite",
+        "picard-alpha-infinite", "picard-tol-infinite",
+        "u_end-infinite", "u_end-infinite-in-batch",
+        "background-start-infinite", "limit-u_end-infinite",
+        "growth-radius-infinite", "phase-below-end-tolerance",
+        "background-below-end-tolerance"])
 def test_caller_mistakes_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+def test_a_phase_too_short_to_step_names_its_ends():
+    # below the end tolerance no step is taken; the phase is rejected up
+    # front instead of failing later for want of a step
+    with pytest.raises(ConfigError, match=r"t0=0\.0, t1=1e-15"):
+        dynamics.background_path(EU, [0.0, 0.0], [1.0, 0.0], 0.0, 1e-15)
 
 
 @pytest.mark.parametrize("call", [
@@ -942,8 +1001,10 @@ def test_caller_mistakes_raise_config_error(call):
                                         tol=1e-9),
     lambda: geometry._shooting_distance(EU, np.zeros(2), np.ones(2),
                                         max_iter=40),
+    lambda: existence.weissinger_budget(1.0, 1.0, 1.0, 1.0, n_max=60),
 ], ids=["v0", "vdot0", "rtol", "atol", "contains_x-slack",
-        "contains_xdot-slack", "shooting-tol", "shooting-max_iter"])
+        "contains_xdot-slack", "shooting-tol", "shooting-max_iter",
+        "weissinger-n_max"])
 def test_retired_parameters_raise_type_error(call):
     with pytest.raises(TypeError):
         call()

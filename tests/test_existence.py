@@ -105,7 +105,8 @@ def test_weissinger_coefficient_examples():
 
 
 def test_weissinger_series_summable():
-    sums = existence.weissinger_budget(1.0, 1e3, 1e3, 1.0, n_max=60)
+    sums = existence.weissinger_budget(1.0, 1e3, 1e3, 1.0)
+    assert len(sums) == existence._MAX_ITER - 1
     tail = np.abs(np.diff(sums[35:]))
     assert np.all(tail < 1e-12)
     assert np.isfinite(sums[-1])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from impulse_geo import dynamics, existence, geometry, profiles
 from impulse_geo.errors import (ChartDomainError, IntegrationFailure,
@@ -162,17 +163,20 @@ def test_chart_domain_errors():
                                               sphere_point_forms()],
                          ids=lambda m: m.name)
 def test_batch_forms_match_point_forms(model):
+    # each point form is its batch row bit for bit; the last two points
+    # caught point forms that rounded otherwise: x2 = 2.759 squared by the
+    # scalar ** 2 (pow) of the hyperbolic plane, and (-2, 0.8) on the
+    # sphere, whose |x|^2 was a BLAS dot product
     rng = np.random.default_rng(41)
-    xs = np.array([random_point(model, rng) for _ in range(200)])
+    xs = np.array([random_point(model, rng) for _ in range(200)]
+                  + [[0.3, 2.759], [-2.0, 0.8]])
     assert model.inside(xs).all()
     gammas = model.christoffel(xs)
     inverses = model.inverse_metric(xs)
-    assert gammas.shape == (200, 2, 2, 2) and inverses.shape == (200, 2, 2)
+    assert gammas.shape == (202, 2, 2, 2) and inverses.shape == (202, 2, 2)
     for x, gamma, inv in zip(xs, gammas, inverses):
-        np.testing.assert_allclose(gamma, model.christoffel_at(x),
-                                   rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(inv, model.inverse_metric_at(x),
-                                   rtol=1e-14, atol=0.0)
+        assert gamma.tobytes() == model.christoffel_at(x).tobytes()
+        assert inv.tobytes() == model.inverse_metric_at(x).tobytes()
     # an empty batch keeps its shape through every batch form
     empty = np.empty((0, 2))
     assert model.inside(empty).shape == (0,)
@@ -329,6 +333,84 @@ def test_affine_reparametrization():
     fast = geometry.background_geodesic(model, x0, 2.0 * w, -1.0, 0.0)
     s = np.linspace(0.0, 2.0, 33)
     assert np.max(np.abs(fast.x_at(-1.0 + s / 2) - slow.x_at(-1.0 + s))) < 1e-8
+
+
+# The draws of the exact-fact tests below, per chart: the box of start
+# points and the bound on each velocity component.  With u in [0, T],
+# T <= 1, no path nears a chart edge:
+# - euclidean: every point is in the chart;
+# - hyperbolic plane: the speed |v| / x2 is at most 0.71 / 0.5 = 1.42, and
+#   x2 changes along a geodesic by at most the factor e^(arc length), so it
+#   stays above 0.5 e^-1.42 = 0.12 (0.06 after a dilation by 1/2);
+# - sphere: |x| <= 0.99 is the lower hemisphere, and the speed
+#   2 |v| / (1 + |x|^2) is at most 1, so a path stays 0.57 rad (pi/2 - 1)
+#   from the point the chart misses: |x| stays below tan(1.29) = 3.4.
+_DRAWS = {
+    "euclidean(2)": ([-2.0, -2.0], [2.0, 2.0], 2.0),
+    "hyperbolic_half_plane": ([-1.0, 0.5], [1.0, 2.0], 0.5),
+    "sphere_stereographic": ([-0.7, -0.7], [0.7, 0.7], 0.35),
+}
+_UNIT = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
+_SPAN = st.floats(0.1, 1.0)
+
+
+def _drawn_geodesic(model, unit, span):
+    """The background path over ``[0, span]`` from the data that ``unit``
+    (four numbers in [0, 1]) picks in the chart's box of ``_DRAWS``, and
+    its 11 sample parameters."""
+    lo, hi, vmax = _DRAWS[model.name]
+    x0 = np.array(lo) + np.array(unit[:2]) * (np.array(hi) - lo)
+    v0 = vmax * (2.0 * np.array(unit[2:]) - 1.0)
+    path = geometry.background_geodesic(model, x0, v0, 0.0, span)
+    return x0, v0, path, np.linspace(0.0, span, 11)
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(unit=_UNIT, span=_SPAN)
+@pytest.mark.parametrize("model", models(), ids=lambda m: m.name)
+def test_background_geodesic_retraces_itself_reversed(model, unit, span):
+    # time reversal: from the end point with the negated velocity the
+    # geodesic runs back through the same points
+    _, _, path, us = _drawn_geodesic(model, unit, span)
+    back = geometry.background_geodesic(model, path.x_at(span),
+                                        -path.xdot_at(span), 0.0, span)
+    np.testing.assert_allclose(back.x_at(span - us), path.x_at(us),
+                               rtol=0.0, atol=1e-7)
+
+
+def _rotation(p):
+    c, s = math.cos(2.0 * math.pi * p), math.sin(2.0 * math.pi * p)
+    return np.array([[c, -s], [s, c]]), np.zeros(2)
+
+
+def _translation_x1(p):
+    return np.eye(2), np.array([4.0 * p - 2.0, 0.0])
+
+
+def _dilation(p):
+    return 0.5 * 4.0 ** p * np.eye(2), np.zeros(2)
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(unit=_UNIT, span=_SPAN, p=st.floats(0.0, 1.0))
+@pytest.mark.parametrize("model, isometry", [
+    (geometry.euclidean(2), _rotation),
+    (geometry.sphere_stereographic(), _rotation),
+    (geometry.hyperbolic_half_plane(), _translation_x1),
+    (geometry.hyperbolic_half_plane(), _dilation),
+], ids=["euclidean-rotation", "sphere-rotation", "hyperbolic-translation",
+        "hyperbolic-dilation"])
+def test_background_geodesics_follow_isometries(model, isometry, unit, span,
+                                                p):
+    # an isometry x -> A x + b of the chart (rotations about the origin of
+    # the plane and of the stereographic sphere; translations along x1 and
+    # dilations of the half-plane) maps geodesics to geodesics with the
+    # same affine parameter: the data (A x0 + b, A v0) give A x(u) + b
+    a, b = isometry(p)
+    x0, v0, path, us = _drawn_geodesic(model, unit, span)
+    image = geometry.background_geodesic(model, a @ x0 + b, a @ v0, 0.0, span)
+    np.testing.assert_allclose(image.x_at(us), path.x_at(us) @ a.T + b,
+                               rtol=0.0, atol=1e-7)
 
 
 def test_distance_euclidean():

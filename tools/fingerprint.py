@@ -17,6 +17,11 @@ It takes no options.  The groups:
     each scenario's start point with 3 velocities, as one background batch;
 ``shooting``
     shooting distances on the round sphere given only by its metric;
+``certificates``
+    each scenario's ``certify`` report at the shock anchor of its background
+    path and, on the three scenarios of ``perfbench``'s ``picard_certify``,
+    the nodes, positions and velocities of one ``picard_solve`` from that
+    anchor at ``eps0 / 2``;
 ``sweeps``
     the CSVs of ``sweep`` on the benchmark's three sweep configs (round 0
     of seed 1 of ``perfbench``'s ``cli_sweep``).  This digest depends on
@@ -24,7 +29,9 @@ It takes no options.  The groups:
     with the same ``perfbench/workloads.py``.
 
 A failed trajectory or row enters its digest by its reason, phase, ``u``
-and state.
+and state.  ``tools/fingerprint_against.sh REF`` runs this script on the
+``src/`` of the git revision ``REF`` and on the working tree and prints
+the groups that differ.
 """
 
 import contextlib
@@ -39,7 +46,8 @@ import numpy as np
 _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "perfbench")]
 
-from impulse_geo import cli, dynamics, geometry, scenarios  # noqa: E402
+from impulse_geo import (artifacts, cli, dynamics, existence,  # noqa: E402
+                         geometry, scenarios)
 from impulse_geo.errors import IntegrationFailure  # noqa: E402
 
 _EPS = 0.01
@@ -112,6 +120,26 @@ def shooting():
     return h.hexdigest()
 
 
+def certificates():
+    import workloads  # perfbench's, for the picard_certify scenarios
+
+    h = hashlib.sha256()
+    net = scenarios.builtin_nets()["mollifier"]
+    for scen in scenarios.builtin_scenarios():
+        base = dynamics.background_path(scen.model, scen.data.x0,
+                                        scen.data.xdot0, -1.0, 0.0)
+        x, xdot = base.x_at(0.0), base.xdot_at(0.0)
+        cert = existence.certify(scen.model, scen.profile, x, xdot, b=scen.b,
+                                 c=scen.c, k=net.l1_bound)
+        h.update(artifacts.certificate_text(cert).encode())
+        if scen.name in workloads.PicardCertify.SCENARIOS:
+            res = existence.picard_solve(scen.model, scen.profile, net,
+                                         cert.eps0 / 2.0, x, xdot, cert.alpha)
+            for a in (res.t, res.x, res.xdot):
+                h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 def sweeps():
     import workloads  # perfbench's, for its sweep configs
 
@@ -132,6 +160,7 @@ GROUPS = {
     "width_ensembles": width_ensembles,
     "background_batches": background_batches,
     "shooting": shooting,
+    "certificates": certificates,
     "sweeps": sweeps,
 }
 
