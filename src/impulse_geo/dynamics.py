@@ -326,8 +326,6 @@ def _initial_state(model, x0, xdot0, v0=0.0, vdot0=0.0):
     xdot0 = np.asarray(xdot0, dtype=float)
     if xdot0.ndim > 2 or xdot0.shape[-1:] != x0.shape:
         raise ConfigError("xdot0 must have the shape of x0, or be (B, n)")
-    if x0.shape != (model.dim,):
-        raise ConfigError("initial data dimension does not match the manifold")
     model.require_inside(x0)
     n = model.dim
     y0 = np.empty(xdot0.shape[:-1] + (2 * n + 2,))

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import batch_acceleration
+from .dynamics import InitialData, batch_acceleration
 from .errors import (CertificateViolation, ChartDomainError, ConfigError,
                      NumericalError)
 from .geometry import central_difference
@@ -62,10 +62,12 @@ __all__ = [
 _SAFETY = 1.1
 # containment tolerance of the balls I1 and I2
 _SLACK = 1e-9
-# fixed-point iterations per grid, and the first grid of picard_solve (odd,
-# so that every other node of a refined grid is a node of the coarser one)
+# fixed-point iterations per grid, the first grid of picard_solve (odd, so
+# that every other node of a refined grid is a node of the coarser one) and
+# the most times it is doubled
 _MAX_ITER = 60
 _BASE_GRID = 2001
+_MAX_REFINEMENTS = 3
 
 
 @dataclass
@@ -113,13 +115,10 @@ def _ball_grid(center, radius, per_axis):
 
 
 def _anchor(model, x0, xdot0):
-    """The anchor as float arrays of one shape, ``x0`` inside the chart."""
-    x0 = np.asarray(x0, dtype=float)
-    xdot0 = np.asarray(xdot0, dtype=float)
-    if xdot0.shape != x0.shape:
-        raise ConfigError("xdot0 must have the shape of x0")
-    model.require_inside(x0)
-    return x0, xdot0
+    """The anchor, checked by :class:`InitialData`, ``x0`` in the chart."""
+    anchor = InitialData(x0, xdot0)
+    model.require_inside(anchor.x0)
+    return anchor.x0, anchor.xdot0
 
 
 def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
@@ -282,6 +281,11 @@ def _cumulative_simpson(y, weights):
     return np.cumsum(out, axis=1, out=out).T
 
 
+def _c1_distance(x, xd, y, yd):
+    """The discrete C1 distance ``max|x - y| + max|xd - yd|``."""
+    return float(np.max(np.abs(x - y))) + float(np.max(np.abs(xd - yd)))
+
+
 def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol,
                     certificate):
     """The last iterate on the grid ``t`` and each iteration's shift."""
@@ -299,8 +303,7 @@ def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol,
                                           delta[active])
         xd_new = xdot0 + _cumulative_simpson(integrand, weights)
         x_new = x0 + _cumulative_simpson(xd_new, weights)
-        shift = (float(np.max(np.abs(x_new - x)))
-                 + float(np.max(np.abs(xd_new - xd))))
+        shift = _c1_distance(x_new, xd_new, x, xd)
         shifts.append(shift)
         x, xd = x_new, xd_new
         if certificate is not None:
@@ -316,7 +319,7 @@ def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol,
 
 
 def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
-                 max_refinements=3, certificate=None):
+                 certificate=None):
     """Solve the strip IVP by fixed-point iteration on a uniform grid.
 
     Iterates the integral operator
@@ -333,8 +336,8 @@ def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
     the charts read the columns ``x[..., i]`` of every iterate, which are
     then contiguous.  The iteration stops when the discrete C1 norm of the
     update falls below ``tol``, within 60 iterations.  The grid is then
-    doubled, at most ``max_refinements`` times, until the fixed point itself
-    shifts by at most ``tol`` between grids.
+    doubled, at most 3 times, until the fixed point itself shifts by at
+    most ``tol`` between grids.
 
     Requires ``0 < eps <= alpha / 2`` so the interval reaches ``u = eps``.
     When a certificate is supplied, iterates leaving its containment region
@@ -350,42 +353,35 @@ def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
         raise ConfigError("tol must be positive and finite")
     x0, xdot0 = _anchor(model, x0, xdot0)
 
-    nodes = _BASE_GRID
-    prev = None
-    refinements = 0
-    grid_converged = False
-    while True:
-        t = np.linspace(-eps, alpha - eps, nodes)
+    x = xd = None
+    for refinements in range(_MAX_REFINEMENTS + 1):
+        t = np.linspace(-eps, alpha - eps,
+                        (_BASE_GRID - 1) * 2 ** refinements + 1)
+        coarse_x, coarse_xd = x, xd
         x, xd, shifts = _picard_on_grid(model, profile, net, eps, t, x0,
                                         xdot0, tol, certificate)
         if not shifts[-1] <= tol:
             raise NumericalError(
                 f"fixed-point iteration did not converge within {_MAX_ITER} "
                 f"iterations (last shift {shifts[-1]:.3e})")
-        if prev is not None:
-            coarse_x, coarse_xd = prev
-            shift = (float(np.max(np.abs(x[::2] - coarse_x)))
-                     + float(np.max(np.abs(xd[::2] - coarse_xd))))
-            if shift <= tol:
-                grid_converged = True
-                break
-        if refinements >= max_refinements:
+        grid_converged = (refinements > 0 and _c1_distance(
+            x[::2], xd[::2], coarse_x, coarse_xd) <= tol)
+        if grid_converged:
             break
-        prev = (x, xd)
-        nodes = 2 * nodes - 1
-        refinements += 1
 
     corrective = sum(1 for s in shifts if s > tol)
     return PicardResult(t=t, x=x, xdot=xd, iterations=len(shifts),
                         corrective_iterations=corrective,
-                        converged=True, shifts=shifts, grid_size=nodes,
+                        converged=True, shifts=shifts, grid_size=len(t),
                         refinements=refinements, grid_converged=grid_converged)
 
 
 def weissinger_coefficient(n, alpha, lip_F1, lip_F2, k):
     """The n-step contraction constant a_n of the iterated operator."""
-    if n < 2:
-        raise ConfigError("n must be at least 2")
+    if not (hasattr(n, "__index__") and n >= 2):
+        raise ConfigError("n must be an integer of at least 2")
+    if not all(0.0 <= v < math.inf for v in (alpha, lip_F1, lip_F2, k)):
+        raise ConfigError("alpha, Lipschitz bounds and K must be in [0, inf)")
     lead = 4.0 * max(lip_F1, k * lip_F2)
     return lead * alpha ** (2 * n - 2) / math.factorial(2 * n - 2)
 

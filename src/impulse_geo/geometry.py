@@ -89,6 +89,10 @@ class ManifoldModel:
 
     def require_inside(self, x):
         if not self.contains(x):
+            if np.shape(x) != (self.dim,):  # a caller's mistake, not an exit
+                raise ConfigError(
+                    f"point of shape {np.shape(x)} does not match the "
+                    f"dimension {self.dim} of {self.name}")
             raise ChartDomainError(
                 f"point {np.asarray(x)} outside chart domain of {self.name}")
 
@@ -196,6 +200,8 @@ class ManifoldModel:
     def norm_at(self, x, w):
         """Riemannian norm ``sqrt(h(w, w))`` of a tangent vector at ``x``."""
         h = self.metric_at(x)
+        if not np.isfinite(w).all():
+            raise ConfigError(f"tangent vector {w} is not finite")
         return math.sqrt(max(0.0, float(w @ h @ w)))
 
 

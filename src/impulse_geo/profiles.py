@@ -202,9 +202,9 @@ def gaussian_bump_profile(amplitude, center, width):
     a = float(amplitude)
     c = np.asarray(center, dtype=float)
     w = float(width)
-    if not w > 0.0:
+    if not 0.0 < w < math.inf:
         raise ConfigError(
-            f"gaussian_bump width must be positive, got {width!r}")
+            f"gaussian_bump width must be positive and finite, got {width!r}")
 
     def f(x):
         y = x - c
@@ -458,9 +458,9 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
     (below ``2 - margin``), ``superquadratic`` (above ``2 + margin``) or
     ``at-most-quadratic`` in between.
 
-    Directions whose radial geodesic fails to integrate are dropped and
-    reported; if every direction fails, a :class:`NumericalError` is
-    raised.
+    The rays run as one background batch, each row the ray alone bit for
+    bit; a direction whose ray fails to integrate is dropped and reported,
+    and if every direction fails, a :class:`NumericalError` is raised.
     """
     xbar = np.asarray(xbar, dtype=float)
     margin = float(margin)
@@ -477,22 +477,19 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
     if any(np.shape(d) != (model.dim,) for d in ray_directions):
         raise ConfigError(f"ray directions must have {model.dim} components")
 
+    ws = np.array(ray_directions, dtype=float)
+    speeds = np.array([model.norm_at(xbar, w) for w in ws])
+    if not speeds.all():
+        raise ConfigError("ray directions must be nonzero")
+    rays = dynamics.background_path(model, xbar, ws / speeds[:, None], 0.0,
+                                    radii[-1], rtol=_RAY_TOL, atol=_RAY_TOL)
     samples = []
     dropped = []
-    for idx, direction in enumerate(ray_directions):
-        w = np.asarray(direction, dtype=float)
-        speed = model.norm_at(xbar, w)
-        if speed == 0.0:
-            raise ConfigError("ray directions must be nonzero")
-        w = w / speed
-        try:
-            ray = dynamics.background_path(model, xbar, w, 0.0, radii[-1],
-                                           rtol=_RAY_TOL, atol=_RAY_TOL)
-        except IntegrationFailure:
+    for idx, ray in enumerate(rays):
+        if isinstance(ray, IntegrationFailure):
             dropped.append(idx)
             continue
-        for r in radii:
-            x = ray.x_at(r)
+        for r, x in zip(radii, ray.x_at(radii)):
             d = geometry.distance_estimate(model, xbar, x)
             samples.append(GrowthSample(idx, r, d.value,
                                         profile.f(x), d.lower_bound))

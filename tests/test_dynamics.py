@@ -953,6 +953,24 @@ DATA = InitialData([0.0, 0.0], [1.0, 0.0])
     lambda: integrate_impulsive_geodesic(EU, LINEAR, NET, 0.1, DATA,
                                          0.1 + 1e-15),
     lambda: dynamics.background_path(EU, [0.0, 0.0], [1.0, 0.0], 0.0, 1e-15),
+    lambda: existence.certify(EU, LINEAR, [0.0, 0.0], [math.nan, 0.0]),
+    lambda: existence.estimate_sup_norms(EU, LINEAR, [0.0, 0.0],
+                                         [math.nan, 0.0], 1.0, 1.0),
+    lambda: existence.picard_solve(EU, LINEAR, NET, 0.1, [0.0, 0.0],
+                                   [math.nan, 0.0], 0.5),
+    lambda: existence.certify(EU, LINEAR, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    lambda: existence.picard_solve(EU, LINEAR, NET, 0.1, [0.0, 0.0, 0.0],
+                                   [1.0, 0.0, 0.0], 0.5),
+    lambda: geometry.distance_estimate(EU, [0.0, 0.0, 0.0], [1.0, 0.0]),
+    lambda: profiles.classify_growth(LINEAR, EU, [0.0, 0.0, 0.0],
+                                     [[1.0, 0.0]], [1.0, 2.0]),
+    lambda: profiles.metric_gradient(LINEAR, EU, [0.0, 0.0, 0.0]),
+    lambda: EU.christoffel_at([0.0, 0.0, 0.0]),
+    lambda: EU.norm_at([0.0, 0.0], np.array([math.nan, 0.0])),
+    lambda: existence.weissinger_budget(math.nan, 1.0, 1.0, 1.0),
+    lambda: existence.weissinger_budget(0.5, math.inf, 1.0, 1.0),
+    lambda: existence.weissinger_coefficient(2.5, 0.5, 1.0, 1.0, 1.0),
+    lambda: profiles.gaussian_bump_profile(1.0, [0.0, 0.0], math.inf),
 ], ids=["velocity-shape", "reversed-interval", "limit-u_end-negative",
         "certify-velocity-shape", "picard-velocity-shape",
         "picard-eps-negative", "sample-out-of-range", "inside-batch-shape",
@@ -970,7 +988,12 @@ DATA = InitialData([0.0, 0.0], [1.0, 0.0])
         "u_end-infinite", "u_end-infinite-in-batch",
         "background-start-infinite", "limit-u_end-infinite",
         "growth-radius-infinite", "phase-below-end-tolerance",
-        "background-below-end-tolerance"])
+        "background-below-end-tolerance", "certify-velocity-nan",
+        "sup-norms-velocity-nan", "picard-velocity-nan", "certify-dimension",
+        "picard-dimension", "distance-dimension", "growth-base-dimension",
+        "gradient-dimension", "christoffel-dimension", "norm-vector-nan",
+        "weissinger-alpha-nan", "weissinger-lipschitz-infinite",
+        "weissinger-n-fraction", "gaussian-width-infinite"])
 def test_caller_mistakes_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
@@ -1002,9 +1025,11 @@ def test_a_phase_too_short_to_step_names_its_ends():
     lambda: geometry._shooting_distance(EU, np.zeros(2), np.ones(2),
                                         max_iter=40),
     lambda: existence.weissinger_budget(1.0, 1.0, 1.0, 1.0, n_max=60),
+    lambda: existence.picard_solve(EU, LINEAR, NET, 0.1, [0.0, 0.0],
+                                   [1.0, 0.0], 0.5, max_refinements=0),
 ], ids=["v0", "vdot0", "rtol", "atol", "contains_x-slack",
         "contains_xdot-slack", "shooting-tol", "shooting-max_iter",
-        "weissinger-n_max"])
+        "weissinger-n_max", "picard-max_refinements"])
 def test_retired_parameters_raise_type_error(call):
     with pytest.raises(TypeError):
         call()

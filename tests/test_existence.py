@@ -263,8 +263,7 @@ def test_picard_certificate_checks_every_node():
     cert = existence.certify(EU, LINEAR, x0, xdot0, b=0.91267, c=1.0, k=1.0)
     with pytest.raises(CertificateViolation, match="I1"):
         existence.picard_solve(EU, LINEAR, NET, eps, x0, xdot0,
-                               alpha=2.0 / 3.0, max_refinements=0,
-                               certificate=cert)
+                               alpha=2.0 / 3.0, certificate=cert)
 
 
 def test_picard_certificate_checks_the_velocity_ball():
@@ -338,10 +337,10 @@ def test_picard_without_convergence_raises(monkeypatch):
                                np.array([1.0, 0.0]), 2.0 / 3.0)
 
 
-def test_picard_stops_at_max_refinements():
+def test_picard_stops_at_max_refinements(monkeypatch):
+    monkeypatch.setattr(existence, "_MAX_REFINEMENTS", 0)
     res = existence.picard_solve(EU, LINEAR, NET, 1.0 / 6.0,
                                  np.array([5.0 / 6.0, 0.0]),
-                                 np.array([1.0, 0.0]), 2.0 / 3.0,
-                                 max_refinements=0)
+                                 np.array([1.0, 0.0]), 2.0 / 3.0)
     assert res.converged and not res.grid_converged
     assert res.refinements == 0 and res.grid_size == 2001

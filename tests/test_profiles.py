@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from impulse_geo import geometry, profiles
+from impulse_geo import dynamics, geometry, profiles
 from impulse_geo.errors import ConfigError, NumericalError
 from impulse_geo.profiles import DeltaNet
 
@@ -318,3 +318,67 @@ def test_classify_growth_drops_escaping_directions():
     with pytest.raises(NumericalError):
         profiles.classify_growth(prof, model, [0.0, 0.0],
                                  [np.array([1.0, 0.0])], [1.0, 2.0, 40.0])
+
+
+def test_classify_growth_reports_a_non_finite_direction():
+    with pytest.raises(ConfigError, match="not finite"):
+        profiles.classify_growth(profiles.constant_profile(1.0),
+                                 geometry.euclidean(2), [0.0, 0.0],
+                                 [[1.0, 0.0], [math.nan, 0.0]], [1.0, 2.0])
+
+
+def _single_ray_samples(profile, model, xbar, direction, radii):
+    """The samples of one ray integrated alone, as ``classify_growth``
+    takes them: unit speed, rtol = atol = 1e-9."""
+    w = np.asarray(direction, dtype=float)
+    w = w / model.norm_at(xbar, w)
+    ray = dynamics.background_path(model, xbar, w, 0.0, radii[-1],
+                                   rtol=1e-9, atol=1e-9)
+    out = []
+    for r in radii:
+        x = ray.x_at(r)
+        d = geometry.distance_estimate(model, np.asarray(xbar), x)
+        out.append((r, d.value.hex(), profile.f(x).hex(), d.lower_bound))
+    return out
+
+
+_SPHERE = geometry.sphere_stereographic()
+
+
+@pytest.mark.parametrize("model,xbar", [
+    (geometry.euclidean(2), [0.1, -0.2]),
+    (geometry.hyperbolic_half_plane(), [0.2, 1.0]),
+    (_SPHERE, [0.3, -0.1]),
+    (geometry.from_metric(2, _SPHERE._metric, name="sphere-user"),
+     [0.1, 0.0]),
+], ids=["euclidean", "hyperbolic", "sphere", "sphere-user"])
+def test_growth_rays_repeat_their_single_paths(model, xbar):
+    # the rays are integrated as one background batch, whose rows must
+    # give the samples of each ray integrated alone, bit for bit
+    prof = profiles.gaussian_bump_profile(2.0, [0.5, 0.5], 0.9)
+    rays = [[1.0, 0.3], [-0.4, 1.0], [-0.7, -0.6]]
+    radii = [0.25, 0.5, 1.0]
+    report = profiles.classify_growth(prof, model, xbar, rays, radii)
+    assert report.dropped_directions == []
+    got = [(s.radius, s.distance.hex(), s.value.hex(),
+            s.distance_is_lower_bound) for s in report.samples]
+    assert got == [s for d in rays
+                   for s in _single_ray_samples(prof, model, xbar, d, radii)]
+
+
+def test_growth_drops_a_ray_that_leaves_the_chart():
+    # the plane cut at x1 < 0.5: the ray along x1 leaves it before arc
+    # length 1 and is dropped alone; the other rays keep their bits
+    model = geometry.from_metric(2, lambda x: np.eye(2),
+                                 chart_domain=lambda x: x[0] < 0.5)
+    prof = profiles.radial_power_profile(1.0, 1.5)
+    rays = [[0.0, 1.0], [1.0, 0.0], [-1.0, 0.5]]
+    radii = [0.25, 0.5, 1.0]
+    report = profiles.classify_growth(prof, model, [0.0, 0.0], rays, radii)
+    assert report.dropped_directions == [1]
+    assert [s.direction for s in report.samples] == [0, 0, 0, 2, 2, 2]
+    got = [(s.radius, s.distance.hex(), s.value.hex(),
+            s.distance_is_lower_bound) for s in report.samples]
+    assert got == [s for d in (rays[0], rays[2])
+                   for s in _single_ray_samples(prof, model, [0.0, 0.0], d,
+                                                radii)]

@@ -22,6 +22,12 @@ It takes no options.  The groups:
     path and, on the three scenarios of ``perfbench``'s ``picard_certify``,
     the nodes, positions and velocities of one ``picard_solve`` from that
     anchor at ``eps0 / 2``;
+``growth``
+    ``classify_growth`` reports as hex (exponent, stderr, ``r1``, ``r2``,
+    class, every sample and the dropped directions): 3-4 rays on each
+    built-in chart, 2 on the round sphere given only by its metric
+    (shooting distances), and 3 on a plane cut at ``x1 < 0.5``, where the
+    ray along ``x1`` leaves the chart and is dropped;
 ``sweeps``
     the CSVs of ``sweep`` on the benchmark's three sweep configs (round 0
     of seed 1 of ``perfbench``'s ``cli_sweep``).  This digest depends on
@@ -47,7 +53,7 @@ _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "perfbench")]
 
 from impulse_geo import (artifacts, cli, dynamics, existence,  # noqa: E402
-                         geometry, scenarios)
+                         geometry, profiles, scenarios)
 from impulse_geo.errors import IntegrationFailure  # noqa: E402
 
 _EPS = 0.01
@@ -140,6 +146,42 @@ def certificates():
     return h.hexdigest()
 
 
+def _fan(count):
+    """``count`` unit directions evenly spread in the plane."""
+    angles = 0.3 + 2.0 * np.pi * np.arange(count) / count
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def growth():
+    h = hashlib.sha256()
+    sphere = geometry.sphere_stereographic()
+    cut = geometry.from_metric(2, lambda x: np.eye(2),
+                               chart_domain=lambda x: x[0] < 0.5, name="cut")
+    calls = [
+        (profiles.radial_power_profile(1.0, 3.0, [0.1, -0.2]),
+         geometry.euclidean(2), [0.1, -0.2], _fan(4)),
+        (profiles.gaussian_bump_profile(2.0, [0.5, 1.5], 0.7),
+         geometry.hyperbolic_half_plane(), [0.2, 1.0], _fan(3)),
+        (profiles.quadratic_form_profile([[1.0, 0.2], [0.2, 0.5]]), sphere,
+         [0.3, -0.1], _fan(4)),
+        (profiles.radial_power_profile(1.0, 2.0, [0.1, 0.0]),
+         geometry.from_metric(2, sphere._metric, name="sphere-user"),
+         [0.1, 0.0], _fan(2)),
+        (profiles.radial_power_profile(1.0, 1.5), cut, [0.0, 0.0],
+         [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]]),
+    ]
+    for prof, model, xbar, rays in calls:
+        rep = profiles.classify_growth(prof, model, xbar, rays,
+                                       [0.25, 0.5, 1.0])
+        h.update(repr((rep.exponent.hex(), rep.stderr.hex(), rep.r1.hex(),
+                       rep.r2.hex(), rep.classification,
+                       rep.dropped_directions)).encode())
+        for s in rep.samples:
+            h.update(repr((s.direction, s.radius.hex(), s.distance.hex(),
+                           s.value.hex(), s.distance_is_lower_bound)).encode())
+    return h.hexdigest()
+
+
 def sweeps():
     import workloads  # perfbench's, for its sweep configs
 
@@ -161,6 +203,7 @@ GROUPS = {
     "background_batches": background_batches,
     "shooting": shooting,
     "certificates": certificates,
+    "growth": growth,
     "sweeps": sweeps,
 }
 
