@@ -66,8 +66,8 @@ def write_path_csv(path, geo_path, us, model, profile=None, net=None,
 
 def write_limit_csv(path, lg, us):
     """Sharp-limit CSV: the path CSV's columns up to ``v``."""
-    write_csv(path, _state_header(lg.base_path.n),
-              np.column_stack([us, lg.x_at(us), lg.xdot_at(us), lg.v_at(us)]))
+    write_csv(path, _state_header(lg.n),
+              np.column_stack([us, lg.sample(us)[:, :2 * lg.n + 1]]))
 
 
 def write_table_csv(path, table):

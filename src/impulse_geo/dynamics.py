@@ -114,8 +114,11 @@ def _state_from_vector(n, u, y):
 class GeodesicPath:
     """Dense trajectory ``u -> (x, xdot, v, vdot)`` over contiguous pieces.
 
-    ``phase_marks`` records the strip boundaries ``(-eps, +eps)`` for
-    impulsive trajectories and is ``None`` for background geodesics.
+    Every query (``sample``, ``state_at`` and the accessors) takes a float
+    or a 1-D array of ``u`` inside ``[u_start, u_end]``; anything else
+    raises :class:`ConfigError`.  ``phase_marks`` records the strip
+    boundaries ``(-eps, +eps)`` for impulsive trajectories and is ``None``
+    for background geodesics.
     """
 
     def __init__(self, n, pieces, *, phase_marks=None, diagnostics=None):
@@ -141,6 +144,8 @@ class GeodesicPath:
     def sample(self, us):
         """Evaluate the raw state vectors at the query parameters."""
         us = np.asarray(us, dtype=float)
+        if us.ndim > 1:
+            raise ConfigError("query must be a float or a 1-d array of u")
         scalar = us.ndim == 0
         uq = np.atleast_1d(us).astype(float)
         lo, hi = self.u_start, self.u_end

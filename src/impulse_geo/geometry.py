@@ -200,6 +200,11 @@ class ManifoldModel:
     def norm_at(self, x, w):
         """Riemannian norm ``sqrt(h(w, w))`` of a tangent vector at ``x``."""
         h = self.metric_at(x)
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.dim,):
+            raise ConfigError(
+                f"tangent vector of shape {w.shape} does not match the "
+                f"dimension {self.dim} of {self.name}")
         if not np.isfinite(w).all():
             raise ConfigError(f"tangent vector {w} is not finite")
         return math.sqrt(max(0.0, float(w @ h @ w)))

@@ -17,8 +17,10 @@ The kink is pinned down by conservation of ``g(gamma', gamma')`` across the
 impulse: the x-velocity gains ``1/2 grad f``, so twice the v-slope jump must
 absorb ``-(h(xdot, grad f) + 1/4 h(grad f, grad f))``.
 
-Errors of the regularized trajectories against this limit are measured in
-the chart-coordinate norm.
+The limit is a :class:`~impulse_geo.dynamics.GeodesicPath`, read as every
+path is: at a float or a 1-D array of ``u`` inside its range.  Errors of
+the regularized trajectories against it are measured in the chart-coordinate
+norm, at a 1-D array of finite probes.
 """
 
 import math
@@ -36,18 +38,23 @@ __all__ = [
 ]
 
 
-class LimitGeodesic:
-    """Background geodesic broken at ``u = 0``.
-
-    ``x_at`` / ``xdot_at`` / ``v_at`` evaluate the limit at a float or a
-    1-D array of ``u``, as :class:`~impulse_geo.dynamics.GeodesicPath`
-    does; at the break point the left-continuous values are returned (the
-    sharp limit assigns no pointwise value there, so the pre-shock branch
-    is the convention).
+class LimitGeodesic(dynamics.GeodesicPath):
+    """Background geodesic broken at ``u = 0``: the path of the base branch
+    and then the refracted one, with ``v`` and ``vdot`` from the closed
+    forms above.  At the break point the left-continuous values are
+    returned (the sharp limit assigns no pointwise value there, so the
+    pre-shock branch is the convention).  ``diagnostics`` sums the steps
+    of both branches.
     """
 
     def __init__(self, base_path, refracted_path, v0, vdot0, jump_coeff,
                  kink_coeff, grad_at_break):
+        b, r = base_path.diagnostics, refracted_path.diagnostics
+        work = dynamics.PathDiagnostics(n_steps=b.n_steps + r.n_steps,
+                                        n_rejected=b.n_rejected + r.n_rejected,
+                                        n_rhs=b.n_rhs + r.n_rhs)
+        super().__init__(base_path.n, base_path.pieces + refracted_path.pieces,
+                         diagnostics=work)
         self.base_path = base_path
         self.refracted_path = refracted_path
         self.v0 = float(v0)
@@ -58,28 +65,15 @@ class LimitGeodesic:
         self.x_break = base_path.x_at(0.0)
         self.xdot_minus = base_path.xdot_at(0.0)
         self.xdot_plus = refracted_path.xdot_at(0.0)
-        # both branches as one path: its lookup puts u = 0 on the base
-        # branch, the left-continuous convention
-        self._path = dynamics.GeodesicPath(
-            base_path.n, base_path.pieces + refracted_path.pieces)
 
-    @property
-    def u_end(self):
-        return self.refracted_path.u_end
-
-    def x_at(self, u):
-        return self._path.x_at(u)
-
-    def xdot_at(self, u):
-        return self._path.xdot_at(u)
-
-    def v_at(self, u):
-        u = np.asarray(u, dtype=float)
-        v = self.v0 + self.vdot0 * (1.0 + u)
-        return v + np.where(u > 0.0, self.jump_coeff + self.kink_coeff * u, 0.0)
-
-    def vdot_at(self, u):
-        return self.vdot0 + np.where(np.asarray(u) > 0.0, self.kink_coeff, 0.0)
+    def sample(self, us):
+        out = super().sample(us)  # [x, xdot, v, vdot]
+        u = np.asarray(us, dtype=float)
+        after = u > 0.0
+        out[..., -2] = (self.v0 + self.vdot0 * (1.0 + u) + np.where(
+            after, self.jump_coeff + self.kink_coeff * u, 0.0))
+        out[..., -1] = self.vdot0 + np.where(after, self.kink_coeff, 0.0)
+        return out
 
 
 def limit_geodesic(model, profile, data, *, u_end=1.5, rtol=1e-10,
@@ -203,6 +197,8 @@ def _study(model, profile, net, data, eps_schedule, u_probes, rtol, atol):
         raise ConfigError("eps schedule must be non-empty and positive")
     eps_schedule = sorted(eps_schedule, reverse=True)
     u_probes = np.asarray(u_probes, dtype=float)
+    if u_probes.ndim != 1 or not np.isfinite(u_probes).all():
+        raise ConfigError("u_probes must be a 1-d array of finite values")
     if np.any(u_probes == 0.0):
         raise ConfigError("probes must exclude u = 0")
     if np.any(u_probes < -1.0):
@@ -221,19 +217,19 @@ def _study(model, profile, net, data, eps_schedule, u_probes, rtol, atol):
         model, profile, net, eps_schedule, data,
         [_u_end(u_probes, eps) for eps in eps_schedule],
         rtol=rtol, atol=atol)
+    n = limit.n
+    at_probes = limit.sample(u_probes)
+    out_probes = limit.sample(probes_out)
     rows = []
     for path in paths:
         if isinstance(path, IntegrationFailure):
             rows.append(path)
             continue
-        ex = float(np.max(np.linalg.norm(path.x_at(u_probes)
-                                         - limit.x_at(u_probes), axis=1)))
-        exd = float(np.max(np.linalg.norm(path.xdot_at(probes_out)
-                                          - limit.xdot_at(probes_out),
-                                          axis=1)))
-        ev = float(np.max(np.abs(path.v_at(probes_out)
-                                 - limit.v_at(probes_out))))
-        rows.append((ex, exd, ev))
+        dx = path.sample(u_probes) - at_probes
+        dout = path.sample(probes_out) - out_probes
+        rows.append((float(np.max(np.linalg.norm(dx[:, :n], axis=1))),
+                     float(np.max(np.linalg.norm(dout[:, n:2 * n], axis=1))),
+                     float(np.max(np.abs(dout[:, 2 * n])))))
     return eps_schedule, u_probes, probes_out, rows
 
 

@@ -371,18 +371,20 @@ def _measured_support(net, eps):
 def verify_strict_delta_net(net, eps_schedule, tol=1e-8):
     """Measure the three strict-net properties over a schedule of widths.
 
-    The schedule must be strictly decreasing and positive.  Property (ii)
-    is a limit statement, so it is checked as a trend: the deviations
-    ``|integral - 1|`` must not grow along the schedule and must fall below
-    ``tol`` at the smallest width.  Quadrature entries whose reported error
-    exceeds the requested absolute tolerance by a wide margin are flagged
-    indeterminate.
+    The schedule must be strictly decreasing and positive, and ``tol``
+    positive and finite.  Property (ii) is a limit statement, so it is
+    checked as a trend: the deviations ``|integral - 1|`` must not grow
+    along the schedule and must fall below ``tol`` at the smallest width.
+    Quadrature entries whose reported error exceeds the requested absolute
+    tolerance by a wide margin are flagged indeterminate.
     """
     # scipy is imported here so that importing the package does not load it
     from scipy.integrate import quad
 
     eps_schedule = [float(e) for e in eps_schedule]
     tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
     if not eps_schedule or not all(0 < e < math.inf for e in eps_schedule):
         raise ConfigError("eps schedule must be positive and finite")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
@@ -474,13 +476,10 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
         raise ConfigError("radii must be positive and finite")
     if len(ray_directions) == 0:
         raise ConfigError("classify_growth needs at least one ray direction")
-    if any(np.shape(d) != (model.dim,) for d in ray_directions):
-        raise ConfigError(f"ray directions must have {model.dim} components")
-
-    ws = np.array(ray_directions, dtype=float)
-    speeds = np.array([model.norm_at(xbar, w) for w in ws])
+    speeds = np.array([model.norm_at(xbar, w) for w in ray_directions])
     if not speeds.all():
         raise ConfigError("ray directions must be nonzero")
+    ws = np.array(ray_directions, dtype=float)
     rays = dynamics.background_path(model, xbar, ws / speeds[:, None], 0.0,
                                     radii[-1], rtol=_RAY_TOL, atol=_RAY_TOL)
     samples = []

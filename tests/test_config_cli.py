@@ -452,6 +452,10 @@ REJECTED_CASES = {
     "integrate-u-end-beyond-float": ("integrate",
                                      {**BASE, "u_end": 10 ** 400}, []),
     "certify-grid-beyond-float": ("certify", _existence(grid=10 ** 400), []),
+    # verify_strict_delta_net needs 0 < tol < inf
+    "verify-net-tol-negative": ("verify-net",
+                                {**NET_REPORT,
+                                 "tolerances": {"net_tol": -1.0}}, []),
 }
 
 
@@ -477,7 +481,8 @@ def _drop(payload, key):
     return {k: v for k, v in payload.items() if k != name}
 
 
-# configs without a part the command needs, and the message naming it
+# configs without a part the command needs, or with a malformed one, and
+# the message naming it
 NEEDS_CASES = {
     "sweep-no-schedule": ("sweep", _drop(SWEEP, "eps_schedule"), [],
                           "sweep needs an eps_schedule"),
@@ -506,6 +511,33 @@ NEEDS_CASES = {
         "integrate", {**BASE, "profile": {"name": "gaussian_bump",
                                           "width": 0.8}}, [],
         "gaussian_bump profile needs a center"),
+    "config-is-a-list": ("integrate", [BASE], [],
+                         "config must be a JSON object"),
+    "no-manifold": ("integrate", _drop(BASE, "manifold"), [],
+                    "config must declare a manifold"),
+    "manifold-dim-0": ("integrate",
+                       {**BASE, "manifold": {"name": "euclidean", "dim": 0}},
+                       [], "manifold dim must be a positive integer"),
+    "quadratic-matrix-one-row": (
+        "integrate", {**BASE, "profile": {"name": "quadratic_form",
+                                          "matrix": [[1.0, 0.0]]}}, [],
+        "profile.matrix must be a list of lists of 2 numbers"),
+    "eps-and-schedule": ("integrate", {**BASE, "eps_schedule": [0.1]}, [],
+                         "give either eps or eps_schedule, not both"),
+    "sweep-schedule-empty": ("sweep", {**SWEEP, "eps_schedule": []}, [],
+                             "eps_schedule must be a non-empty list"),
+    "sweep-schedule-width-0.7": (
+        "sweep", {**SWEEP, "eps_schedule": [0.7, 0.1]}, [],
+        "every eps in the schedule must lie in (0, 0.5]"),
+    "tolerances-not-an-object": ("integrate", {**BASE, "tolerances": 5}, [],
+                                 "section 'tolerances' must be an object"),
+    "output-path-not-a-string": ("integrate",
+                                 {**BASE, "output": {"csv": 5}}, [],
+                                 "output.csv must be a file path"),
+    "data-3-numbers": (
+        "integrate", {**BASE, "data": {"x0": [0.0, 0.0, 0.0],
+                                       "xdot0": [1.0, 0.0, 0.0]}}, [],
+        "data dimension 3 does not match the manifold (2)"),
 }
 
 
@@ -550,6 +582,10 @@ UNREADABLE_CASES = {
     "csv-is-a-directory": (
         lambda tmp: ["integrate", "--config", write_cfg(tmp, BASE),
                      "--csv", str(tmp)], "error: "),
+    "csv-in-missing-directory": (
+        lambda tmp: ["integrate", "--config", write_cfg(tmp, BASE),
+                     "--csv", str(tmp / "missing" / "p.csv")],
+        "error: [Errno 2] No such file or directory"),
 }
 
 

@@ -53,6 +53,7 @@ def test_readme_quick_start_prints_what_its_comments_claim(capsys):
     lg, cert = scope["lg"], scope["cert"]
     np.testing.assert_allclose([lg.jump_coeff, lg.kink_coeff], [-0.5, -0.625],
                                **tol)
+    np.testing.assert_allclose(lg.state_at(1.0).v, -1.125, **tol)
     np.testing.assert_allclose([cert.alpha, cert.eps0], [2 / 3, 1 / 3], **tol)
     assert len(scope["paths"]) == 3
     for path in scope["paths"]:

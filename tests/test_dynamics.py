@@ -880,6 +880,7 @@ def test_failures_count_the_work_done_before_them():
 
 _PATH = dynamics.background_path(EU, [0.0, 0.0], [1.0, 0.0], 0.0, 1.0)
 DATA = InitialData([0.0, 0.0], [1.0, 0.0])
+_LIMIT = limits.limit_geodesic(EU, LINEAR, DATA)
 
 
 @pytest.mark.parametrize("call", [
@@ -971,6 +972,12 @@ DATA = InitialData([0.0, 0.0], [1.0, 0.0])
     lambda: existence.weissinger_budget(0.5, math.inf, 1.0, 1.0),
     lambda: existence.weissinger_coefficient(2.5, 0.5, 1.0, 1.0, 1.0),
     lambda: profiles.gaussian_bump_profile(1.0, [0.0, 0.0], math.inf),
+    lambda: EU.norm_at([0.0, 0.0], np.array([1.0, 0.0, 0.0])),
+    lambda: _PATH.x_at(np.zeros((2, 2))),
+    lambda: _LIMIT.x_at(np.zeros((2, 2))),
+    lambda: profiles.verify_strict_delta_net(NET, [0.25, 0.125], tol=math.nan),
+    lambda: profiles.verify_strict_delta_net(NET, [0.25, 0.125], tol=0.0),
+    lambda: profiles.verify_strict_delta_net(NET, [0.25, 0.125], tol=-1.0),
 ], ids=["velocity-shape", "reversed-interval", "limit-u_end-negative",
         "certify-velocity-shape", "picard-velocity-shape",
         "picard-eps-negative", "sample-out-of-range", "inside-batch-shape",
@@ -993,7 +1000,9 @@ DATA = InitialData([0.0, 0.0], [1.0, 0.0])
         "picard-dimension", "distance-dimension", "growth-base-dimension",
         "gradient-dimension", "christoffel-dimension", "norm-vector-nan",
         "weissinger-alpha-nan", "weissinger-lipschitz-infinite",
-        "weissinger-n-fraction", "gaussian-width-infinite"])
+        "weissinger-n-fraction", "gaussian-width-infinite",
+        "norm-vector-shape", "sample-2d-query", "limit-sample-2d-query",
+        "net-tol-nan", "net-tol-zero", "net-tol-negative"])
 def test_caller_mistakes_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

@@ -68,6 +68,36 @@ def test_left_continuity_at_break():
                        atol=1e-14)
 
 
+def test_limit_is_a_path_read_through_one_sample():
+    data = InitialData([0.0, 1.0], [0.6, 0.4], v0=0.4, vdot0=-0.3)
+    lg = limits.limit_geodesic(HYP, BUMP_HYP, data)
+    assert isinstance(lg, dynamics.GeodesicPath)
+    us = np.array([-1.0, -0.3, 0.0, 1e-12, 0.7, lg.u_end])
+    rows = lg.sample(us)
+    # x and xdot from the branch that holds u: the base one up to u = 0
+    for u, row in zip(us, rows):
+        branch = lg.base_path if u <= 0.0 else lg.refracted_path
+        assert row[:4].tobytes() == branch.sample(u)[:4].tobytes()
+        assert row.tobytes() == lg.sample(u).tobytes()
+    # v and vdot from the closed forms
+    after = us > 0.0
+    v = (lg.v0 + lg.vdot0 * (1.0 + us)
+         + np.where(after, lg.jump_coeff + lg.kink_coeff * us, 0.0))
+    vdot = lg.vdot0 + np.where(after, lg.kink_coeff, 0.0)
+    assert rows[:, 4].tobytes() == v.tobytes()
+    assert rows[:, 5].tobytes() == vdot.tobytes()
+    st = lg.state_at(us)
+    assert st.v.tobytes() == v.tobytes()
+    # the work of both branches
+    for count in ("n_steps", "n_rejected", "n_rhs"):
+        assert getattr(lg.diagnostics, count) == (
+            getattr(lg.base_path.diagnostics, count)
+            + getattr(lg.refracted_path.diagnostics, count))
+    assert lg.diagnostics.n_steps > 0
+    with pytest.raises(ConfigError, match="outside path range"):
+        lg.v_at(lg.u_end + 0.1)
+
+
 def random_setup(rng):
     amp = rng.uniform(-1.5, 1.5)
     center = rng.uniform(-0.3, 0.3, 2) + np.array([1.0, 0.0])
@@ -221,6 +251,20 @@ def test_study_errors_validates_probes(probes):
     bump = profiles.gaussian_bump_profile(1.0, [1.0, 0.0], 0.8)
     with pytest.raises(ConfigError):
         limits.study_errors(EU, bump, NET, DATA_FLAT, 0.3, probes)
+
+
+@pytest.mark.parametrize("study, probes", [
+    (limits.convergence_study, [0.5, np.nan]),
+    (limits.convergence_study, [[-0.5, 0.5]]),
+    (limits.study_errors, [-0.5, np.inf]),
+    (limits.study_errors, [[-0.5], [0.5]]),
+], ids=["convergence-probe-nan", "convergence-probes-2d",
+        "study-errors-probe-infinite", "study-errors-probes-2d"])
+def test_study_probes_are_finite_and_1d(study, probes):
+    # checked before integrating, with a message naming the probes
+    widths = [0.1] if study is limits.convergence_study else 0.1
+    with pytest.raises(ConfigError, match="u_probes"):
+        study(EU, LINEAR, NET, DATA_FLAT, widths, probes)
 
 
 def test_convergence_study_flags_failed_rows():

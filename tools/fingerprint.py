@@ -28,6 +28,13 @@ It takes no options.  The groups:
     built-in chart, 2 on the round sphere given only by its metric
     (shooting distances), and 3 on a plane cut at ``x1 < 0.5``, where the
     ray along ``x1`` leaves the chart and is dropped;
+``limits``
+    each scenario's ``limit_geodesic``: its coefficients as hex, and the
+    bytes of its break vectors and of ``x_at``, ``xdot_at``, ``v_at`` and
+    ``vdot_at`` at 41 values of ``u`` in [-1, 1.5] and at ``u = 0``; then
+    the stdout and the CSV of ``limit`` on the benchmark's three sweep
+    configs (as for ``sweeps``, compare it only between trees with the
+    same ``perfbench/workloads.py``);
 ``sweeps``
     the CSVs of ``sweep`` on the benchmark's three sweep configs (round 0
     of seed 1 of ``perfbench``'s ``cli_sweep``).  This digest depends on
@@ -53,7 +60,7 @@ _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "perfbench")]
 
 from impulse_geo import (artifacts, cli, dynamics, existence,  # noqa: E402
-                         geometry, profiles, scenarios)
+                         geometry, limits, profiles, scenarios)
 from impulse_geo.errors import IntegrationFailure  # noqa: E402
 
 _EPS = 0.01
@@ -182,18 +189,42 @@ def growth():
     return h.hexdigest()
 
 
-def sweeps():
+def _cli_runs(command):
+    """The exit code, stdout and CSV of ``command`` on each of the
+    benchmark's sweep configs (round 0 of seed 1 of ``cli_sweep``)."""
     import workloads  # perfbench's, for its sweep configs
 
-    h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
         bench = workloads.CliSweep(1, workdir)
         for _, config, csv, _ in bench.round_inputs(0):
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["sweep", "--config", config])
-            h.update(repr(code).encode())
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main([command, "--config", config])
             with open(csv, "rb") as fh:
-                h.update(fh.read())
+                yield code, out.getvalue(), fh.read()
+
+
+def limit_paths():
+    h = hashlib.sha256()
+    us = np.append(np.linspace(-1.0, 1.5, 41), 0.0)
+    for scen in scenarios.builtin_scenarios():
+        lg = limits.limit_geodesic(scen.model, scen.profile, scen.data)
+        h.update(repr((lg.v0.hex(), lg.vdot0.hex(), lg.jump_coeff.hex(),
+                       lg.kink_coeff.hex())).encode())
+        for a in (lg.grad_at_break, lg.x_break, lg.xdot_minus, lg.xdot_plus,
+                  lg.x_at(us), lg.xdot_at(us), lg.v_at(us), lg.vdot_at(us)):
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    for code, text, csv in _cli_runs("limit"):
+        h.update(repr((code, text)).encode())
+        h.update(csv)
+    return h.hexdigest()
+
+
+def sweeps():
+    h = hashlib.sha256()
+    for code, _, csv in _cli_runs("sweep"):
+        h.update(repr(code).encode())
+        h.update(csv)
     return h.hexdigest()
 
 
@@ -204,6 +235,7 @@ GROUPS = {
     "shooting": shooting,
     "certificates": certificates,
     "growth": growth,
+    "limits": limit_paths,
     "sweeps": sweeps,
 }
 
