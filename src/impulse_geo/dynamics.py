@@ -25,11 +25,16 @@ one :class:`PathDiagnostics`; a failure's ``partial`` becomes the
 As in :func:`solve_rk45`, the form follows the state's shape, in the entry
 points too.  A single trajectory (one velocity, one width) has a 1-D state:
 it uses the per-point field (:func:`_system`) and the 1-D loop, raises its
-failure and gets energy diagnostics.  :func:`lagrangian_energy` takes one
-state or a batch: the energy diagnostics of a path and the energy column
-of its CSV are one call.  A batch of B velocities from one point (geodesic
-shooting) or of B widths from one datum (a convergence study) has a
-``(B, D)`` state and uses the ensemble field: the ``(B, n)`` batch forms
+failure and gets energy diagnostics.  Like that loop, the per-point field
+works on Python floats, where numpy's cost per call would outweigh the
+arithmetic of a 2-D state: it contracts ``-Gamma(xdot, xdot)`` in
+einsum's order (:func:`_christoffel_term`) and returns a list, while the
+products with the inverse metric and ``df`` stay numpy's.
+:func:`lagrangian_energy` takes one state or a batch: the energy
+diagnostics of a path and the energy column of its CSV are one call.  A
+batch of B velocities from one point (geodesic shooting) or of B widths
+from one datum (a convergence study) has a ``(B, D)`` state and uses the
+ensemble field: the ``(B, n)`` batch forms
 of the model and the profile, a width and a ``u`` per row, and the
 acceleration that the Picard iteration integrates
 (:func:`batch_acceleration`).  It gives per row a path or the row's
@@ -197,7 +202,8 @@ def rhs(state, model, profile, net, eps):
     """
     n = model.dim
     y = _system(model, profile, net, eps)(state.u, state.as_vector())
-    return StateRate(y[:n], y[n:2 * n], float(y[2 * n]), float(y[2 * n + 1]))
+    return StateRate(np.array(y[:n]), np.array(y[n:2 * n]), float(y[2 * n]),
+                     float(y[2 * n + 1]))
 
 
 def lagrangian_energy(state, model, profile=None, net=None, eps=None):
@@ -223,11 +229,28 @@ def lagrangian_energy(state, model, profile=None, net=None, eps=None):
     return float(e[0]) if np.ndim(state.u) == 0 else e
 
 
+def _christoffel_term(gamma, xd):
+    """``-Gamma^k_ij xd^i xd^j`` as a list of floats, from the ``(n, n, n)``
+    array ``gamma`` and the list of floats ``xd``.  Each component is
+    summed over ``i``, then ``j``, from 0.0, which is what
+    ``np.einsum("kij,i,j->k")`` does on a C-ordered ``gamma``, as every
+    chart of this package returns it: the two agree bit for bit."""
+    acc = []
+    for gk in gamma.tolist():
+        s = 0.0
+        for gi, a in zip(gk, xd):
+            for g, b in zip(gi, xd):
+                s += g * a * b
+        acc.append(-s)
+    return acc
+
+
 def _system(model, profile, net, eps):
-    """The geodesic field ``fun(u, y)`` on raw state vectors; the
-    background field when ``net`` or ``eps`` is None.  The forcing is
-    skipped outside ``|u| < support_radius(eps)``, where it vanishes
-    identically."""
+    """The geodesic field ``fun(u, y)`` on a raw state vector, as a list
+    of floats; the background field when ``net`` or ``eps`` is None.  The
+    forcing is skipped outside ``|u| < support_radius(eps)``, where it
+    vanishes identically.  The products with the inverse metric and
+    ``df`` stay numpy's, which a float loop need not round alike."""
     n = model.dim
     radius = 0.0 if net is None or eps is None else net.support_radius(eps)
     require_inside = model.require_inside
@@ -236,18 +259,21 @@ def _system(model, profile, net, eps):
 
     def fun(u, y):
         x = y[:n]
-        xd = y[n:2 * n]
         require_inside(x)
-        acc = -np.einsum("kij,i,j->k", christoffel(x), xd, xd)
+        state = y.tolist()
+        xd = state[n:2 * n]
+        acc = _christoffel_term(christoffel(x), xd)
         vdd = 0.0
         if -radius < u < radius:
             d = net.eval(eps, u)
             dd = net.deriv(eps, u)
             if d != 0.0 or dd != 0.0:
                 df = profile.df(x)
-                acc = acc + (0.5 * d) * (inverse_metric(x) @ df)
-                vdd = -float(df @ xd) * d - 0.5 * profile.f(x) * dd
-        return np.concatenate((xd, acc, y[2 * n + 1:], (vdd,)))
+                half = 0.5 * d
+                acc = [a + half * g for a, g in
+                       zip(acc, (inverse_metric(x) @ df).tolist())]
+                vdd = -float(df @ y[n:2 * n]) * d - 0.5 * profile.f(x) * dd
+        return xd + acc + [state[2 * n + 1], vdd]
 
     return fun
 

@@ -103,8 +103,13 @@ def inner_scale_error(model, profile, net, data, eps, *, rtol=1e-10,
     """Sup of ``|x_eps(eps u) - x(0)|`` over 201 points ``u`` in [-1, 1].
 
     On the inner scale the whole strip collapses to the single point where
-    the base geodesic hits the shock; the sup decays like O(eps).
+    the base geodesic hits the shock; the sup decays like O(eps).  ``eps``
+    is one width; a sequence of them raises :class:`ConfigError` before
+    anything is integrated.
     """
+    if np.ndim(eps) != 0:
+        raise ConfigError(f"inner_scale_error takes one width eps, got "
+                          f"shape {np.shape(eps)}")
     base = dynamics.background_path(model, data.x0, data.xdot0, -1.0, 0.0,
                                     rtol=rtol, atol=atol)
     xb = base.x_at(0.0)

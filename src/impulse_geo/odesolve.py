@@ -27,27 +27,32 @@ resolved row by row, so it marks only the rows that raise it.  A row that
 fails becomes that row's :class:`IntegrationFailure` and drops out; the
 ensemble call itself never raises for one row.
 
-One trial step, :func:`_step`, holds the stage arithmetic of both forms:
-on a ``(D,)`` state with the per-point field for a single trajectory, and
-on ``(m, D)`` states with the batch field for an ensemble.  Each stage
-combination is one ``np.add.reduce`` over the stage axis of the slopes,
-from 0.0.  numpy adds that axis in order, so this is the written-out
+Each form has its own trial step, and both do the same arithmetic.  An
+ensemble takes :func:`_step` on ``(m, D)`` arrays: each stage combination
+is one ``np.add.reduce`` over the stage axis of the slopes, from 0.0.
+numpy adds that axis in order, so this is the written-out
 ``0 + a1*k1 + a2*k2 + ...`` bit for bit, signed zeros included, in a few
-numpy calls rather than one per term.  One step controller, :class:`_Row`,
-serves both forms: every trajectory, alone or as a row, has its own step
-size, end point, step cap, accept/reject decision, blow-up and step-limit
-checks, counts and dense output, with the step-size arithmetic in Python
-floats.  One stage-failure rule holds in both forms: a stage that cannot
-be evaluated abandons the trial step, and the rows it failed on retry at
-half the step; in an ensemble every other live row repeats the same trial
-step from the same state, so its bits and counts do not change.  Provided
-``fun`` computes each row independently of the others, every row is
-bit-identical to the same trajectory integrated alone or in any other
-batch.
+numpy calls rather than one per term.  A single trajectory takes
+:func:`_point_step` on lists of Python floats, with that chain written out
+term by term; its error norm and blow-up check round and compare as
+numpy's do, so both forms keep the same bits.  At the 6 entries of a 2-D
+geodesic state numpy's fixed cost per call, not the arithmetic, set the
+cost of a step: on floats the benchmark's ``crossing_ensemble`` round time
+fell by 16% (2-vCPU VM, Python 3.11, numpy 2.4).  One step controller,
+:class:`_Row`, serves both forms: every trajectory, alone or as a row, has
+its own step size, end point, step cap, accept/reject decision, blow-up
+and step-limit checks, counts and dense output, with the step-size
+arithmetic in Python floats.  One stage-failure rule holds in both forms:
+a stage that cannot be evaluated abandons the trial step, and the rows it
+failed on retry at half the step; in an ensemble every other live row
+repeats the same trial step from the same state, so its bits and counts
+do not change.  Provided ``fun`` computes each row independently of the
+others, every row is bit-identical to the same trajectory integrated
+alone or in any other batch.
 
-The single-trajectory loop stays apart from the ensemble loop: the anchor
-trajectory run as an ensemble of one was 26% slower.  So the phase driver
-of :mod:`impulse_geo.dynamics` hands a 1-D state to the 1-D loop.
+The two loops stay apart: a single trajectory run as an ensemble of one
+was 36% slower, even before the 1-D loop moved to floats.  So the phase
+driver of :mod:`impulse_geo.dynamics` hands a 1-D state to the 1-D loop.
 """
 
 import math
@@ -74,9 +79,8 @@ _A = (
 )
 _ERR = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
         -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
-# the rows of _A and _ERR as columns against (D,) [1] or (m, D) [2] slopes
-_WEIGHTS = {nd: [np.reshape(w, (-1,) + (1,) * nd) for w in _A + (_ERR,)]
-            for nd in (1, 2)}
+# the rows of _A and _ERR as columns against (m, D) slopes
+_WEIGHTS = [np.reshape(w, (-1, 1, 1)) for w in _A + (_ERR,)]
 
 # quartic dense-output weights of the pair: y(t + s h) =
 # y + h * (K^T P) . (s, s^2, s^3, s^4) with K the 7 stage slopes
@@ -159,30 +163,60 @@ class DensePath:
         return out[0] if scalar else out
 
 
-def _checked(fun, t, y):
-    try:
-        f = np.asarray(fun(t, y), dtype=float)
-    except ChartDomainError as exc:
-        raise _StageFailure from exc
-    if not np.isfinite(f).all():
-        raise _StageFailure
-    return f
-
-
 def _rms(v):
     return math.sqrt((v * v).sum() / v.size)
 
 
+def _point_checked(fun, t, y):
+    """``fun`` at the state ``y`` (its floats, given to ``fun`` as an
+    array) as a list of floats; :class:`_StageFailure` where it raises
+    :class:`ChartDomainError` or is not finite."""
+    try:
+        f = fun(t, np.array(y))
+    except ChartDomainError as exc:
+        raise _StageFailure from exc
+    if type(f) is not list:
+        f = np.asarray(f, dtype=float).tolist()
+    if len(f) != len(y):
+        raise ValueError(f"the right-hand side gave {len(f)} values for a "
+                         f"state of {len(y)}")
+    if not all(map(math.isfinite, f)):
+        raise _StageFailure
+    return f
+
+
+def _point_error_norm(err, y, y_new, rtol, atol):
+    """The scaled error norm of a step of the 1-D loop, on floats and bit
+    for bit ``_rms(err / (atol + rtol * np.maximum(|y|, |y_new|)))``:
+    numpy's maximum is NaN where ``y_new`` holds a NaN, as the comparison
+    here is (``y`` holds a NaN only where ``y_new`` does), and numpy adds
+    fewer than eight squares in order, from 0.0, and more pairwise."""
+    ratios = [e / (atol + rtol * (a if a >= b else b))
+              for e, a, b in zip(err, map(abs, y), map(abs, y_new))]
+    if len(ratios) >= 8:
+        return _rms(np.array(ratios))
+    total = 0.0
+    for r in ratios:
+        total += r * r
+    return math.sqrt(total / len(ratios))
+
+
+def _blown_up(y):
+    """Whether ``np.abs(y).max()`` of the floats ``y`` exceeds the blow-up
+    bound: a state holding a NaN has a NaN maximum, which exceeds
+    nothing."""
+    return max(map(abs, y)) > _BLOWUP and not any(v != v for v in y)
+
+
 def _step(fun, check, t, y, f, h, t_new):
-    """One Dormand-Prince trial step of size ``h`` from ``(t, y)`` with
-    first slope ``f``, ending at ``t_new``: the new state, the error
-    estimate and the ``(7,) + y.shape`` array of the seven stage slopes.
+    """One Dormand-Prince trial step of size ``h`` from the ``(m, D)``
+    states ``y`` at ``t`` with first slopes ``f``, ending at ``t_new``: the
+    new states, the error estimates and the ``(7, m, D)`` array of the
+    seven stage slopes.  ``t``, ``h`` and ``t_new`` are ``(m, 1)`` columns.
 
     ``check(fun, t, y)`` evaluates a stage or raises :class:`_StageFailure`.
-    The step runs on a ``(D,)`` state with float ``t``, ``h`` and
-    ``t_new``, or on ``(m, D)`` states with ``(m, 1)`` columns of them.
     Its stage sums keep every bit of the written-out chain (module doc)."""
-    w = _WEIGHTS[y.ndim]
+    w = _WEIGHTS
     k = np.empty((7,) + y.shape)
     k[0] = f
     for i, c in enumerate(_C, 1):
@@ -193,6 +227,46 @@ def _step(fun, check, t, y, f, h, t_new):
     k[6] = check(fun, t_new, y_new)
     err = h * np.add.reduce(w[6] * k, axis=0, initial=0.0)
     return y_new, err, k
+
+
+def _point_step(fun, check, t, y, f, h, t_new):
+    """:func:`_step` on one trajectory: the state ``y`` and the slope ``f``
+    are lists of D floats, ``t``, ``h`` and ``t_new`` floats, and the
+    slopes come back as a tuple of seven lists.
+
+    Each stage sum is written out as ``(((0.0 + a1 k1) + a2 k2) + ...)``,
+    the order of :func:`_step`'s reductions, so both keep the same bits.
+    The two zero weights (``k2`` in the new state and in the error) are
+    left out: a slope is finite, so its zero product is a signed zero, and
+    a sum from 0.0 is never -0.0, so adding a signed zero to it changes no
+    bit."""
+    c2, c3, c4, c5, c6 = _C
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _A
+    e1, _, e3, e4, e5, e6, e7 = _ERR
+    k2 = check(fun, t + c2 * h,
+               [v + h * (0.0 + a21 * p) for v, p in zip(y, f)])
+    k3 = check(fun, t + c3 * h,
+               [v + h * ((0.0 + a31 * p) + a32 * q)
+                for v, p, q in zip(y, f, k2)])
+    k4 = check(fun, t + c4 * h,
+               [v + h * (((0.0 + a41 * p) + a42 * q) + a43 * r)
+                for v, p, q, r in zip(y, f, k2, k3)])
+    k5 = check(fun, t + c5 * h,
+               [v + h * ((((0.0 + a51 * p) + a52 * q) + a53 * r) + a54 * s)
+                for v, p, q, r, s in zip(y, f, k2, k3, k4)])
+    k6 = check(fun, t + c6 * h,
+               [v + h * (((((0.0 + a61 * p) + a62 * q) + a63 * r) + a64 * s)
+                         + a65 * z)
+                for v, p, q, r, s, z in zip(y, f, k2, k3, k4, k5)])
+    y_new = [v + h * (((((0.0 + a71 * p) + a73 * r) + a74 * s) + a75 * z)
+                      + a76 * g)
+             for v, p, r, s, z, g in zip(y, f, k3, k4, k5, k6)]
+    k7 = check(fun, t_new, y_new)
+    err = [h * ((((((0.0 + e1 * p) + e3 * r) + e4 * s) + e5 * z) + e6 * g)
+                + e7 * o)
+           for p, r, s, z, g, o in zip(f, k3, k4, k5, k6, k7)]
+    return y_new, err, (f, k2, k3, k4, k5, k6, k7)
 
 
 class _Row:
@@ -280,10 +354,11 @@ class _Row:
         self.n_rejected += 1
         self.h *= 0.5
 
-    def accept(self, err_norm, t_new, y_new, dense):
+    def accept(self, err_norm, t_new, y_new, dense, blown_up):
         """Decide on a completed step by its scaled error norm; on
-        acceptance store it with its dense-output block ``dense``.  Returns
-        whether the step was accepted."""
+        acceptance store it with its dense-output block ``dense``, or fail
+        if the new state has ``blown_up``.  Returns whether the step was
+        accepted."""
         self.n_rhs += 7
         factor = _MAX_FACTOR if err_norm == 0.0 else min(
             _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
@@ -291,8 +366,8 @@ class _Row:
         if err_norm > 1.0:
             self.n_rejected += 1
             return False
-        if np.abs(y_new).max() > _BLOWUP:
-            raise self.failure("blow_up", t_new, y_new,
+        if blown_up:
+            raise self.failure("blow_up", t_new, np.array(y_new, dtype=float),
                                f"state magnitude exceeded {_BLOWUP:g}")
         n = self.n_accepted
         if n + 1 == len(self.ts):
@@ -341,6 +416,8 @@ def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
                phase=None):
     """Integrate ``y' = fun(t, y)`` forward from ``t0`` to ``t1``.
 
+    ``fun(t, y)`` gets the state as a ``(D,)`` array and returns its D
+    slopes, as a list of floats or anything ``np.asarray`` takes.
     Returns ``(path, stats)`` where ``path`` is a :class:`DensePath` over
     ``[t0, t1]`` and ``stats`` is a dict with step counts.  Raises
     :class:`IntegrationFailure` on blow-up, chart escape or step collapse;
@@ -368,26 +445,29 @@ def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
     if not np.isfinite(y).all():
         raise row.failure("chart_escape", msg=_NON_FINITE.format(y))
     try:
-        f = _checked(fun, row.t, y)
+        f = _point_checked(fun, row.t, y)
     except _StageFailure:
         raise row.failure("chart_escape", msg=_INITIAL_UNDEFINED) from None
-    h0, scale, d1 = row.first_guess(y, f, rtol, atol)
+    f0 = np.array(f)
+    h0, scale, d1 = row.first_guess(y, f0, rtol, atol)
     try:
-        f1 = _checked(fun, row.t + h0, y + h0 * f)
+        f1 = np.array(_point_checked(fun, row.t + h0, y + h0 * f0))
     except _StageFailure:
         f1 = None
-    row.start(h0, scale, d1, f, f1)
+    row.start(h0, scale, d1, f0, f1)
 
+    y = y.tolist()
     while (h := row.next_step()) is not None:
         t_new = row.end_of(h)
         try:
-            y_new, err, k = _step(fun, _checked, row.t, y, f, h, t_new)
+            y_new, err, k = _point_step(fun, _point_checked, row.t, y, f, h,
+                                        t_new)
         except _StageFailure:
             row.stage_failure()
             continue
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        if row.accept(_rms(err / scale), t_new, y_new,
-                      np.einsum("sd,sj->dj", k, _P)):
+        if row.accept(_point_error_norm(err, y, y_new, rtol, atol), t_new,
+                      y_new, np.einsum("sd,sj->dj", k, _P),
+                      _blown_up(y_new)):
             y, f = y_new, k[-1]
     return row.path(), row.counts()
 
@@ -478,11 +558,13 @@ def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase):
         ratio = err / (atol + rtol * np.maximum(np.abs(yv), np.abs(y_new)))
         err_norms = np.sqrt(np.mean(ratio * ratio, axis=1))
         dense = np.einsum("sbd,sj->bdj", k, _P)
+        blown = np.abs(y_new).max(axis=1) > _BLOWUP
         accepted = []
         for j, (r, err_norm, end) in enumerate(
                 zip(live, err_norms.tolist(), t_new[:, 0].tolist())):
             try:
-                if rows[r].accept(err_norm, end, y_new[j], dense[j]):
+                if rows[r].accept(err_norm, end, y_new[j], dense[j],
+                                  blown[j]):
                     accepted.append(j)
             except IntegrationFailure as exc:
                 out[r] = exc

@@ -475,8 +475,10 @@ def _awkward(rng, shape):
 def test_step_reductions_repeat_the_written_out_chain(shape):
     # the stage sums of odesolve._step are numpy reductions over the stage
     # axis; they keep every bit only while numpy adds that axis in order,
-    # so a numpy that sums it otherwise fails here
+    # so a numpy that sums it otherwise fails here.  A single trajectory
+    # takes odesolve._point_step, which writes the sums out on floats.
     rng = np.random.default_rng(17)
+    point = len(shape) == 1
     for _ in range(200):
         y, f = _awkward(rng, shape), _awkward(rng, shape)
         slopes = [_awkward(rng, shape) for _ in range(6)]
@@ -488,18 +490,22 @@ def test_step_reductions_repeat_the_written_out_chain(shape):
         # (m, 1) columns for an ensemble, floats for a point, as in the loops
         t = rng.uniform(-1.0, 1.0, shape[:-1] + (1,))
         h = 10.0 ** rng.uniform(-6, 0, t.shape)
-        if len(shape) == 1:
+        if point:
             t, h = float(t[0]), float(h[0])
         outputs = []
-        for step in (odesolve._step, _written_out_step):
+        for step in ((odesolve._point_step if point else odesolve._step),
+                     _written_out_step):
             seen = []
+            floats = point and step is odesolve._point_step
 
             def check(fun, ts, ys):
-                seen.append((np.array(ts), ys.copy()))
-                return slopes[len(seen) - 1]
+                seen.append((np.array(ts), np.array(ys)))
+                slope = slopes[len(seen) - 1]
+                return slope.tolist() if floats else slope
 
-            y_new, err, k = step(None, check, t, y, f, h, t + h)
-            outputs.append([y_new, err, np.array(k)]
+            args = (y.tolist(), f.tolist()) if floats else (y, f)
+            y_new, err, k = step(None, check, t, args[0], args[1], h, t + h)
+            outputs.append([np.array(y_new), np.array(err), np.array(k)]
                            + [a for pair in seen for a in pair])
         for got, want in zip(*outputs):
             assert got.tobytes() == want.tobytes()
@@ -531,6 +537,40 @@ def test_undefined_initial_state_is_a_chart_escape():
     alone, _ = solve_rk45(_undefined_beyond_two, 0.0, 1.0, y0[1])
     for attr in ("ts", "ys", "coeffs"):
         assert np.array_equal(getattr(path, attr), getattr(alone, attr))
+
+
+def test_christoffel_term_repeats_einsum():
+    # the point field contracts -Gamma(xd, xd) on floats, summing over i,
+    # then j, from 0.0; it keeps the bits of np.einsum("kij,i,j->k") only
+    # while einsum sums in that order, so a numpy that sums otherwise fails
+    # here.  Velocities carry signed zeros and magnitudes 1e-8 to 1e8.
+    rng = np.random.default_rng(29)
+    user3 = geometry.from_metric(
+        3, lambda x: np.diag([1.0 + x[0] ** 2, 2.0 + math.sin(x[1]),
+                              1.5 + x[2] ** 2]) + 0.1 * np.outer(x, x))
+    charts = [
+        (geometry.hyperbolic_half_plane(),
+         lambda: [rng.choice([0.0, -0.0, rng.uniform(-2.0, 2.0)]),
+                  rng.uniform(0.1, 3.0)]),
+        (geometry.sphere_stereographic(),
+         lambda: [rng.choice([0.0, -0.0, rng.uniform(-2.0, 2.0)]),
+                  rng.uniform(-2.0, 2.0)]),
+        (user3, lambda: rng.uniform(-1.0, 1.0, 3)),
+    ]
+    for model, point in charts:
+        for _ in range(100):
+            gamma = model._point_christoffel(np.array(point(), dtype=float))
+            xd = _awkward(rng, model.dim)
+            want = -np.einsum("kij,i,j->k", gamma, xd, xd)
+            got = np.array(dynamics._christoffel_term(gamma, xd.tolist()))
+            assert got.tobytes() == want.tobytes(), model.name
+    # symbols with signed zeros and awkward magnitudes of their own
+    for n in (2, 3):
+        for _ in range(500):
+            gamma, xd = _awkward(rng, (n, n, n)), _awkward(rng, n)
+            want = -np.einsum("kij,i,j->k", gamma, xd, xd)
+            got = np.array(dynamics._christoffel_term(gamma, xd.tolist()))
+            assert got.tobytes() == want.tobytes()
 
 
 def test_ensemble_field_matches_point_field():
@@ -978,6 +1018,7 @@ _LIMIT = limits.limit_geodesic(EU, LINEAR, DATA)
     lambda: profiles.verify_strict_delta_net(NET, [0.25, 0.125], tol=math.nan),
     lambda: profiles.verify_strict_delta_net(NET, [0.25, 0.125], tol=0.0),
     lambda: profiles.verify_strict_delta_net(NET, [0.25, 0.125], tol=-1.0),
+    lambda: limits.inner_scale_error(EU, LINEAR, NET, DATA, [0.1, 0.2]),
 ], ids=["velocity-shape", "reversed-interval", "limit-u_end-negative",
         "certify-velocity-shape", "picard-velocity-shape",
         "picard-eps-negative", "sample-out-of-range", "inside-batch-shape",
@@ -1002,7 +1043,8 @@ _LIMIT = limits.limit_geodesic(EU, LINEAR, DATA)
         "weissinger-alpha-nan", "weissinger-lipschitz-infinite",
         "weissinger-n-fraction", "gaussian-width-infinite",
         "norm-vector-shape", "sample-2d-query", "limit-sample-2d-query",
-        "net-tol-nan", "net-tol-zero", "net-tol-negative"])
+        "net-tol-nan", "net-tol-zero", "net-tol-negative",
+        "inner-scale-widths"])
 def test_caller_mistakes_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

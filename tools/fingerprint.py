@@ -39,12 +39,21 @@ It takes no options.  The groups:
     the CSVs of ``sweep`` on the benchmark's three sweep configs (round 0
     of seed 1 of ``perfbench``'s ``cli_sweep``).  This digest depends on
     those configs as well as on the solver: compare it only between trees
-    with the same ``perfbench/workloads.py``.
+    with the same ``perfbench/workloads.py``;
+``failures``
+    single trajectories that fail, so that the retry and failure paths of
+    the integrators have a bit check too: a blow-up in the strip (flat
+    plane, ``|x|^4`` at rest at ``(8, 0)``, ``eps = 0.014``), and the same
+    datum at widths 0.014 and 0.013 as one ensemble; chart escapes after
+    stage retries on a plane cut at ``x1 < 0.5``, heading out, in the
+    background, strip and post phases; and two failures at the initial
+    state, where the field is undefined (its difference stencil leaves
+    the cut plane) and where the state is not finite.
 
-A failed trajectory or row enters its digest by its reason, phase, ``u``
-and state.  ``tools/fingerprint_against.sh REF`` runs this script on the
-``src/`` of the git revision ``REF`` and on the working tree and prints
-the groups that differ.
+A failed trajectory or row enters its digest by its reason, phase, ``u``,
+state, message, partial path and counts.  ``tools/fingerprint_against.sh
+REF`` runs this script on the ``src/`` of the git revision ``REF`` and on
+the working tree and prints the groups that differ.
 """
 
 import contextlib
@@ -60,7 +69,7 @@ _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "perfbench")]
 
 from impulse_geo import (artifacts, cli, dynamics, existence,  # noqa: E402
-                         geometry, limits, profiles, scenarios)
+                         geometry, limits, odesolve, profiles, scenarios)
 from impulse_geo.errors import IntegrationFailure  # noqa: E402
 
 _EPS = 0.01
@@ -70,13 +79,21 @@ _WIDTHS = [0.2, 0.05, 0.01, 0.003]
 def _feed(h, result):
     """Add a path's or a failure's bytes to the hash ``h``."""
     if isinstance(result, IntegrationFailure):
-        h.update(repr((result.reason, result.phase, float(result.u))).encode())
+        h.update(repr((result.reason, result.phase, float(result.u),
+                       str(result))).encode())
         h.update(np.asarray(result.state, dtype=float).tobytes())
+        if result.partial is not None:
+            _feed(h, result.partial)
+        else:
+            _feed_counts(h, result.diagnostics)
         return
     for piece in result.pieces:
         for a in (piece.ts, piece.ys, piece.coeffs):
             h.update(np.ascontiguousarray(a).tobytes())
-    d = result.diagnostics
+    _feed_counts(h, result.diagnostics)
+
+
+def _feed_counts(h, d):
     h.update(repr((d.n_steps, d.n_rejected, d.n_rhs, d.energy_start.hex(),
                    d.energy_drift.hex())).encode())
 
@@ -228,6 +245,49 @@ def sweeps():
     return h.hexdigest()
 
 
+def failing_runs():
+    """The runs of the ``failures`` group, by name: each should end in an
+    :class:`IntegrationFailure` (an ensemble in a list of rows)."""
+    flat = geometry.euclidean(2)
+    cut = geometry.from_metric(2, lambda x: np.eye(2),
+                               chart_domain=lambda x: x[0] < 0.5, name="cut")
+    net = scenarios.builtin_nets()["mollifier"]
+    quartic = profiles.radial_power_profile(1.0, 4.0)
+    at_rest = dynamics.InitialData([8.0, 0.0], [0.0, 0.0])
+    tilt = profiles.linear_profile([0.3, -0.2])
+    return {
+        "blow_up": lambda: dynamics.integrate_impulsive_geodesic(
+            flat, quartic, net, 0.014, at_rest, 1.0),
+        "blow_up_ensemble": lambda: dynamics.integrate_impulsive_geodesic(
+            flat, quartic, net, [0.014, 0.013], at_rest, 1.0),
+        "escape_background": lambda: dynamics.background_path(
+            cut, [0.0, 0.0], [1.0, 0.2], 0.0, 2.0),
+        "escape_strip": lambda: dynamics.integrate_impulsive_geodesic(
+            cut, tilt, net, 0.1, dynamics.InitialData([-0.5, 0.0],
+                                                      [1.0, 0.2]), 2.0),
+        "escape_post": lambda: dynamics.integrate_impulsive_geodesic(
+            cut, tilt, net, 0.1, dynamics.InitialData([-1.2, 0.0],
+                                                      [1.0, 0.2]), 2.0),
+        "initial_undefined": lambda: dynamics.background_path(
+            cut, [0.5 - 1e-9, 0.0], [1.0, 0.2], 0.0, 2.0),
+        "initial_not_finite": lambda: odesolve.solve_rk45(
+            dynamics._system(flat, None, None, None), 0.0, 1.0,
+            np.array([np.nan, 0.0, 1.0, 0.0, 0.0, 0.0]), phase="background"),
+    }
+
+
+def failures():
+    h = hashlib.sha256()
+    for run in failing_runs().values():
+        try:
+            result = run()
+        except IntegrationFailure as exc:
+            result = exc
+        for row in result if isinstance(result, list) else [result]:
+            _feed(h, row)
+    return h.hexdigest()
+
+
 GROUPS = {
     "trajectories": trajectories,
     "width_ensembles": width_ensembles,
@@ -237,6 +297,7 @@ GROUPS = {
     "growth": growth,
     "limits": limit_paths,
     "sweeps": sweeps,
+    "failures": failures,
 }
 
 
