@@ -27,9 +27,12 @@ points too.  A single trajectory (one velocity, one width) has a 1-D state:
 it uses the per-point field (:func:`_system`) and the 1-D loop, raises its
 failure and gets energy diagnostics.  Like that loop, the per-point field
 works on Python floats, where numpy's cost per call would outweigh the
-arithmetic of a 2-D state: it contracts ``-Gamma(xdot, xdot)`` in
-einsum's order (:func:`_christoffel_term`) and returns a list, while the
-products with the inverse metric and ``df`` stay numpy's.
+arithmetic of a 2-D state: it checks the chart on floats, reads the
+chart's Christoffel symbols as the nested list its callback returns,
+contracts ``-Gamma(xdot, xdot)`` in einsum's order
+(:func:`_christoffel_term`) and returns a list, while the products with the
+inverse metric and ``df`` stay numpy's, whose BLAS products round
+otherwise.
 :func:`lagrangian_energy` takes one state or a batch: the energy
 diagnostics of a path and the energy column of its CSV are one call.  A
 batch of B velocities from one point (geodesic shooting) or of B widths
@@ -194,12 +197,24 @@ class GeodesicPath:
         return np.concatenate(parts)
 
 
+def require_profile_fits(model, profile):
+    """Raise :class:`ConfigError` if ``profile`` was built for another
+    dimension than ``model``'s (see ``WaveProfile.dim``).  Every entry that
+    pairs a model with a profile calls it before evaluating either."""
+    dim = getattr(profile, "dim", None)
+    if dim is not None and dim != model.dim:
+        raise ConfigError(
+            f"{profile!r} is built for dimension {dim}, but {model.name} "
+            f"has dimension {model.dim}")
+
+
 def rhs(state, model, profile, net, eps):
     """Right-hand side of the geodesic system at one state.
 
     Outside the support of the regularized impulse the forcing terms are
     identically zero and the background system is returned.
     """
+    require_profile_fits(model, profile)
     n = model.dim
     y = _system(model, profile, net, eps)(state.u, state.as_vector())
     return StateRate(np.array(y[:n]), np.array(y[n:2 * n]), float(y[2 * n]),
@@ -217,6 +232,7 @@ def lagrangian_energy(state, model, profile=None, net=None, eps=None):
     take their point forms: the array forms may differ in the last bit,
     which at a peak of ``delta_eps`` moves an energy drift by tens of ulps.
     """
+    require_profile_fits(model, profile)
     x = np.atleast_2d(state.x)
     xd = np.atleast_2d(state.xdot)
     e = (xd[:, None] @ model._metrics(x) @ xd[:, :, None])[:, 0, 0]
@@ -230,13 +246,26 @@ def lagrangian_energy(state, model, profile=None, net=None, eps=None):
 
 
 def _christoffel_term(gamma, xd):
-    """``-Gamma^k_ij xd^i xd^j`` as a list of floats, from the ``(n, n, n)``
-    array ``gamma`` and the list of floats ``xd``.  Each component is
-    summed over ``i``, then ``j``, from 0.0, which is what
-    ``np.einsum("kij,i,j->k")`` does on a C-ordered ``gamma``, as every
-    chart of this package returns it: the two agree bit for bit."""
+    """``-Gamma^k_ij xd^i xd^j`` as a list of floats, from the Christoffel
+    symbols ``gamma`` at one point and the list of floats ``xd``.
+
+    ``gamma`` is what a chart's point callback returns: a nested list of
+    floats, read as it is, or anything else, converted once to one (an
+    ``(n, n, n)`` array of a user callback or of the difference fallback).
+    Each component is summed over ``i``, then ``j``, from 0.0, which is
+    what ``np.einsum("kij,i,j->k")`` does on a C-ordered array: the two
+    agree bit for bit.  For ``n = 2`` the sum is written out term by term,
+    as :func:`odesolve._point_step` writes its stage sums; other ``n`` take
+    the loop."""
+    if not isinstance(gamma, list):
+        gamma = np.asarray(gamma, dtype=float).tolist()
+    if len(xd) == 2:
+        x0, x1 = xd
+        return [-((((0.0 + g00 * x0 * x0) + g01 * x0 * x1) + g10 * x1 * x0)
+                  + g11 * x1 * x1)
+                for (g00, g01), (g10, g11) in gamma]
     acc = []
-    for gk in gamma.tolist():
+    for gk in gamma:
         s = 0.0
         for gi, a in zip(gk, xd):
             for g, b in zip(gi, xd):
@@ -469,6 +498,7 @@ def integrate_impulsive_geodesic(model, profile, net, eps, data, u_end, *,
     ``u_end`` or one per width: per width a path without energy
     diagnostics, or the row's failure.
     """
+    require_profile_fits(model, profile)
     widths = np.asarray(eps, dtype=float)
     ends = np.asarray(u_end, dtype=float)
     if widths.ndim > 1 or ends.shape not in ((), widths.shape):

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import InitialData, batch_acceleration
+from .dynamics import InitialData, batch_acceleration, require_profile_fits
 from .errors import (CertificateViolation, ChartDomainError, ConfigError,
                      NumericalError)
 from .geometry import central_difference
@@ -132,6 +132,7 @@ def estimate_sup_norms(model, profile, x0, xdot0, b, c_seed, *, k=1.0,
     be admissible.  ``I2`` is rebuilt from the computed ``||F2||``, which
     depends on ``I1`` only, so one pass resolves its self-reference.
     """
+    require_profile_fits(model, profile)
     if not all(0.0 < v < math.inf for v in (b, c_seed, k)):
         raise ConfigError("b, c and K must be positive and finite")
     if not (hasattr(grid, "__index__") and grid >= 9):
@@ -343,6 +344,7 @@ def picard_solve(model, profile, net, eps, x0, xdot0, alpha, *, tol=1e-10,
     When a certificate is supplied, iterates leaving its containment region
     raise :class:`CertificateViolation`.
     """
+    require_profile_fits(model, profile)
     if not eps > 0.0:
         raise ConfigError("eps must be positive")
     if not 0.0 < alpha < math.inf:

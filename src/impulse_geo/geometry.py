@@ -59,7 +59,14 @@ _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 class ManifoldModel:
-    """A Riemannian manifold presented in a single coordinate chart."""
+    """A Riemannian manifold presented in a single coordinate chart.
+
+    The metric, inverse-metric and Christoffel callbacks take a float
+    ``(n,)`` point inside the chart.  ``christoffel`` returns
+    ``Gamma[k][i][j]`` there, as an ``(n, n, n)`` array or as a nested list
+    of floats, which the per-point geodesic field reads without converting
+    it.
+    """
 
     def __init__(self, dim, metric, *, inverse_metric=None, christoffel=None,
                  chart_domain=None, complete=False, name="user",
@@ -82,8 +89,11 @@ class ManifoldModel:
         return f"ManifoldModel({self.name!r}, dim={self.dim})"
 
     def contains(self, x):
+        # finiteness on floats: numpy's cost per call would outweigh the
+        # arithmetic on one point, checked at every field call
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,) or not np.isfinite(x).all():
+        if (x.shape != (self.dim,)
+                or not all(map(math.isfinite, x.tolist()))):
             return False
         return True if self._chart_domain is None else bool(self._chart_domain(x))
 
@@ -114,11 +124,12 @@ class ManifoldModel:
         """
         x = np.asarray(x, dtype=float)
         self.require_inside(x)
-        return self._point_christoffel(x)
+        return np.array(self._point_christoffel(x), dtype=float)
 
     # The unchecked forms, for a float ``(n,)`` point or ``(B, n)`` batch
     # the caller has checked: the closed-form callback, or the fallback from
-    # the metric.
+    # the metric.  The point Christoffel symbols are the callback's own
+    # result, a nested list of floats (the built-in charts) or an array.
     def _point_inverse_metric(self, x):
         if self._inverse_metric is not None:
             return np.asarray(self._inverse_metric(x), dtype=float)
@@ -126,7 +137,7 @@ class ManifoldModel:
 
     def _point_christoffel(self, x):
         if self._christoffel is not None:
-            return np.asarray(self._christoffel(x), dtype=float)
+            return self._christoffel(x)
         return self._fd_christoffel(x[None])[0]
 
     def _batch_inverse_metric(self, xs):
@@ -263,12 +274,14 @@ def _with_batch_forms(model, christoffel, inverse_metric, chart_domain=None):
 
 def euclidean(n):
     eye = np.eye(n)
-    zero = np.zeros((n, n, n))
+    # one list for every point: its readers copy it (christoffel_at and the
+    # batch fallback) or only read it (the per-point field)
+    zero = np.zeros((n, n, n)).tolist()
     model = ManifoldModel(
         n,
         lambda x: eye.copy(),
         inverse_metric=lambda x: eye.copy(),
-        christoffel=lambda x: zero.copy(),
+        christoffel=lambda x: zero,
         complete=True,
         name=f"euclidean({n})",
         exact_distance=lambda a, b: float(np.linalg.norm(np.subtract(a, b))),
@@ -290,12 +303,8 @@ def hyperbolic_half_plane():
         return np.array([[y2, 0.0], [0.0, y2]])
 
     def christoffel(x):
-        inv_y = 1.0 / x[1]
-        g = np.zeros((2, 2, 2))
-        g[0, 0, 1] = g[0, 1, 0] = -inv_y
-        g[1, 0, 0] = inv_y
-        g[1, 1, 1] = -inv_y
-        return g
+        inv_y = 1.0 / x.item(1)
+        return [[[0.0, -inv_y], [-inv_y, 0.0]], [[inv_y, 0.0], [0.0, -inv_y]]]
 
     def batch_inverse(xs):
         out = np.zeros((len(xs), 2, 2))
@@ -351,7 +360,7 @@ def sphere_stereographic():
         x0, x1 = x.tolist()
         r = 1.0 + (x0 * x0 + x1 * x1)
         w0, w1 = -2.0 * x0 / r, -2.0 * x1 / r
-        return np.array([w0, w1, w1, -w0, -w1, w0, w0, w1]).reshape(2, 2, 2)
+        return [[[w0, w1], [w1, -w0]], [[-w1, w0], [w0, w1]]]
 
     def batch_inverse(xs):
         c = 2.0 / (1.0 + np.einsum("bi,bi->b", xs, xs))

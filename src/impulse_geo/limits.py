@@ -84,6 +84,7 @@ def limit_geodesic(model, profile, data, *, u_end=1.5, rtol=1e-10,
     data from ``u = -1`` to the shock, the refracted branch restarts at
     ``x(0)`` with velocity ``xdot(0) + 1/2 grad f(x(0))``.
     """
+    dynamics.require_profile_fits(model, profile)
     base = dynamics.background_path(model, data.x0, data.xdot0, -1.0, 0.0,
                                     rtol=rtol, atol=atol)
     xb = base.x_at(0.0)
@@ -107,6 +108,7 @@ def inner_scale_error(model, profile, net, data, eps, *, rtol=1e-10,
     is one width; a sequence of them raises :class:`ConfigError` before
     anything is integrated.
     """
+    dynamics.require_profile_fits(model, profile)
     if np.ndim(eps) != 0:
         raise ConfigError(f"inner_scale_error takes one width eps, got "
                           f"shape {np.shape(eps)}")

@@ -73,9 +73,14 @@ class WaveProfile:
     Built-in profiles evaluate a batch in closed form; other profiles
     evaluate ``f`` and ``df`` point by point, or ``f`` on the points of one
     batched central difference, with the same results.
+
+    ``dim`` is the dimension the profile's parameters fix (a linear
+    profile's coefficients, a bump's centre), or None where they fix none;
+    pairing the profile with a model of another dimension raises
+    :class:`ConfigError` before anything is evaluated.
     """
 
-    def __init__(self, f, df=None, *, name="custom", params=None):
+    def __init__(self, f, df=None, *, name="custom", params=None, dim=None):
         self._f = f
         self._df = df
         self._batch_f = None
@@ -83,6 +88,7 @@ class WaveProfile:
         self.analytic_grad = df is not None
         self.name = name
         self.params = dict(params or {})
+        self.dim = dim
 
     def __repr__(self):
         return f"WaveProfile({self.name!r})"
@@ -112,6 +118,17 @@ class WaveProfile:
         return np.array([self._df(p) for p in x], dtype=float).reshape(x.shape)
 
 
+def _vector(key, values, size=None):
+    """``values`` as a 1-D float array, of ``size`` entries if given; a
+    profile's vector parameter fixes its dimension."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or size not in (None, len(v)):
+        count = "" if size is None else f"{size} "
+        raise ConfigError(f"{key} must be a 1-d sequence of {count}numbers, "
+                          f"got shape {v.shape}")
+    return v
+
+
 def _with_batch_forms(profile, batch_f, batch_df):
     profile._batch_f = batch_f
     profile._batch_df = batch_df
@@ -127,10 +144,11 @@ def constant_profile(value=1.0):
 
 
 def linear_profile(coeffs, offset=0.0):
-    a = np.asarray(coeffs, dtype=float)
+    a = _vector("linear coeffs", coeffs)
     b = float(offset)
     prof = WaveProfile(lambda x: float(a @ x) + b, lambda x: a.copy(),
-                       name="linear", params={"coeffs": tuple(a), "offset": b})
+                       name="linear", params={"coeffs": tuple(a), "offset": b},
+                       dim=len(a))
     return _with_batch_forms(prof,
                              lambda xs: np.einsum("bi,i->b", xs, a) + b,
                              lambda xs: np.tile(a, (len(xs), 1)))
@@ -138,9 +156,13 @@ def linear_profile(coeffs, offset=0.0):
 
 def quadratic_form_profile(matrix, center=None):
     q = np.asarray(matrix, dtype=float)
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        raise ConfigError(f"quadratic_form matrix must be square, got shape "
+                          f"{q.shape}")
     q = 0.5 * (q + q.T)
     # no centre is the origin: x - 0.0 is x, bit for bit
-    c = 0.0 if center is None else np.asarray(center, dtype=float)
+    c = 0.0 if center is None else _vector("quadratic_form center", center,
+                                           len(q))
 
     def f(x):
         y = x - c
@@ -161,14 +183,15 @@ def quadratic_form_profile(matrix, center=None):
     prof = WaveProfile(f, df, name="quadratic_form",
                        params={"matrix": tuple(map(tuple, q)),
                                "center": None if center is None
-                               else tuple(c)})
+                               else tuple(c)},
+                       dim=len(q))
     return _with_batch_forms(prof, batch_f, batch_df)
 
 
 def radial_power_profile(amplitude, exponent, center=None):
     a = float(amplitude)
     p = float(exponent)
-    c = 0.0 if center is None else np.asarray(center, dtype=float)
+    c = 0.0 if center is None else _vector("radial_power center", center)
 
     def f(x):
         return a * float(np.linalg.norm(x - c)) ** p
@@ -194,13 +217,14 @@ def radial_power_profile(amplitude, exponent, center=None):
     prof = WaveProfile(f, df, name="radial_power",
                        params={"amplitude": a, "exponent": p,
                                "center": None if center is None
-                               else tuple(center)})
+                               else tuple(center)},
+                       dim=None if center is None else len(c))
     return _with_batch_forms(prof, batch_f, batch_df)
 
 
 def gaussian_bump_profile(amplitude, center, width):
     a = float(amplitude)
-    c = np.asarray(center, dtype=float)
+    c = _vector("gaussian_bump center", center)
     w = float(width)
     if not 0.0 < w < math.inf:
         raise ConfigError(
@@ -224,7 +248,8 @@ def gaussian_bump_profile(amplitude, center, width):
         return ((-a / (w * w)) * np.exp(-0.5 * r2 / (w * w)))[:, None] * ys
 
     prof = WaveProfile(f, df, name="gaussian_bump",
-                       params={"amplitude": a, "center": tuple(c), "width": w})
+                       params={"amplitude": a, "center": tuple(c), "width": w},
+                       dim=len(c))
     return _with_batch_forms(prof, batch_f, batch_df)
 
 
@@ -234,6 +259,7 @@ def metric_gradient(profile, model, x):
     ``x`` is a point ``(n,)`` or a batch ``(B, n)``; a batch goes through
     the batch forms of the model and the profile.
     """
+    dynamics.require_profile_fits(model, profile)
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
         return np.einsum("bkm,bm->bk", model.inverse_metric(x), profile.df(x))
@@ -244,9 +270,9 @@ class DeltaNet:
     """Family of smooth impulse regularizations indexed by the width eps.
 
     ``eval(eps, u)`` and ``deriv(eps, u)`` accept scalars or arrays ``u``;
-    all three methods raise :class:`ConfigError` unless ``eps > 0``.  The
-    derivative is analytic for built-in nets: it scales like ``eps**-2``
-    and finite-differencing it would be badly conditioned.
+    all three methods raise :class:`ConfigError` unless ``0 < eps < inf``.
+    The derivative is analytic for built-in nets: it scales like
+    ``eps**-2`` and finite-differencing it would be badly conditioned.
     ``support_radius(eps)`` never exceeds ``eps``; ``l1_bound`` is the
     declared uniform L1 constant ``K``.
     """
@@ -264,25 +290,27 @@ class DeltaNet:
 
     def eval(self, eps, u):
         eps = float(eps)
-        if not eps > 0.0:
+        if not 0.0 < eps < math.inf:
             raise _width_error(eps)
         return self._eval(eps, u)
 
     def deriv(self, eps, u):
         eps = float(eps)
-        if not eps > 0.0:
+        if not 0.0 < eps < math.inf:
             raise _width_error(eps)
         return self._deriv(eps, u)
 
     def support_radius(self, eps):
         eps = float(eps)
-        if not eps > 0.0:
+        if not 0.0 < eps < math.inf:
             raise _width_error(eps)
         return float(self._support(eps))
 
 
 def _width_error(eps):
-    return ConfigError(f"net width eps must be positive, got {eps!r}")
+    # an infinite width would turn the impulse off unseen
+    return ConfigError(
+        f"net width eps must be positive and finite, got {eps!r}")
 
 
 def _bump_net(parts, l1_bound, name):
@@ -464,6 +492,7 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
     bit; a direction whose ray fails to integrate is dropped and reported,
     and if every direction fails, a :class:`NumericalError` is raised.
     """
+    dynamics.require_profile_fits(model, profile)
     xbar = np.asarray(xbar, dtype=float)
     margin = float(margin)
     if not 0.0 <= margin < math.inf:

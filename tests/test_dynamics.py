@@ -541,36 +541,46 @@ def test_undefined_initial_state_is_a_chart_escape():
 
 def test_christoffel_term_repeats_einsum():
     # the point field contracts -Gamma(xd, xd) on floats, summing over i,
-    # then j, from 0.0; it keeps the bits of np.einsum("kij,i,j->k") only
-    # while einsum sums in that order, so a numpy that sums otherwise fails
-    # here.  Velocities carry signed zeros and magnitudes 1e-8 to 1e8.
+    # then j, from 0.0 (written out term by term at n = 2); it keeps the
+    # bits of np.einsum("kij,i,j->k") only while einsum sums in that order,
+    # so a numpy that sums otherwise fails here.  Each chart's symbols go in
+    # as its callback returns them (nested lists on the built-in charts, an
+    # array from the difference fallback) and as an array; velocities carry
+    # signed zeros and magnitudes 1e-8 to 1e8.
     rng = np.random.default_rng(29)
     user3 = geometry.from_metric(
         3, lambda x: np.diag([1.0 + x[0] ** 2, 2.0 + math.sin(x[1]),
                               1.5 + x[2] ** 2]) + 0.1 * np.outer(x, x))
+
+    def plane(low):
+        return lambda: [rng.choice([0.0, -0.0, rng.uniform(-2.0, 2.0)]),
+                        rng.uniform(low, 3.0)]
+
     charts = [
-        (geometry.hyperbolic_half_plane(),
-         lambda: [rng.choice([0.0, -0.0, rng.uniform(-2.0, 2.0)]),
-                  rng.uniform(0.1, 3.0)]),
-        (geometry.sphere_stereographic(),
-         lambda: [rng.choice([0.0, -0.0, rng.uniform(-2.0, 2.0)]),
-                  rng.uniform(-2.0, 2.0)]),
+        (geometry.hyperbolic_half_plane(), plane(0.1)),
+        (geometry.sphere_stereographic(), plane(-2.0)),
+        (geometry.euclidean(2), plane(-2.0)),
+        (geometry.euclidean(3), lambda: rng.uniform(-1.0, 1.0, 3)),
         (user3, lambda: rng.uniform(-1.0, 1.0, 3)),
     ]
     for model, point in charts:
         for _ in range(100):
-            gamma = model._point_christoffel(np.array(point(), dtype=float))
+            raw = model._point_christoffel(np.array(point(), dtype=float))
+            gamma = np.array(raw, dtype=float)
             xd = _awkward(rng, model.dim)
             want = -np.einsum("kij,i,j->k", gamma, xd, xd)
-            got = np.array(dynamics._christoffel_term(gamma, xd.tolist()))
-            assert got.tobytes() == want.tobytes(), model.name
-    # symbols with signed zeros and awkward magnitudes of their own
-    for n in (2, 3):
+            for given in (raw, gamma):
+                got = np.array(dynamics._christoffel_term(given, xd.tolist()))
+                assert got.tobytes() == want.tobytes(), model.name
+    # symbols with signed zeros and awkward magnitudes of their own, on the
+    # written-out n = 2 and on the loop of every other n
+    for n in (1, 2, 3, 4):
         for _ in range(500):
             gamma, xd = _awkward(rng, (n, n, n)), _awkward(rng, n)
             want = -np.einsum("kij,i,j->k", gamma, xd, xd)
-            got = np.array(dynamics._christoffel_term(gamma, xd.tolist()))
-            assert got.tobytes() == want.tobytes()
+            for given in (gamma, gamma.tolist()):
+                got = np.array(dynamics._christoffel_term(given, xd.tolist()))
+                assert got.tobytes() == want.tobytes(), n
 
 
 def test_ensemble_field_matches_point_field():
@@ -921,6 +931,13 @@ def test_failures_count_the_work_done_before_them():
 _PATH = dynamics.background_path(EU, [0.0, 0.0], [1.0, 0.0], 0.0, 1.0)
 DATA = InitialData([0.0, 0.0], [1.0, 0.0])
 _LIMIT = limits.limit_geodesic(EU, LINEAR, DATA)
+SPHERE = geometry.sphere_stereographic()
+# profiles whose parameters fix dimension 3, paired with 2-D models below
+LINEAR3 = profiles.linear_profile([1.0, 0.0, 0.0])
+BUMP3 = profiles.gaussian_bump_profile(1.0, [0.0, 0.0, 0.0], 0.8)
+QUADRATIC3 = profiles.quadratic_form_profile(np.eye(3))
+RADIAL3 = profiles.radial_power_profile(1.0, 2.0, [0.0, 0.0, 0.0])
+STATE = GeodesicState(0.0, np.zeros(2), np.array([1.0, 0.0]), 0.0, 0.0)
 
 
 @pytest.mark.parametrize("call", [
@@ -1019,6 +1036,32 @@ _LIMIT = limits.limit_geodesic(EU, LINEAR, DATA)
     lambda: profiles.verify_strict_delta_net(NET, [0.25, 0.125], tol=0.0),
     lambda: profiles.verify_strict_delta_net(NET, [0.25, 0.125], tol=-1.0),
     lambda: limits.inner_scale_error(EU, LINEAR, NET, DATA, [0.1, 0.2]),
+    lambda: integrate_impulsive_geodesic(SPHERE, LINEAR3, NET, 0.1, DATA, 1.0),
+    lambda: integrate_impulsive_geodesic(SPHERE, BUMP3, NET, 0.1, DATA, 1.0),
+    lambda: integrate_impulsive_geodesic(SPHERE, BUMP3, NET, [0.1, 0.05],
+                                         DATA, 1.0),
+    lambda: existence.certify(SPHERE, BUMP3, [0.0, 0.0], [1.0, 0.0]),
+    lambda: existence.picard_solve(EU, QUADRATIC3, NET, 0.1, [0.0, 0.0],
+                                   [1.0, 0.0], 0.5),
+    lambda: limits.limit_geodesic(SPHERE, RADIAL3, DATA),
+    lambda: limits.convergence_study(EU, LINEAR3, NET, DATA, [0.1], [0.5]),
+    lambda: limits.inner_scale_error(EU, LINEAR3, NET, DATA, 0.1),
+    lambda: profiles.classify_growth(BUMP3, SPHERE, [0.0, 0.0], [[1.0, 0.0]],
+                                     [0.5, 1.0]),
+    lambda: profiles.metric_gradient(LINEAR3, EU, [0.0, 0.0]),
+    lambda: rhs(STATE, SPHERE, BUMP3, NET, 0.1),
+    lambda: lagrangian_energy(STATE, SPHERE, BUMP3, NET, 0.1),
+    lambda: rhs(STATE, EU, LINEAR, NET, math.inf),
+    lambda: lagrangian_energy(STATE, EU, LINEAR, NET, math.inf),
+    lambda: NET.eval(math.inf, 0.0),
+    lambda: NET.deriv(math.inf, 0.0),
+    lambda: NET.support_radius(math.inf),
+    lambda: profiles.linear_profile([[1.0, 0.0], [0.0, 1.0]]),
+    lambda: profiles.quadratic_form_profile([[1.0, 0.0, 0.0],
+                                             [0.0, 1.0, 0.0]]),
+    lambda: profiles.quadratic_form_profile(np.eye(2), [0.0, 0.0, 0.0]),
+    lambda: profiles.radial_power_profile(1.0, 2.0, 0.5),
+    lambda: profiles.gaussian_bump_profile(1.0, [[0.0, 0.0]], 0.8),
 ], ids=["velocity-shape", "reversed-interval", "limit-u_end-negative",
         "certify-velocity-shape", "picard-velocity-shape",
         "picard-eps-negative", "sample-out-of-range", "inside-batch-shape",
@@ -1044,10 +1087,49 @@ _LIMIT = limits.limit_geodesic(EU, LINEAR, DATA)
         "weissinger-n-fraction", "gaussian-width-infinite",
         "norm-vector-shape", "sample-2d-query", "limit-sample-2d-query",
         "net-tol-nan", "net-tol-zero", "net-tol-negative",
-        "inner-scale-widths"])
+        "inner-scale-widths", "profile-dimension-integrate",
+        "profile-dimension-bump", "profile-dimension-widths",
+        "profile-dimension-certify", "profile-dimension-picard",
+        "profile-dimension-limit", "profile-dimension-study",
+        "profile-dimension-inner-scale", "profile-dimension-growth",
+        "profile-dimension-gradient", "profile-dimension-rhs",
+        "profile-dimension-energy", "rhs-eps-infinite", "energy-eps-infinite",
+        "net-eval-eps-infinite", "net-deriv-eps-infinite",
+        "net-support-eps-infinite", "linear-coeffs-matrix",
+        "quadratic-not-square", "quadratic-center-dimension",
+        "radial-center-scalar", "gaussian-center-matrix"])
 def test_caller_mistakes_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+def test_a_profile_of_another_dimension_is_refused_before_integrating(
+        monkeypatch):
+    # the mismatch is named, with both dimensions, before any entry
+    # integrates: the field evaluates the profile only in the strip, after
+    # a whole pre phase
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before the dimension check")
+
+    monkeypatch.setattr(dynamics, "solve_rk45", no_integration)
+    calls = [
+        lambda: integrate_impulsive_geodesic(SPHERE, BUMP3, NET, 0.1, DATA,
+                                             1.0),
+        lambda: integrate_impulsive_geodesic(SPHERE, BUMP3, NET, [0.1, 0.05],
+                                             DATA, 1.0),
+        lambda: limits.limit_geodesic(SPHERE, BUMP3, DATA),
+        lambda: limits.inner_scale_error(SPHERE, BUMP3, NET, DATA, 0.1),
+        lambda: profiles.classify_growth(BUMP3, SPHERE, [0.0, 0.0],
+                                         [[1.0, 0.0]], [0.5, 1.0]),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match=r"built for dimension 3, but "
+                           r"sphere_stereographic has dimension 2"):
+            call()
+    # a profile whose parameters fix no dimension fits every model
+    assert profiles.constant_profile(1.0).dim is None
+    assert profiles.radial_power_profile(1.0, 2.0).dim is None
+    assert profiles.gaussian_bump_profile(1.0, [0.0, 0.0], 0.8).dim == 2
 
 
 def test_a_phase_too_short_to_step_names_its_ends():

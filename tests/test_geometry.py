@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from impulse_geo import dynamics, existence, geometry, profiles
-from impulse_geo.errors import (ChartDomainError, IntegrationFailure,
-                                ShootingFailure)
+from impulse_geo.errors import (ChartDomainError, ConfigError,
+                                IntegrationFailure, ShootingFailure)
 
 
 def models():
@@ -157,6 +157,60 @@ def test_chart_domain_errors():
     with pytest.raises(ChartDomainError):
         model.christoffel_at(bad)
     assert not model.contains(bad)
+
+
+def _contains_reference(model, x):
+    """The chart check as numpy wrote it, with ``np.isfinite``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.dim,) or not np.isfinite(x).all():
+        return False
+    return model._chart_domain is None or bool(model._chart_domain(x))
+
+
+def test_contains_checks_floats_as_numpy_did():
+    # contains tests finiteness on floats (math.isfinite); it must accept
+    # and refuse what np.isfinite did, and require_inside must say so in
+    # the same words
+    cases = [[0.5, 1.0], (0.5, 1.0), [1, 2], [0, 1], [-3, 0], [1e308, 1.0],
+             [0.3, 0.0], [0.3, -0.0], [0.3, 5e-324], [0.3, -5e-324],
+             np.array([0.5, 1.0], dtype=np.float32),
+             0.5, [], [0.5], [0.5, 1.0, 2.0], [[0.5, 1.0]]]
+    for i in range(3):
+        for bad in (math.nan, math.inf, -math.inf):
+            point = [0.5, 1.0, 2.0]
+            point[i] = bad
+            cases += [point, point[:2]]
+    cut = geometry.from_metric(2, lambda x: np.eye(2),
+                               chart_domain=lambda x: x[0] < 0.5, name="cut")
+    for model in models() + [geometry.euclidean(3), cut]:
+        for x in cases:
+            want = _contains_reference(model, x)
+            assert model.contains(x) is want, (model.name, x)
+            if want:
+                model.require_inside(x)
+                continue
+            if np.shape(x) != (model.dim,):
+                error = ConfigError
+                message = (f"point of shape {np.shape(x)} does not match the "
+                           f"dimension {model.dim} of {model.name}")
+            else:
+                error = ChartDomainError
+                message = (f"point {np.asarray(x)} outside chart domain of "
+                           f"{model.name}")
+            with pytest.raises(error) as err:
+                model.require_inside(x)
+            assert str(err.value) == message, (model.name, x)
+    hyp = geometry.hyperbolic_half_plane()
+    for x2, inside in ((0.0, False), (-0.0, False), (5e-324, True)):
+        assert hyp.contains([0.3, x2]) is inside
+    with pytest.raises(ChartDomainError) as err:
+        hyp.require_inside([0.3, -0.0])
+    assert str(err.value) == ("point [ 0.3 -0. ] outside chart domain of "
+                              "hyperbolic_half_plane")
+    with pytest.raises(ConfigError) as err:
+        hyp.require_inside([0.3, 1.0, 2.0])
+    assert str(err.value) == ("point of shape (3,) does not match the "
+                              "dimension 2 of hyperbolic_half_plane")
 
 
 @pytest.mark.parametrize("model", models() + [sphere_from_metric(),

@@ -116,7 +116,7 @@ def test_verify_rejects_bad_schedule():
 
 
 @pytest.mark.parametrize("net", all_nets(), ids=lambda n: n.name)
-@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf])
 @pytest.mark.parametrize("u", [0.05, np.linspace(-0.2, 0.2, 5)],
                          ids=["float", "array"])
 def test_net_rejects_a_width_that_is_not_positive(net, eps, u):

@@ -40,6 +40,13 @@ It takes no options.  The groups:
     of seed 1 of ``perfbench``'s ``cli_sweep``).  This digest depends on
     those configs as well as on the solver: compare it only between trees
     with the same ``perfbench/workloads.py``;
+``point_fields``
+    the bytes of ``dynamics.rhs``, the per-point geodesic field, at seeded
+    states inside and outside the strip of ``eps = 0.01``: for each scenario
+    x net, and with the mollifier net on models no benchmark workload runs,
+    ``euclidean(3)``, a 3-D ``from_metric`` model (the difference fallback
+    and the contraction's loop for ``n != 2``) and a ``ManifoldModel`` whose
+    Christoffel callback returns an array;
 ``failures``
     single trajectories that fail, so that the retry and failure paths of
     the integrators have a bit check too: a blow-up in the strip (flat
@@ -245,6 +252,51 @@ def sweeps():
     return h.hexdigest()
 
 
+def _field_models():
+    """The ``(model, profile, data)`` triples of ``point_fields`` beyond the
+    scenarios."""
+    user3 = geometry.from_metric(
+        3, lambda x: np.diag([1.0 + x[0] * x[0], 2.0 + np.sin(x[1]),
+                              1.5 + x[2] * x[2]]) + 0.1 * np.outer(x, x),
+        name="user3")
+    hyp = geometry.hyperbolic_half_plane()
+    hyp_array = geometry.ManifoldModel(
+        2, hyp._metric, inverse_metric=hyp._inverse_metric,
+        christoffel=lambda x: np.array(hyp._christoffel(x), dtype=float),
+        chart_domain=hyp._chart_domain, name="hyperbolic-array")
+    bump3 = profiles.gaussian_bump_profile(1.5, [0.2, -0.1, 0.3], 0.7)
+    data3 = dynamics.InitialData([0.1, 0.2, -0.3], [0.8, -0.4, 0.3])
+    return [
+        (geometry.euclidean(3), bump3, data3),
+        (user3, bump3, data3),
+        (hyp_array, profiles.gaussian_bump_profile(1.0, [0.5, 1.2], 0.8),
+         dynamics.InitialData([0.2, 1.0], [0.7, 0.3])),
+    ]
+
+
+def point_fields():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(23)
+    mollifier = scenarios.builtin_nets()["mollifier"]
+    runs = [(scen.model, scen.profile, scen.data, net)
+            for scen in scenarios.builtin_scenarios()
+            for net in scenarios.builtin_nets().values()]
+    runs += [(model, prof, data, mollifier)
+             for model, prof, data in _field_models()]
+    for model, prof, data, net in runs:
+        n = model.dim
+        outside = rng.uniform(_EPS, 1.0, 4) * rng.choice([-1.0, 1.0], 4)
+        for u in np.concatenate([rng.uniform(-_EPS, _EPS, 4), outside]):
+            state = dynamics.GeodesicState(
+                float(u), data.x0 + rng.uniform(-0.05, 0.05, n),
+                data.xdot0 + rng.uniform(-0.15, 0.15, n),
+                *rng.uniform(-1.0, 1.0, 2))
+            rate = dynamics.rhs(state, model, prof, net, _EPS)
+            h.update(np.concatenate([rate.xdot, rate.xddot,
+                                     [rate.vdot, rate.vddot]]).tobytes())
+    return h.hexdigest()
+
+
 def failing_runs():
     """The runs of the ``failures`` group, by name: each should end in an
     :class:`IntegrationFailure` (an ensemble in a list of rows)."""
@@ -297,6 +349,7 @@ GROUPS = {
     "growth": growth,
     "limits": limit_paths,
     "sweeps": sweeps,
+    "point_fields": point_fields,
     "failures": failures,
 }
 
