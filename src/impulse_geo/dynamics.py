@@ -28,8 +28,8 @@ it uses the per-point field (:func:`_system`) and the 1-D loop, raises its
 failure and gets energy diagnostics.  Like that loop, the per-point field
 works on Python floats, where numpy's cost per call would outweigh the
 arithmetic of a 2-D state: it checks the chart on floats, reads the
-chart's Christoffel symbols as the nested list its callback returns,
-contracts ``-Gamma(xdot, xdot)`` in einsum's order
+model's Christoffel symbols as the nested list of floats that every model
+gives, contracts ``-Gamma(xdot, xdot)`` in einsum's order
 (:func:`_christoffel_term`) and returns a list, while the products with the
 inverse metric and ``df`` stay numpy's, whose BLAS products round
 otherwise.
@@ -249,16 +249,13 @@ def _christoffel_term(gamma, xd):
     """``-Gamma^k_ij xd^i xd^j`` as a list of floats, from the Christoffel
     symbols ``gamma`` at one point and the list of floats ``xd``.
 
-    ``gamma`` is what a chart's point callback returns: a nested list of
-    floats, read as it is, or anything else, converted once to one (an
-    ``(n, n, n)`` array of a user callback or of the difference fallback).
-    Each component is summed over ``i``, then ``j``, from 0.0, which is
-    what ``np.einsum("kij,i,j->k")`` does on a C-ordered array: the two
+    ``gamma`` is the one point form of every model, a nested list of
+    floats (see :class:`~impulse_geo.geometry.ManifoldModel`), read as it
+    is.  Each component is summed over ``i``, then ``j``, from 0.0, which
+    is what ``np.einsum("kij,i,j->k")`` does on a C-ordered array: the two
     agree bit for bit.  For ``n = 2`` the sum is written out term by term,
     as :func:`odesolve._point_step` writes its stage sums; other ``n`` take
     the loop."""
-    if not isinstance(gamma, list):
-        gamma = np.asarray(gamma, dtype=float).tolist()
     if len(xd) == 2:
         x0, x1 = xd
         return [-((((0.0 + g00 * x0 * x0) + g01 * x0 * x1) + g10 * x1 * x0)
@@ -451,9 +448,7 @@ def _integrate(model, profile, net, eps, y0, u_start, u_end, rtol, atol):
                 end, count = exc, vars(exc.diagnostics)
             ends, counts = [end], [count]
         for r, end, count in zip(live, ends, counts):
-            diags[r].n_steps += count["n_steps"]
-            diags[r].n_rejected += count["n_rejected"]
-            diags[r].n_rhs += count["n_rhs"]
+            diags[r] += PathDiagnostics(**count)
             if isinstance(end, IntegrationFailure):
                 if end.partial is not None:
                     pieces[r].append(end.partial)

@@ -15,8 +15,9 @@ Fields come in two forms: per point (``christoffel_at``,
 (``christoffel``, ``inverse_metric``, ``inside``).  The ``*_at`` methods
 and ``christoffel``/``inverse_metric`` are the checked public forms: each
 checks the chart, then calls the model's unchecked form (the closed-form
-callback, or the fallback from the metric).  The geodesic fields check the
-chart once per call and then call the unchecked forms themselves.
+callback, or the fallback from the metric, chosen when the model is
+built).  The geodesic fields check the chart once per call and then call
+the unchecked forms themselves.
 
 The built-in models evaluate batches in closed form.  Models given only by
 a metric take their Christoffel symbols from one batched central
@@ -40,6 +41,7 @@ Built-in models
 """
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -64,8 +66,9 @@ class ManifoldModel:
     The metric, inverse-metric and Christoffel callbacks take a float
     ``(n,)`` point inside the chart.  ``christoffel`` returns
     ``Gamma[k][i][j]`` there, as an ``(n, n, n)`` array or as a nested list
-    of floats, which the per-point geodesic field reads without converting
-    it.
+    of floats.  Its result is checked for that shape, raising
+    :class:`ConfigError` otherwise, and converted once to the nested list
+    of floats that the per-point geodesic field reads.
     """
 
     def __init__(self, dim, metric, *, inverse_metric=None, christoffel=None,
@@ -79,11 +82,17 @@ class ManifoldModel:
         self._christoffel = christoffel
         self._chart_domain = chart_domain
         self._exact_distance = exact_distance
-        # closed-form batch callbacks of the built-in models; None means
-        # the batch forms loop over the per-point ones
-        self._closed_christoffel = None
-        self._closed_inverse_metric = None
-        self._closed_chart_domain = None
+        # a callback replaces the fallback from the metric, point and batch
+        n = self.dim
+        if christoffel is not None:
+            self._point_christoffel = self._checked_christoffel
+            self._batch_christoffel = partial(
+                _stack_rows, self._checked_christoffel, shape=(n, n, n))
+        if inverse_metric is not None:
+            self._batch_inverse_metric = partial(_stack_rows, inverse_metric,
+                                                 shape=(n, n))
+        if chart_domain is None:
+            self._batch_chart_domain = _finite_rows
 
     def __repr__(self):
         return f"ManifoldModel({self.name!r}, dim={self.dim})"
@@ -127,33 +136,40 @@ class ManifoldModel:
         return np.array(self._point_christoffel(x), dtype=float)
 
     # The unchecked forms, for a float ``(n,)`` point or ``(B, n)`` batch
-    # the caller has checked: the closed-form callback, or the fallback from
-    # the metric.  The point Christoffel symbols are the callback's own
-    # result, a nested list of floats (the built-in charts) or an array.
+    # the caller has checked: the fallbacks from the metric, which a
+    # callback or a closed form replaces when the model is built.  The
+    # point Christoffel symbols are a nested list of floats.
     def _point_inverse_metric(self, x):
         if self._inverse_metric is not None:
             return np.asarray(self._inverse_metric(x), dtype=float)
         return self._inverted(np.asarray(self._metric(x), dtype=float), x)
 
     def _point_christoffel(self, x):
-        if self._christoffel is not None:
-            return self._christoffel(x)
-        return self._fd_christoffel(x[None])[0]
+        return self._fd_christoffel(x[None])[0].tolist()
+
+    def _checked_christoffel(self, x):
+        """The Christoffel callback at ``x``, checked for the shape
+        ``(n, n, n)`` and converted to a nested list of floats."""
+        gamma = self._christoffel(x)
+        want = (self.dim,) * 3
+        try:
+            gamma = np.asarray(gamma, dtype=float)
+        except ValueError:  # a ragged nested list
+            raise ConfigError(
+                f"the Christoffel callback of {self.name} gave a ragged "
+                f"result, not shape {want}") from None
+        if gamma.shape != want:
+            raise ConfigError(
+                f"the Christoffel callback of {self.name} gave shape "
+                f"{gamma.shape}, not {want}")
+        return gamma.tolist()
 
     def _batch_inverse_metric(self, xs):
-        if self._closed_inverse_metric is not None:
-            return self._closed_inverse_metric(xs)
-        if self._inverse_metric is not None:
-            return _stack_rows(self._inverse_metric, xs, (self.dim,) * 2)
-        h = _stack_rows(self._metric, xs, (self.dim,) * 2)
-        return self._inverted(h, xs)
+        return self._inverted(_stack_rows(self._metric, xs, (self.dim,) * 2),
+                              xs)
 
     def _batch_christoffel(self, xs):
-        if self._closed_christoffel is not None:
-            return self._closed_christoffel(xs)
-        if self._christoffel is None:
-            return self._fd_christoffel(xs)
-        return _stack_rows(self._point_christoffel, xs, (self.dim,) * 3)
+        return self._fd_christoffel(xs)
 
     def _fd_christoffel(self, xs):
         """Christoffel symbols of a checked ``(B, n)`` batch from the metric."""
@@ -185,11 +201,10 @@ class ManifoldModel:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ConfigError(f"expected a (B, {self.dim}) batch of points")
-        ok = np.all(np.isfinite(xs), axis=1)
-        if self._chart_domain is None:
-            return ok
-        if self._closed_chart_domain is not None:
-            return ok & self._closed_chart_domain(xs)
+        return self._batch_chart_domain(xs)
+
+    def _batch_chart_domain(self, xs):
+        # every chart test, this loop or a replacement, fails non-finite rows
         return np.array([self.contains(x) for x in xs], dtype=bool)
 
     def _require_batch_inside(self, xs):
@@ -265,10 +280,16 @@ def _stack_rows(point_form, xs, shape):
     return out
 
 
-def _with_batch_forms(model, christoffel, inverse_metric, chart_domain=None):
-    model._closed_christoffel = christoffel
-    model._closed_inverse_metric = inverse_metric
-    model._closed_chart_domain = chart_domain
+def _finite_rows(xs):
+    return np.all(np.isfinite(xs), axis=1)
+
+
+def _with_batch_forms(model, christoffel, inverse_metric,
+                      chart_domain=_finite_rows):
+    model._point_christoffel = model._christoffel
+    model._batch_christoffel = christoffel
+    model._batch_inverse_metric = inverse_metric
+    model._batch_chart_domain = chart_domain
     return model
 
 
@@ -331,7 +352,7 @@ def hyperbolic_half_plane():
         name="hyperbolic_half_plane", exact_distance=dist,
     )
     return _with_batch_forms(model, batch_christoffel, batch_inverse,
-                             lambda xs: xs[:, 1] > 0.0)
+                             lambda xs: _finite_rows(xs) & (xs[:, 1] > 0.0))
 
 
 def _sphere_embed(x):

@@ -49,12 +49,9 @@ class LimitGeodesic(dynamics.GeodesicPath):
 
     def __init__(self, base_path, refracted_path, v0, vdot0, jump_coeff,
                  kink_coeff, grad_at_break):
-        b, r = base_path.diagnostics, refracted_path.diagnostics
-        work = dynamics.PathDiagnostics(n_steps=b.n_steps + r.n_steps,
-                                        n_rejected=b.n_rejected + r.n_rejected,
-                                        n_rhs=b.n_rhs + r.n_rhs)
         super().__init__(base_path.n, base_path.pieces + refracted_path.pieces,
-                         diagnostics=work)
+                         diagnostics=(base_path.diagnostics
+                                      + refracted_path.diagnostics))
         self.base_path = base_path
         self.refracted_path = refracted_path
         self.v0 = float(v0)

@@ -112,13 +112,19 @@ _BLOWUP = 1e8
 class PathDiagnostics:
     """The work of an integration: accepted steps, rejected steps and
     right-hand side evaluations; :mod:`impulse_geo.dynamics` adds the
-    energy at the first node and its drift for a single trajectory."""
+    energy at the first node and its drift for a single trajectory.  The
+    sum of two is the work of both, with no energies."""
 
     n_steps: int = 0
     n_rejected: int = 0
     n_rhs: int = 0
     energy_start: float = math.nan
     energy_drift: float = math.nan
+
+    def __add__(self, other):
+        return PathDiagnostics(self.n_steps + other.n_steps,
+                               self.n_rejected + other.n_rejected,
+                               self.n_rhs + other.n_rhs)
 
 
 class _StageFailure(Exception):
@@ -178,8 +184,8 @@ def _point_checked(fun, t, y):
     if type(f) is not list:
         f = np.asarray(f, dtype=float).tolist()
     if len(f) != len(y):
-        raise ValueError(f"the right-hand side gave {len(f)} values for a "
-                         f"state of {len(y)}")
+        raise ConfigError(f"the right-hand side gave {len(f)} values for a "
+                          f"state of {len(y)}")
     if not all(map(math.isfinite, f)):
         raise _StageFailure
     return f
@@ -475,7 +481,8 @@ def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
 def _rows_checked(fun, t, y, rows):
     """``fun`` on the live rows ``rows`` and a mask of the rows it could
     evaluate.  A :class:`ChartDomainError` is resolved row by row, so it
-    marks only the rows that raise it."""
+    marks only the rows that raise it; a result of another shape than
+    ``y`` raises :class:`ConfigError`."""
     try:
         f = np.asarray(fun(t, y, rows), dtype=float)
     except ChartDomainError:
@@ -485,6 +492,9 @@ def _rows_checked(fun, t, y, rows):
                  for i in range(len(rows))]
         return (np.concatenate([p[0] for p in parts]),
                 np.concatenate([p[1] for p in parts]))
+    if f.shape != y.shape:
+        raise ConfigError(f"the right-hand side gave values of shape "
+                          f"{f.shape} for states of shape {y.shape}")
     return f, np.all(np.isfinite(f), axis=1)
 
 

@@ -70,7 +70,8 @@ class WaveProfile:
 
     ``f`` maps a point ``(n,)`` to a float and a batch ``(B, n)`` to
     ``(B,)``; ``df`` maps a point to ``(n,)`` and a batch to ``(B, n)``.
-    Built-in profiles evaluate a batch in closed form; other profiles
+    Which batch form serves a profile is chosen once, when it is built:
+    built-in profiles evaluate a batch in closed form; other profiles
     evaluate ``f`` and ``df`` point by point, or ``f`` on the points of one
     batched central difference, with the same results.
 
@@ -83,8 +84,6 @@ class WaveProfile:
     def __init__(self, f, df=None, *, name="custom", params=None, dim=None):
         self._f = f
         self._df = df
-        self._batch_f = None
-        self._batch_df = None
         self.analytic_grad = df is not None
         self.name = name
         self.params = dict(params or {})
@@ -97,25 +96,26 @@ class WaveProfile:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return float(self._f(x))
-        if self._batch_f is not None:
-            return np.asarray(self._batch_f(x), dtype=float)
-        return self._f_rows(x)
+        return np.asarray(self._batch_f(x), dtype=float)
 
-    def _f_rows(self, xs):
+    def _batch_f(self, xs):
         """The point form row by row, with its ``float`` contract."""
         return np.array([float(self._f(p)) for p in xs], dtype=float)
 
     def df(self, x):
         x = np.asarray(x, dtype=float)
-        if self._df is None:
-            _, jac = geometry.central_difference(self._f_rows,
-                                                 np.atleast_2d(x))
-            return jac if x.ndim == 2 else jac[0]
-        if x.ndim == 1:
-            return np.asarray(self._df(x), dtype=float)
-        if self._batch_df is not None:
+        if x.ndim == 2:
             return np.asarray(self._batch_df(x), dtype=float)
-        return np.array([self._df(p) for p in x], dtype=float).reshape(x.shape)
+        if self._df is None:
+            return self._batch_df(np.atleast_2d(x))[0]
+        return np.asarray(self._df(x), dtype=float)
+
+    def _batch_df(self, xs):
+        """``df`` row by row, or the central difference of ``f``."""
+        if self._df is None:
+            return geometry.central_difference(self._batch_f, xs)[1]
+        return np.array([self._df(p) for p in xs],
+                        dtype=float).reshape(xs.shape)
 
 
 def _vector(key, values, size=None):

@@ -118,6 +118,20 @@ def test_cli_sweep_csv_and_svg(tmp_path):
     assert len(lines) == 1 + 3
     svg = (tmp_path / "sweep.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+    # a series with no positive finite error is left out of the plot (the
+    # skip in artifacts.svg_loglog); a path of constant components has a
+    # flat range, which artifacts._axis_map widens to one unit
+    skipped = tmp_path / "skipped.svg"
+    artifacts.svg_loglog(str(skipped), [0.1, 0.05],
+                         {"err_x": [1e-3, 5e-4], "err_v": [0.0, np.nan]})
+    svg = skipped.read_text()
+    assert svg.count("<polyline") == 1
+    assert "err_x" in svg and "err_v" not in svg
+    flat = tmp_path / "flat.svg"
+    artifacts.svg_path(str(flat), [0.0, 1.0], [np.ones(2), np.ones(2)],
+                       ["x1", "x2"])
+    svg = flat.read_text()
+    assert svg.count("<polyline") == 2 and "nan" not in svg
 
 
 def test_cli_certify_flat_linear_report_values(tmp_path):

@@ -323,6 +323,26 @@ def test_hyperbolic_linear_width_rows_repeat_single_trajectories():
                 _assert_same_piece(got_piece, want_piece)
 
 
+@pytest.mark.parametrize("coeffs", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                         ids=["x1", "x2"])
+def test_three_d_width_rows_repeat_single_trajectories(coeffs):
+    # the 8 entries of a 3-D state take the pairwise sum of the 1-D loop's
+    # error norm (odesolve._point_error_norm, len(ratios) >= 8), which no
+    # 2-D state reaches; the coefficients stay on an axis, where the point
+    # field's BLAS df @ xd and the ensemble's einsum round alike
+    flat3 = geometry.euclidean(3)
+    prof = profiles.linear_profile(coeffs)
+    data = InitialData([0.1, -0.2, 0.3], [0.6, 0.4, -0.5])
+    widths = [0.1, 0.05, 0.02]
+    rows = integrate_impulsive_geodesic(flat3, prof, NET, widths, data, 1.0)
+    for eps, row in zip(widths, rows):
+        want = integrate_impulsive_geodesic(flat3, prof, NET, eps, data, 1.0)
+        assert _counts(row.diagnostics) == _counts(want.diagnostics)
+        for got_piece, want_piece in zip(row.pieces, want.pieces,
+                                         strict=True):
+            _assert_same_piece(got_piece, want_piece)
+
+
 # row r of a damped oscillator, written alike for a point and a batch, is
 # undefined past t = _EDGE[r]
 _EDGE = np.array([0.5, 0.5 + 1e-6, math.inf])
@@ -1062,6 +1082,11 @@ STATE = GeodesicState(0.0, np.zeros(2), np.array([1.0, 0.0]), 0.0, 0.0)
     lambda: profiles.quadratic_form_profile(np.eye(2), [0.0, 0.0, 0.0]),
     lambda: profiles.radial_power_profile(1.0, 2.0, 0.5),
     lambda: profiles.gaussian_bump_profile(1.0, [[0.0, 0.0]], 0.8),
+    # odesolve._point_checked and _rows_checked: a field result of the
+    # wrong length
+    lambda: solve_rk45(lambda t, y: [0.0, 0.0, 0.0], 0.0, 1.0, np.zeros(4)),
+    lambda: solve_rk45(lambda t, ys, rows: np.zeros((len(ys), 3)), 0.0, 1.0,
+                       np.zeros((2, 4))),
 ], ids=["velocity-shape", "reversed-interval", "limit-u_end-negative",
         "certify-velocity-shape", "picard-velocity-shape",
         "picard-eps-negative", "sample-out-of-range", "inside-batch-shape",
@@ -1097,7 +1122,8 @@ STATE = GeodesicState(0.0, np.zeros(2), np.array([1.0, 0.0]), 0.0, 0.0)
         "net-eval-eps-infinite", "net-deriv-eps-infinite",
         "net-support-eps-infinite", "linear-coeffs-matrix",
         "quadratic-not-square", "quadratic-center-dimension",
-        "radial-center-scalar", "gaussian-center-matrix"])
+        "radial-center-scalar", "gaussian-center-matrix",
+        "rhs-length-point", "rhs-length-ensemble"])
 def test_caller_mistakes_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()

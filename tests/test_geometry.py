@@ -103,6 +103,65 @@ def test_user_model_fd_christoffel_matches_analytic():
                            analytic.christoffel_at(x), atol=1e-7)
 
 
+def test_christoffel_callback_is_checked_and_converted_once():
+    # a user callback's result must have the shape (n, n, n), as an array
+    # or a nested list; any other raises ConfigError in the per-point
+    # field, the ensemble field and christoffel_at alike (before the check,
+    # the (3, 3, 2) results integrated without an error)
+    bad = [
+        (3, lambda x: np.ones((3, 3, 2)),
+         r"shape \(3, 3, 2\), not \(3, 3, 3\)"),
+        (2, lambda x: np.ones((3, 2, 2)),
+         r"shape \(3, 2, 2\), not \(2, 2, 2\)"),
+        (3, lambda x: np.ones((3, 3, 2)).tolist(),
+         r"shape \(3, 3, 2\), not \(3, 3, 3\)"),
+        (2, lambda x: [[[0.0, 0.0], [0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+         r"ragged result, not shape \(2, 2, 2\)"),
+    ]
+    for n, christoffel, message in bad:
+        model = geometry.ManifoldModel(n, lambda x: np.eye(n),
+                                       christoffel=christoffel)
+        x0 = np.zeros(n)
+        for call in (
+                lambda: dynamics.background_path(model, x0, np.eye(n)[0],
+                                                 0.0, 1.0),
+                lambda: dynamics.background_path(model, x0, np.eye(n), 0.0,
+                                                 1.0),
+                lambda: model.christoffel_at(x0)):
+            with pytest.raises(ConfigError, match=message):
+                call()
+    # the conversion reads a Fortran-ordered array by index, not by memory:
+    # the per-point field gives the bytes of its C-ordered twin
+    hyp = geometry.hyperbolic_half_plane()
+    bump = profiles.gaussian_bump_profile(1.0, [0.5, 1.2], 0.8)
+    net = profiles.mollifier_net()
+    twins = [geometry.ManifoldModel(
+        2, hyp._metric, inverse_metric=hyp._inverse_metric,
+        christoffel=lambda x, order=order: np.array(hyp._christoffel(x),
+                                                    order=order),
+        chart_domain=hyp._chart_domain) for order in "CF"]
+    rng = np.random.default_rng(31)
+    for u in (-0.5, -0.02, 0.0, 0.03, 0.4):
+        x = rng.uniform([-1.0, 0.3], [1.0, 2.0])
+        state = dynamics.GeodesicState(u, x, rng.uniform(-1.0, 1.0, 2),
+                                       *rng.uniform(-1.0, 1.0, 2))
+        rates = [dynamics.rhs(state, model, bump, net, 0.05)
+                 for model in twins]
+        c, f = (np.concatenate([r.xdot, r.xddot, [r.vdot, r.vddot]])
+                for r in rates)
+        assert c.tobytes() == f.tobytes()
+
+
+def test_chord_bound_of_an_indefinite_metric_is_zero():
+    # h = diag(x1, 1) is indefinite left of x1 = 0: shooting from (-1, 0)
+    # to (1, 0) fails, the least eigenvalue along the chord is negative,
+    # and the chord bound clamps it to zero (the lam = 0.0 branch of
+    # distance_estimate, which no other test reaches)
+    model = geometry.from_metric(2, lambda x: np.diag([x[0], 1.0]))
+    est = geometry.distance_estimate(model, [-1.0, 0.0], [1.0, 0.0])
+    assert est == geometry.DistanceEstimate(0.0, "chord_lower_bound", True)
+
+
 @pytest.mark.parametrize("model", models(), ids=lambda m: m.name)
 def test_inverse_metric_identity(model):
     rng = np.random.default_rng(4)

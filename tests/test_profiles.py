@@ -94,6 +94,14 @@ def test_verify_scaled_net_fails_integral_property_only():
     assert not report.integral_ok
     assert report.l1_ok
     assert report.checks[-1].integral == pytest.approx(2.0, abs=1e-8)
+    # a net scaled by zero vanishes on the whole grid of the measured
+    # support, which is then 0 (the zero peak of profiles._measured_support)
+    zero = DeltaNet(lambda eps, u: 0.0 * np.asarray(u),
+                    lambda eps, u: 0.0 * np.asarray(u), lambda eps: eps, 1.0,
+                    name="zero")
+    report = profiles.verify_strict_delta_net(zero, [0.5, 0.25], tol=1e-8)
+    assert [c.support_measured for c in report.checks] == [0.0, 0.0]
+    assert report.supports_ok and report.l1_ok and not report.integral_ok
 
 
 def test_verify_fixed_support_fails_support_property_only():

@@ -47,6 +47,14 @@ It takes no options.  The groups:
     ``euclidean(3)``, a 3-D ``from_metric`` model (the difference fallback
     and the contraction's loop for ``n != 2``) and a ``ManifoldModel`` whose
     Christoffel callback returns an array;
+``three_d``
+    integrations at ``n = 3``, whose 8-entry states take the pairwise sum
+    of the 1-D loop's error norm: on ``euclidean(3)`` with the linear
+    profiles along ``x1`` and along ``x2`` and the mollifier net, the
+    widths 0.1, 0.05 and 0.02 to ``u = 1`` as one ensemble and as single
+    trajectories; one trajectory on the 3-D ``from_metric`` model of
+    ``point_fields`` at ``eps = 0.01``; and a background batch of 3
+    velocities on that model;
 ``failures``
     single trajectories that fail, so that the retry and failure paths of
     the integrators have a bit check too: a blow-up in the strip (flat
@@ -297,6 +305,30 @@ def point_fields():
     return h.hexdigest()
 
 
+def three_d():
+    h = hashlib.sha256()
+    net = scenarios.builtin_nets()["mollifier"]
+    flat3 = geometry.euclidean(3)
+    data = dynamics.InitialData([0.1, -0.2, 0.3], [0.6, 0.4, -0.5])
+    widths = [0.1, 0.05, 0.02]
+    for coeffs in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]):
+        prof = profiles.linear_profile(coeffs)
+        for row in dynamics.integrate_impulsive_geodesic(flat3, prof, net,
+                                                         widths, data, 1.0):
+            _feed(h, row)
+        for eps in widths:
+            _feed(h, dynamics.integrate_impulsive_geodesic(flat3, prof, net,
+                                                           eps, data, 1.0))
+    _, (user3, bump3, data3), _ = _field_models()
+    _feed(h, dynamics.integrate_impulsive_geodesic(user3, bump3, net, _EPS,
+                                                   data3, 1.0))
+    velocities = np.array([data3.xdot0, [0.3, 0.9, -0.2], [-0.5, 0.1, 0.7]])
+    for row in dynamics.background_path(user3, data3.x0, velocities, -1.0,
+                                        1.0):
+        _feed(h, row)
+    return h.hexdigest()
+
+
 def failing_runs():
     """The runs of the ``failures`` group, by name: each should end in an
     :class:`IntegrationFailure` (an ensemble in a list of rows)."""
@@ -350,6 +382,7 @@ GROUPS = {
     "limits": limit_paths,
     "sweeps": sweeps,
     "point_fields": point_fields,
+    "three_d": three_d,
     "failures": failures,
 }
 
