@@ -309,14 +309,16 @@ def batch_acceleration(model, profile, x, xd, forced, delta):
     on the rows ``forced``, where ``delta`` holds the impulse values.  One
     chart check covers the batch.
 
-    Returns the acceleration and ``df`` on the forced rows.  Every row is
-    computed from its own inputs only: the forcing is indexed, never
-    multiplied by a zero mask, which would turn an infinite gradient on a
-    row outside the strip into NaN.
+    ``forced`` is an index array of rows, ``slice(None)`` for every row (the
+    forcing then works on views of the batch, with no gathered copies) or
+    None for no row.  Returns the acceleration and ``df`` on the forced
+    rows (None for no row).  Every row is computed from its own inputs
+    only: the forcing is indexed, never multiplied by a zero mask, which
+    would turn an infinite gradient on a row outside the strip into NaN.
     """
     x = model._require_batch_inside(x)
     acc = -np.einsum("bkij,bi,bj->bk", model._batch_christoffel(x), xd, xd)
-    if not len(forced):
+    if forced is None:
         return acc, None
     xf = x[forced]
     df = profile.df(xf)
@@ -330,32 +332,45 @@ def _ensemble_system(model, profile, net, eps):
     the ``(m, 2n + 2)`` raw states ``Y`` sits at ``u[i]`` and has the width
     ``eps[rows[i]]``; the background field when ``eps`` is None.  Per row
     it computes what :func:`_system` computes; the impulse is evaluated per
-    strip row, on floats, as there."""
+    strip row, on floats, as there, in one pass over the rows.
+
+    At the handful of rows of a widths ensemble numpy's fixed cost per
+    call, not the arithmetic, sets the cost of a call, so the rows that
+    the impulse forces take one of the three layouts of
+    :func:`batch_acceleration`: inside the strip every row is forced and
+    the forcing works on views of the batch."""
     n = model.dim
     if eps is not None:
-        eps = np.array(eps, dtype=float)
-        radius = np.array([net.support_radius(e) for e in eps.tolist()])
+        eps = [float(e) for e in eps]
+        radius = [net.support_radius(e) for e in eps]
 
     def fun(u, y, rows):
         x = y[:, :n]
         xd = y[:, n:2 * n]
-        forced = d = dd = ()
+        forced = d = None
         if eps is not None:
-            r = radius[rows]
-            strip = np.nonzero((-r < u) & (u < r))[0]
-            if len(strip):
-                d, dd = np.array(
-                    [(net.eval(e, t), net.deriv(e, t)) for e, t in
-                     zip(eps[rows[strip]].tolist(), u[strip].tolist())]).T
-                on = (d != 0.0) | (dd != 0.0)
-                forced, d, dd = strip[on], d[on], dd[on]
+            forced, d, dd = [], [], []
+            for i, (r, t) in enumerate(zip(rows.tolist(), u.tolist())):
+                if -radius[r] < t < radius[r]:
+                    a = net.eval(eps[r], t)
+                    b = net.deriv(eps[r], t)
+                    if a != 0.0 or b != 0.0:
+                        forced.append(i)
+                        d.append(a)
+                        dd.append(b)
+            if not forced:
+                forced = None
+            else:
+                forced = (slice(None) if len(forced) == len(rows)
+                          else np.array(forced))
+                d, dd = np.array(d), np.array(dd)
         acc, df = batch_acceleration(model, profile, x, xd, forced, d)
         out = np.empty_like(y)
         out[:, :n] = xd
         out[:, n:2 * n] = acc
         out[:, 2 * n] = y[:, 2 * n + 1]
         out[:, 2 * n + 1] = 0.0
-        if len(forced):
+        if forced is not None:
             slope = np.einsum("bi,bi->b", df, xd[forced])
             out[forced, 2 * n + 1] = (-slope * d
                                       - 0.5 * profile.f(x[forced]) * dd)

@@ -300,8 +300,9 @@ def _picard_on_grid(model, profile, net, eps, t, x0, xdot0, tol,
     for _ in range(_MAX_ITER):
         # F1 on every node (which also tests every node against the chart)
         # and F2 on the nodes where the impulse is active
-        integrand, _ = batch_acceleration(model, profile, x, xd, active,
-                                          delta[active])
+        integrand, _ = batch_acceleration(
+            model, profile, x, xd, active if len(active) else None,
+            delta[active])
         xd_new = xdot0 + _cumulative_simpson(integrand, weights)
         x_new = x0 + _cumulative_simpson(xd_new, weights)
         shift = _c1_distance(x_new, xd_new, x, xd)

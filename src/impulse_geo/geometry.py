@@ -198,18 +198,22 @@ class ManifoldModel:
 
     def inside(self, xs):
         """Chart test on a ``(B, n)`` batch: a ``(B,)`` boolean mask."""
+        return self._batch_chart_domain(self._batch(xs))
+
+    def _batch(self, xs):
+        """``xs`` as a float ``(B, n)`` batch, or :class:`ConfigError`."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ConfigError(f"expected a (B, {self.dim}) batch of points")
-        return self._batch_chart_domain(xs)
+        return xs
 
     def _batch_chart_domain(self, xs):
         # every chart test, this loop or a replacement, fails non-finite rows
         return np.array([self.contains(x) for x in xs], dtype=bool)
 
     def _require_batch_inside(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        ok = self.inside(xs)
+        xs = self._batch(xs)
+        ok = self._batch_chart_domain(xs)
         if not ok.all():
             raise ChartDomainError(
                 f"point {xs[np.argmin(ok)]} outside chart domain of {self.name}")
@@ -281,7 +285,7 @@ def _stack_rows(point_form, xs, shape):
 
 
 def _finite_rows(xs):
-    return np.all(np.isfinite(xs), axis=1)
+    return np.isfinite(xs).all(axis=1)
 
 
 def _with_batch_forms(model, christoffel, inverse_metric,
@@ -362,6 +366,7 @@ def _sphere_embed(x):
 
 def sphere_stereographic():
     flip = np.array([1.0, -1.0])
+    eye = np.eye(2)
 
     # each point form sums |x|^2 as the batch forms' einsum sums a row
     def metric(x):
@@ -385,7 +390,7 @@ def sphere_stereographic():
 
     def batch_inverse(xs):
         c = 2.0 / (1.0 + np.einsum("bi,bi->b", xs, xs))
-        return np.eye(2) / (c * c)[:, None, None]
+        return eye / (c * c)[:, None, None]
 
     def batch_christoffel(xs):
         w = -2.0 * xs / (1.0 + np.einsum("bi,bi->b", xs, xs))[:, None]
@@ -478,8 +483,10 @@ def distance_estimate(model, x, xbar):
     misses, the ``2n`` velocities of its central-difference Jacobian as one
     background ensemble.  When shooting fails the chord lower bound
     ``|x - xbar| * sqrt(min eigenvalue of h along the chord)`` is returned
-    with ``lower_bound=True``.  The estimate feeds the growth classifier
-    only, never the integrator.
+    with ``lower_bound=True``; a metric that is not positive definite (or
+    not finite) on the chord raises :class:`ChartDomainError` naming the
+    point, as a singular metric does.  The estimate feeds the growth
+    classifier only, never the integrator.
     """
     x = np.asarray(x, dtype=float)
     xbar = np.asarray(xbar, dtype=float)
@@ -496,8 +503,10 @@ def distance_estimate(model, x, xbar):
     except (ShootingFailure, IntegrationFailure):
         chord = x + np.linspace(0.0, 1.0, 33)[:, None] * (xbar - x)
         chord = chord[model.inside(chord)]  # holds x, which is inside
-        lam = float(np.min(np.linalg.eigvalsh(model._metrics(chord))))
-        if not math.isfinite(lam) or lam <= 0.0:
-            lam = 0.0
-        value = float(np.linalg.norm(xbar - x)) * math.sqrt(lam)
+        lams = np.linalg.eigvalsh(model._metrics(chord)).min(axis=1)
+        bad = ~(np.isfinite(lams) & (lams > 0.0))
+        if bad.any():
+            raise ChartDomainError(f"metric not positive definite at point "
+                                   f"{chord[np.argmax(bad)]}")
+        value = float(np.linalg.norm(xbar - x)) * math.sqrt(float(lams.min()))
         return DistanceEstimate(value, "chord_lower_bound", True)

@@ -38,7 +38,15 @@ term by term; its error norm and blow-up check round and compare as
 numpy's do, so both forms keep the same bits.  At the 6 entries of a 2-D
 geodesic state numpy's fixed cost per call, not the arithmetic, set the
 cost of a step: on floats the benchmark's ``crossing_ensemble`` round time
-fell by 16% (2-vCPU VM, Python 3.11, numpy 2.4).  One step controller,
+fell by 16% (2-vCPU VM, Python 3.11, numpy 2.4).  An ensemble shares each
+numpy call among its rows, but a widths ensemble has only 6-8 of them, and
+there the number of calls per stage still sets the cost: one field call in
+the strip (sphere, Gaussian bump, 6 rows) took 74 µs, no less than six
+per-point calls.  So :func:`_step` forms its stage times in one operation,
+the error norm skips ``np.mean``'s wrapper, and while every row is live
+the states and slopes are not gathered; with the leaner ensemble field of
+:mod:`impulse_geo.dynamics` that cut the benchmark's ``cli_sweep`` round
+time by 23%, with every bit kept.  One step controller,
 :class:`_Row`, serves both forms: every trajectory, alone or as a row, has
 its own step size, end point, step cap, accept/reject decision, blow-up
 and step-limit checks, counts and dense output, with the step-size
@@ -81,6 +89,8 @@ _ERR = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
         -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 # the rows of _A and _ERR as columns against (m, D) slopes
 _WEIGHTS = [np.reshape(w, (-1, 1, 1)) for w in _A + (_ERR,)]
+# the stage nodes as a column against (m, 1) times
+_C_COL = np.reshape(_C, (-1, 1, 1))
 
 # quartic dense-output weights of the pair: y(t + s h) =
 # y + h * (K^T P) . (s, s^2, s^3, s^4) with K the 7 stage slopes
@@ -223,10 +233,11 @@ def _step(fun, check, t, y, f, h, t_new):
     ``check(fun, t, y)`` evaluates a stage or raises :class:`_StageFailure`.
     Its stage sums keep every bit of the written-out chain (module doc)."""
     w = _WEIGHTS
+    ts = t + _C_COL * h
     k = np.empty((7,) + y.shape)
     k[0] = f
-    for i, c in enumerate(_C, 1):
-        k[i] = check(fun, t + c * h,
+    for i in range(1, 6):
+        k[i] = check(fun, ts[i - 1],
                      y + h * np.add.reduce(w[i - 1] * k[:i], axis=0,
                                            initial=0.0))
     y_new = y + h * np.add.reduce(w[5] * k[:6], axis=0, initial=0.0)
@@ -495,7 +506,7 @@ def _rows_checked(fun, t, y, rows):
     if f.shape != y.shape:
         raise ConfigError(f"the right-hand side gave values of shape "
                           f"{f.shape} for states of shape {y.shape}")
-    return f, np.all(np.isfinite(f), axis=1)
+    return f, np.isfinite(f).all(axis=1)
 
 
 def _per_row(value, b):
@@ -515,7 +526,7 @@ def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase):
     out = [None] * b
     f, ok = _rows_checked(fun, np.array([row.t for row in rows]), y,
                           np.arange(b))
-    finite = np.all(np.isfinite(y), axis=1)
+    finite = np.isfinite(y).all(axis=1)
     for r in np.nonzero(~(ok & finite))[0]:
         out[r] = rows[r].failure("chart_escape", msg=_INITIAL_UNDEFINED
                                  if finite[r] else _NON_FINITE.format(y[r]))
@@ -557,18 +568,23 @@ def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase):
         # (m, 1) columns of each live row's t, h and step end
         t, h, t_new = np.array([(row.t, row.h, row.end_of(row.h)) for row in
                                 (rows[r] for r in live)]).T[:, :, None]
-        yv = y[idx]
+        # while every row is live, the states and slopes need no gather
+        every = len(live) == b
+        yv = y if every else y[idx]
         try:
-            y_new, err, k = _step(fun, stage, t, yv, f[idx], h, t_new)
+            y_new, err, k = _step(fun, stage, t, yv, f if every else f[idx],
+                                  h, t_new)
         except _StageFailure as exc:
             # the other rows repeat the same trial step
             for r in exc.args[0]:
                 rows[r].stage_failure()
             continue
-        ratio = err / (atol + rtol * np.maximum(np.abs(yv), np.abs(y_new)))
-        err_norms = np.sqrt(np.mean(ratio * ratio, axis=1))
+        size = np.abs(y_new)
+        ratio = err / (atol + rtol * np.maximum(np.abs(yv), size))
+        # np.mean's sum and true divide, without its wrapper
+        err_norms = np.sqrt(np.add.reduce(ratio * ratio, axis=1) / y.shape[1])
         dense = np.einsum("sbd,sj->bdj", k, _P)
-        blown = np.abs(y_new).max(axis=1) > _BLOWUP
+        blown = (size.max(axis=1) > _BLOWUP).tolist()
         accepted = []
         for j, (r, err_norm, end) in enumerate(
                 zip(live, err_norms.tolist(), t_new[:, 0].tolist())):
@@ -578,8 +594,11 @@ def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase):
                     accepted.append(j)
             except IntegrationFailure as exc:
                 out[r] = exc
-        y[idx[accepted]] = y_new[accepted]
-        f[idx[accepted]] = k[-1][accepted]
+        if len(accepted) == b:
+            y, f = y_new, k[-1]
+        else:
+            y[idx[accepted]] = y_new[accepted]
+            f[idx[accepted]] = k[-1][accepted]
         live = [r for r in live if out[r] is None]
 
     counts = [row.counts() for row in rows]

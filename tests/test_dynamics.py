@@ -607,26 +607,61 @@ def test_ensemble_field_matches_point_field():
     # rows inside and outside their own strips, on a curved chart; each row
     # agrees with the per-point field and does not depend on the batch
     # (a custom profile without batch forms takes the per-row fallbacks of
-    # f and of the FD df)
+    # f and of the FD df).  The forced rows of a call take three layouts:
+    # some rows (an index array), every row (views of the batch) and none;
+    # a row's bytes are the same in each.
     hyp = geometry.hyperbolic_half_plane()
     bump = profiles.gaussian_bump_profile(1.0, [0.8, 1.2], 0.8)
     custom = profiles.WaveProfile(lambda x: 0.5 * x[0] * x[1])
     eps = [0.1, 0.05, 0.2, 0.1, 0.02]
-    us = np.array([-0.05, 0.3, 0.1, -0.5, 0.0])
+    inside = np.array([-0.05, 0.02, 0.1, 0.07, 0.0])
+    outside = np.array([0.5, 0.3, -0.4, -0.5, 0.03])
+    forced = np.array([True, False, True, False, True])
+    us = np.where(forced, inside, outside)
     rng = np.random.default_rng(8)
     ys = np.column_stack([rng.uniform(-0.5, 0.5, 5), rng.uniform(0.5, 1.5, 5),
                           rng.uniform(-1, 1, (5, 4))])
     rows = np.arange(5)
     for prof in (bump, custom):
-        batch = dynamics._ensemble_system(hyp, prof, NET, eps)(us, ys, rows)
+        field = dynamics._ensemble_system(hyp, prof, NET, eps)
+        batch = field(us, ys, rows)
+        every, none = field(inside, ys, rows), field(outside, ys, rows)
+        assert np.all(every[:, -1] != 0.0) and np.all(none[:, -1] == 0.0)
         for i in rows:
             point = dynamics._system(hyp, prof, NET, eps[i])(float(us[i]),
                                                               ys[i])
             np.testing.assert_allclose(batch[i], point, rtol=1e-13,
                                        atol=1e-15)
-            one = dynamics._ensemble_system(hyp, prof, NET, [eps[i]])(
-                us[i:i + 1], ys[i:i + 1], np.array([0]))
-            assert np.array_equal(one[0], batch[i])
+            alone = dynamics._ensemble_system(hyp, prof, NET, [eps[i]])
+            for u, got in ((us, batch), (inside, every), (outside, none)):
+                one = alone(u[i:i + 1], ys[i:i + 1], np.array([0]))
+                assert one[0].tobytes() == got[i].tobytes()
+            mixed = every if forced[i] else none
+            assert mixed[i].tobytes() == batch[i].tobytes()
+
+
+def test_width_rows_do_not_depend_on_the_batch():
+    # one widths ensemble, its reverse and each width as an ensemble of one
+    # give every width the same bytes and counts: inside the strips the
+    # forced rows take every layout of the field, views and gathers alike
+    scen = next(s for s in scenarios.builtin_scenarios()
+                if s.name == "sphere_stereographic-gaussian_bump")
+    widths = [0.016, 0.008, 0.004, 0.002]
+    ends = [1.0, 0.5, 1.0, 0.25]
+
+    def run(order):
+        return integrate_impulsive_geodesic(
+            scen.model, scen.profile, NET, [widths[i] for i in order],
+            scen.data, [ends[i] for i in order])
+
+    forward = run([0, 1, 2, 3])
+    backward = run([3, 2, 1, 0])[::-1]
+    for i, row in enumerate(forward):
+        for got in (backward[i], run([i])[0]):
+            assert _counts(got.diagnostics) == _counts(row.diagnostics)
+            for got_piece, want_piece in zip(got.pieces, row.pieces,
+                                             strict=True):
+                _assert_same_piece(got_piece, want_piece)
 
 
 def test_step_limit_fails_alone_with_its_partial_path(monkeypatch):

@@ -152,14 +152,26 @@ def test_christoffel_callback_is_checked_and_converted_once():
         assert c.tobytes() == f.tobytes()
 
 
-def test_chord_bound_of_an_indefinite_metric_is_zero():
+def test_chord_bound_of_an_indefinite_metric_is_a_chart_error(monkeypatch):
     # h = diag(x1, 1) is indefinite left of x1 = 0: shooting from (-1, 0)
-    # to (1, 0) fails, the least eigenvalue along the chord is negative,
-    # and the chord bound clamps it to zero (the lam = 0.0 branch of
-    # distance_estimate, which no other test reaches)
+    # to (1, 0) fails, and the least eigenvalue along the chord is not
+    # positive, so the chord bound raises, naming the first such point, as
+    # a singular metric does, instead of a silent bound of zero
     model = geometry.from_metric(2, lambda x: np.diag([x[0], 1.0]))
-    est = geometry.distance_estimate(model, [-1.0, 0.0], [1.0, 0.0])
-    assert est == geometry.DistanceEstimate(0.0, "chord_lower_bound", True)
+    with pytest.raises(ChartDomainError,
+                       match=r"not positive definite at point \[-1\.? +0\.?\]"):
+        geometry.distance_estimate(model, [-1.0, 0.0], [1.0, 0.0])
+    # so does a metric that is not finite on the chord (here past x1 = 0.5,
+    # with shooting failing at once)
+    def fail(*args, **kwargs):
+        raise ShootingFailure("no shooting")
+
+    monkeypatch.setattr(geometry, "_shooting_distance", fail)
+    model = geometry.from_metric(
+        2, lambda x: np.diag([math.inf if x[0] > 0.5 else 1.0, 1.0]))
+    with pytest.raises(ChartDomainError,
+                       match=r"not positive definite at point \[0\.5312"):
+        geometry.distance_estimate(model, [0.0, 0.0], [1.0, 0.0])
 
 
 @pytest.mark.parametrize("model", models(), ids=lambda m: m.name)
@@ -408,6 +420,74 @@ def test_background_sphere_great_circle_period():
     # returns to the start after one period; hits the antipode halfway
     assert np.linalg.norm(path.x_at(period) - x0) < 1e-8
     assert np.linalg.norm(path.x_at(period / 2) - np.array([0.0, -2.0])) < 1e-8
+
+
+def _sphere_embed_differential(x):
+    """The differential at ``x`` of ``geometry._sphere_embed``, the inverse
+    stereographic map onto the unit sphere in R^3 (an isometry)."""
+    x0, x1 = x
+    d = 1.0 + x0 * x0 + x1 * x1
+    q = 4.0 / (d * d)
+    return np.array([[2.0 / d - q * x0 * x0, -q * x0 * x1],
+                     [-q * x0 * x1, 2.0 / d - q * x1 * x1],
+                     [q * x0, q * x1]])
+
+
+def _oracle_paths(model, x0, velocities):
+    """The background paths over u in [0, 1] of each velocity alone (the
+    1-D loop) and of all of them as one batch (the ensemble loop)."""
+    for v in velocities:
+        yield "single", v, dynamics.background_path(model, x0, v, 0.0, 1.0)
+    batch = dynamics.background_path(model, x0, velocities, 0.0, 1.0)
+    for v, path in zip(velocities, batch):
+        yield "batch", v, path
+
+
+def test_background_sphere_follows_great_circles():
+    # a geodesic of the round sphere is a great circle: mapped into R^3,
+    # p(u) = cos(s u) p0 + sin(s u) w0 / s with w0 the embedded velocity
+    # and s = |w0|.  Worst error measured at rtol = atol = 1e-10: 6.2e-10
+    # (position or velocity, single and batch rows alike); bound 1e-8
+    model = geometry.sphere_stereographic()
+    rng = np.random.default_rng(0)
+    us = np.linspace(0.0, 1.0, 101)
+    worst = {}
+    for _ in range(20):
+        x0 = rng.uniform(-0.8, 0.8, 2)
+        p0 = geometry._sphere_embed(x0)
+        for form, v, path in _oracle_paths(model, x0,
+                                           rng.uniform(-1, 1, (3, 2))):
+            w0 = _sphere_embed_differential(x0) @ v
+            s = np.linalg.norm(w0)
+            c, sn = np.cos(s * us)[:, None], np.sin(s * us)[:, None]
+            xs, vs = path.x_at(us), path.xdot_at(us)
+            got_p = np.array([geometry._sphere_embed(x) for x in xs])
+            got_w = np.array([_sphere_embed_differential(x) @ xd
+                              for x, xd in zip(xs, vs)])
+            err = max(np.max(np.abs(got_p - (c * p0 + sn * (w0 / s)))),
+                      np.max(np.abs(got_w - (c * w0 - s * sn * p0))))
+            worst[form] = max(worst.get(form, 0.0), err)
+    assert sorted(worst) == ["batch", "single"]
+    assert max(worst.values()) < 1e-8, worst
+
+
+def test_background_hyperbolic_distance_grows_linearly():
+    # a geodesic minimizes distance on the hyperbolic plane: its distance
+    # from the start is |xdot0|_h u.  Worst error measured at rtol = atol
+    # = 1e-10: 2.0e-10 (single and batch rows alike); bound 1e-9
+    model = geometry.hyperbolic_half_plane()
+    rng = np.random.default_rng(0)
+    us = np.linspace(0.0, 1.0, 101)
+    worst = {}
+    for _ in range(20):
+        x0 = np.array([rng.uniform(-1, 1), rng.uniform(0.5, 2)])
+        for form, v, path in _oracle_paths(model, x0,
+                                           rng.uniform(-1, 1, (3, 2))):
+            dist = [model._exact_distance(x0, x) for x in path.x_at(us)]
+            err = np.max(np.abs(np.array(dist) - model.norm_at(x0, v) * us))
+            worst[form] = max(worst.get(form, 0.0), err)
+    assert sorted(worst) == ["batch", "single"]
+    assert max(worst.values()) < 1e-9, worst
 
 
 def test_background_sphere_escape_through_missing_point():
