@@ -45,8 +45,10 @@ It takes no options.  The groups:
     states inside and outside the strip of ``eps = 0.01``: for each scenario
     x net, and with the mollifier net on models no benchmark workload runs,
     ``euclidean(3)``, a 3-D ``from_metric`` model (the difference fallback
-    and the contraction's loop for ``n != 2``) and a ``ManifoldModel`` whose
-    Christoffel callback returns an array;
+    and the contraction's loop for ``n != 2``), a ``ManifoldModel`` whose
+    Christoffel callback returns an array, and a 2-D ``from_metric`` model
+    with off-diagonal terms and a ``chart_domain`` (the 2-D difference
+    fallback with its chart check on the stencil);
 ``three_d``
     integrations at ``n = 3``, whose 8-entry states take the pairwise sum
     of the 1-D loop's error norm: on ``euclidean(3)`` with the linear
@@ -274,11 +276,17 @@ def _field_models():
         chart_domain=hyp._chart_domain, name="hyperbolic-array")
     bump3 = profiles.gaussian_bump_profile(1.5, [0.2, -0.1, 0.3], 0.7)
     data3 = dynamics.InitialData([0.1, 0.2, -0.3], [0.8, -0.4, 0.3])
+    skew = geometry.from_metric(
+        2, lambda x: np.array([[2.0 + np.sin(x[0]), 0.3 * x[0] * x[1]],
+                               [0.3 * x[0] * x[1], 1.0 + x[1] * x[1]]]),
+        chart_domain=lambda x: x[0] > -1.0, name="user2-skew")
     return [
         (geometry.euclidean(3), bump3, data3),
         (user3, bump3, data3),
         (hyp_array, profiles.gaussian_bump_profile(1.0, [0.5, 1.2], 0.8),
          dynamics.InitialData([0.2, 1.0], [0.7, 0.3])),
+        (skew, profiles.gaussian_bump_profile(1.0, [0.4, -0.2], 0.9),
+         dynamics.InitialData([0.3, -0.4], [0.6, 0.5])),
     ]
 
 
@@ -319,7 +327,7 @@ def three_d():
         for eps in widths:
             _feed(h, dynamics.integrate_impulsive_geodesic(flat3, prof, net,
                                                            eps, data, 1.0))
-    _, (user3, bump3, data3), _ = _field_models()
+    user3, bump3, data3 = _field_models()[1]
     _feed(h, dynamics.integrate_impulsive_geodesic(user3, bump3, net, _EPS,
                                                    data3, 1.0))
     velocities = np.array([data3.xdot0, [0.3, 0.9, -0.2], [-0.5, 0.1, 0.7]])
