@@ -21,10 +21,14 @@ the unchecked forms themselves.
 
 The built-in models evaluate batches in closed form.  Models given only by
 a metric take their Christoffel symbols from one batched central
-difference of the metric (:func:`central_difference`), for a single point
-as for a batch, and their inverse metrics from one batched inverse (or the
-inverse-metric callback per point); their chart test loops over
-``contains``.
+difference of the metric (:func:`central_difference`), and their inverse
+metrics from one batched inverse (or the inverse-metric callback per
+point); their chart test loops over ``contains``.  On a single point of a
+2-D model the difference runs on floats, bit for bit with its batch row;
+other dimensions take the point as a batch of one.  One evaluation of the
+Christoffel symbols calls the metric ``2n + 1`` times, on the point and
+its ``2n`` neighbours; the geodesic field calls it once more inside the
+strip, for the inverse metric at the point.
 
 Built-in models
 ---------------
@@ -64,11 +68,13 @@ class ManifoldModel:
     """A Riemannian manifold presented in a single coordinate chart.
 
     The metric, inverse-metric and Christoffel callbacks take a float
-    ``(n,)`` point inside the chart.  ``christoffel`` returns
-    ``Gamma[k][i][j]`` there, as an ``(n, n, n)`` array or as a nested list
-    of floats.  Its result is checked for that shape, raising
-    :class:`ConfigError` otherwise, and converted once to the nested list
-    of floats that the per-point geodesic field reads.
+    ``(n,)`` point inside the chart.  ``metric`` and ``inverse_metric``
+    return an ``(n, n)`` array there, and ``christoffel`` returns
+    ``Gamma[k][i][j]``, as an ``(n, n, n)`` array or as a nested list of
+    floats.  Each result is checked for its shape where it is read,
+    raising :class:`ConfigError` otherwise; the Christoffel symbols are
+    converted once to the nested list of floats that the per-point
+    geodesic field reads.
     """
 
     def __init__(self, dim, metric, *, inverse_metric=None, christoffel=None,
@@ -88,9 +94,12 @@ class ManifoldModel:
             self._point_christoffel = self._checked_christoffel
             self._batch_christoffel = partial(
                 _stack_rows, self._checked_christoffel, shape=(n, n, n))
+        elif n == 2:
+            self._point_christoffel = self._fd_christoffel_2d
         if inverse_metric is not None:
-            self._batch_inverse_metric = partial(_stack_rows, inverse_metric,
-                                                 shape=(n, n))
+            self._point_inverse_metric = self._checked_inverse_metric
+            self._batch_inverse_metric = partial(
+                _stack_rows, self._checked_inverse_metric, shape=(n, n))
         if chart_domain is None:
             self._batch_chart_domain = _finite_rows
 
@@ -118,7 +127,7 @@ class ManifoldModel:
     def metric_at(self, x):
         x = np.asarray(x, dtype=float)
         self.require_inside(x)
-        return np.asarray(self._metric(x), dtype=float)
+        return self._point_metric(x)
 
     def inverse_metric_at(self, x):
         x = np.asarray(x, dtype=float)
@@ -136,37 +145,91 @@ class ManifoldModel:
         return np.array(self._point_christoffel(x), dtype=float)
 
     # The unchecked forms, for a float ``(n,)`` point or ``(B, n)`` batch
-    # the caller has checked: the fallbacks from the metric, which a
-    # callback or a closed form replaces when the model is built.  The
-    # point Christoffel symbols are a nested list of floats.
+    # the caller has checked: the metric callback checked for its shape and
+    # the fallbacks from the metric, which a callback or a closed form
+    # replaces when the model is built.  The point Christoffel symbols are
+    # a nested list of floats.
+    def _point_metric(self, x):
+        return self._checked(self._metric(x), "metric", 2)
+
     def _point_inverse_metric(self, x):
-        if self._inverse_metric is not None:
-            return np.asarray(self._inverse_metric(x), dtype=float)
-        return self._inverted(np.asarray(self._metric(x), dtype=float), x)
+        return self._inverted(self._point_metric(x), x)
 
     def _point_christoffel(self, x):
         return self._fd_christoffel(x[None])[0].tolist()
 
+    def _fd_christoffel_2d(self, x):
+        """``_fd_christoffel(x[None])[0].tolist()`` for ``n = 2``, bit for
+        bit, on floats: numpy's cost per call would outweigh the arithmetic
+        on one point.
+
+        The same stencil, chart check and callback calls, in the same
+        order: the point, then its neighbours along ``+e0``, ``+e1``,
+        ``-e0``, ``-e1``.  The inverse stays ``np.linalg.inv``'s (or the
+        inverse-metric callback's), whose rounding floats cannot copy.  Each
+        entry of the contraction is summed from 0.0, as ``einsum`` sums it;
+        with two terms the order of the sum does not matter."""
+        x0, x1 = x.tolist()
+        s0 = _FD_STEP * max(1.0, abs(x0))
+        s1 = _FD_STEP * max(1.0, abs(x1))
+        p0, p1, m0, m1 = x0 + s0, x1 + s1, x0 - s0, x1 - s1
+        rows = np.array([[x0, x1], [p0, x1], [x0, p1], [m0, x1], [x0, m1]])
+        # without a chart domain the chart test is finiteness, which these
+        # six coordinates decide
+        if (self._chart_domain is not None
+                or not all(map(math.isfinite, (x0, x1, p0, p1, m0, m1)))):
+            self._require_batch_inside(rows)
+        h, *nbrs = map(self._point_metric, rows)
+        hinv = (self._inverted(h, x) if self._inverse_metric is None
+                else self._checked_inverse_metric(x)).tolist()
+        # p_ij = d_0 h_ij and q_ij = d_1 h_ij from h_ij at x + s0 e0 (a),
+        # x + s1 e1 (b), x - s0 e0 (c) and x - s1 e1 (d)
+        (a00, a01), (a10, a11) = nbrs[0].tolist()
+        (b00, b01), (b10, b11) = nbrs[1].tolist()
+        (c00, c01), (c10, c11) = nbrs[2].tolist()
+        (d00, d01), (d10, d11) = nbrs[3].tolist()
+        w0, w1 = 2.0 * s0, 2.0 * s1
+        p00, p01, p10, p11 = ((a00 - c00) / w0, (a01 - c01) / w0,
+                              (a10 - c10) / w0, (a11 - c11) / w0)
+        q00, q01, q10, q11 = ((b00 - d00) / w1, (b01 - d01) / w1,
+                              (b10 - d10) / w1, (b11 - d11) / w1)
+        # t[i][j] = [t_ij0, t_ij1] with t_ijl = d_i h_jl + d_j h_il - d_l h_ij
+        t = (((p00 + p00) - p00, (p01 + p01) - q00),
+             ((p10 + q00) - p01, (p11 + q01) - q01),
+             ((q00 + p10) - p10, (q01 + p11) - q10),
+             ((q10 + q10) - p11, (q11 + q11) - q11))
+        return [[[0.5 * ((0.0 + k0 * t0) + k1 * t1) for t0, t1 in t[:2]],
+                 [0.5 * ((0.0 + k0 * t0) + k1 * t1) for t0, t1 in t[2:]]]
+                for k0, k1 in hinv]
+
+    def _checked(self, value, what, rank):
+        """``value``, the result of the ``what`` callback, as a float array
+        checked for the shape ``(n,) * rank``; :class:`ConfigError`
+        otherwise."""
+        want = (self.dim,) * rank
+        try:
+            value = np.asarray(value, dtype=float)
+        except ValueError:  # a ragged nested list
+            raise ConfigError(
+                f"the {what} callback of {self.name} gave a ragged result, "
+                f"not shape {want}") from None
+        if value.shape != want:
+            raise ConfigError(
+                f"the {what} callback of {self.name} gave shape "
+                f"{value.shape}, not {want}")
+        return value
+
+    def _checked_inverse_metric(self, x):
+        return self._checked(self._inverse_metric(x), "inverse-metric", 2)
+
     def _checked_christoffel(self, x):
         """The Christoffel callback at ``x``, checked for the shape
         ``(n, n, n)`` and converted to a nested list of floats."""
-        gamma = self._christoffel(x)
-        want = (self.dim,) * 3
-        try:
-            gamma = np.asarray(gamma, dtype=float)
-        except ValueError:  # a ragged nested list
-            raise ConfigError(
-                f"the Christoffel callback of {self.name} gave a ragged "
-                f"result, not shape {want}") from None
-        if gamma.shape != want:
-            raise ConfigError(
-                f"the Christoffel callback of {self.name} gave shape "
-                f"{gamma.shape}, not {want}")
-        return gamma.tolist()
+        return self._checked(self._christoffel(x), "Christoffel", 3).tolist()
 
     def _batch_inverse_metric(self, xs):
-        return self._inverted(_stack_rows(self._metric, xs, (self.dim,) * 2),
-                              xs)
+        return self._inverted(
+            _stack_rows(self._point_metric, xs, (self.dim,) * 2), xs)
 
     def _batch_christoffel(self, xs):
         return self._fd_christoffel(xs)
@@ -194,7 +257,7 @@ class ManifoldModel:
     def _metrics(self, xs):
         """The metric callback on a ``(B, n)`` batch inside the chart."""
         xs = self._require_batch_inside(xs)
-        return _stack_rows(self._metric, xs, (self.dim, self.dim))
+        return _stack_rows(self._point_metric, xs, (self.dim, self.dim))
 
     def inside(self, xs):
         """Chart test on a ``(B, n)`` batch: a ``(B,)`` boolean mask."""
@@ -290,6 +353,9 @@ def _finite_rows(xs):
 
 def _with_batch_forms(model, christoffel, inverse_metric,
                       chart_domain=_finite_rows):
+    # a built-in's callbacks give their shapes: they serve unchecked
+    model._point_metric = model._metric
+    model._point_inverse_metric = model._inverse_metric
     model._point_christoffel = model._christoffel
     model._batch_christoffel = christoffel
     model._batch_inverse_metric = inverse_metric

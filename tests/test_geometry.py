@@ -152,6 +152,148 @@ def test_christoffel_callback_is_checked_and_converted_once():
         assert c.tobytes() == f.tobytes()
 
 
+@pytest.mark.parametrize("metric, message", [
+    (lambda x: 1.0, r"shape \(\), not \(2, 2\)"),
+    (lambda x: np.array([1.0, 2.0]), r"shape \(2,\), not \(2, 2\)"),
+    (lambda x: np.eye(3), r"shape \(3, 3\), not \(2, 2\)"),
+    (lambda x: [[1.0, 0.0], [0.0]], r"a ragged result, not shape \(2, 2\)"),
+], ids=["scalar", "vector", "3x3", "ragged"])
+def test_metric_callbacks_of_the_wrong_shape_are_config_errors(metric,
+                                                               message):
+    # a metric callback's result must have the shape (n, n); before the
+    # check, 1.0 and a 2-vector broadcast into a singular "metric" (a chart
+    # error, and a failed background path), (3, 3) and a ragged list raised
+    # bare ValueErrors, and metric_at returned every result unchecked
+    model = geometry.from_metric(2, metric, name="bad")
+    x0 = np.zeros(2)
+    for call in (
+            lambda: model.christoffel_at(x0),
+            lambda: model.metric_at(x0),
+            lambda: dynamics.background_path(model, x0, np.eye(2)[0], 0.0,
+                                             1.0),
+            lambda: dynamics.background_path(model, x0, np.eye(2), 0.0, 1.0)):
+        with pytest.raises(ConfigError,
+                           match="the metric callback of bad gave " + message):
+            call()
+
+
+def test_inverse_metric_callback_of_the_wrong_shape_is_a_config_error():
+    # checked at a point and on a batch, as the metric callback is
+    x0 = np.zeros(2)
+    model = geometry.ManifoldModel(2, lambda x: np.eye(2),
+                                   inverse_metric=lambda x: np.eye(3),
+                                   name="bad")
+    for call in (lambda: model.christoffel_at(x0),
+                 lambda: model.inverse_metric_at(x0),
+                 lambda: model.inverse_metric(x0[None])):
+        with pytest.raises(ConfigError,
+                           match=r"the inverse-metric callback of bad gave "
+                                 r"shape \(3, 3\), not \(2, 2\)"):
+            call()
+
+
+def _skew_metric(x):
+    """A non-conformal metric with off-diagonal terms."""
+    off = 0.3 * x[0] * x[1] + 0.1 * np.cos(x[1])
+    return np.array([[2.0 + np.sin(x[0]), off], [off, 1.0 + x[1] * x[1]]])
+
+
+def _fd_points(rng):
+    """Points on both sides of |x_a| = 1, where the difference step's scale
+    switches, with exact zeros, and at random magnitudes from 1e-4 to 10."""
+    below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    scales = [0.0, 1e-4, 0.37, 0.999, below, 1.0, above, 1.001, 2.5, 10.0]
+    points = [[s * a, t * b] for s in scales for t in scales
+              for a, b in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0))]
+    points += (rng.choice([-1.0, 1.0], (300, 2))
+               * 10.0 ** rng.uniform(-4.0, 1.0, (300, 2))).tolist()
+    return np.array(points)
+
+
+@pytest.mark.parametrize("model", [
+    sphere_from_metric(),
+    geometry.from_metric(2, _skew_metric, name="skew"),
+    geometry.from_metric(2, _skew_metric, chart_domain=lambda x: x[0] > -20.0,
+                         name="skew_cut"),
+    # an inverse callback off by a factor 2, so that a point form that
+    # inverted the metric itself would differ
+    geometry.ManifoldModel(
+        2, _skew_metric,
+        inverse_metric=lambda x: 2.0 * np.linalg.inv(_skew_metric(x)),
+        name="skew_inverse"),
+], ids=lambda model: model.name)
+def test_2d_difference_christoffel_point_form_is_its_batch_row(model):
+    # a 2-D model without a Christoffel callback takes the float form of
+    # the difference fallback; it equals the row of the batch form, bit for
+    # bit, as a list, through christoffel_at and in the per-point field
+    assert model._point_christoffel == model._fd_christoffel_2d
+    for x in _fd_points(np.random.default_rng(41)):
+        point = model._point_christoffel(x)
+        assert type(point[1][0][1]) is float
+        row = model._fd_christoffel(x[None])[0]
+        assert np.array(point).tobytes() == row.tobytes(), x
+        assert model.christoffel_at(x).tobytes() == row.tobytes(), x
+    # other dimensions keep the batch of one
+    user3 = geometry.from_metric(3, lambda x: np.eye(3) + np.outer(x, x))
+    x = np.array([0.3, -1.2, 0.0])
+    assert (np.array(user3._point_christoffel(x)).tobytes()
+            == user3._fd_christoffel(x[None])[0].tobytes())
+
+
+def test_2d_difference_christoffel_point_form_checks_as_its_batch():
+    seen = []
+
+    def metric(x):
+        seen.append(x.tolist())
+        return _skew_metric(x)
+
+    def forms(model):
+        return (model._point_christoffel,
+                lambda x: model._fd_christoffel(x[None]))
+
+    def errors(model, x):
+        """The one message of both forms at ``x``, and the callback calls."""
+        messages = []
+        seen.clear()
+        for form in forms(model):
+            with pytest.raises(ChartDomainError) as err:
+                form(x)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        return messages[0], len(seen)
+
+    model = geometry.from_metric(2, metric, chart_domain=lambda x: x[0] < 0.5)
+    # five callbacks per point, in the batch's row order: the point, then
+    # its neighbours along +e0, +e1, -e0, -e1
+    x = np.array([0.2, -1.7])
+    calls = []
+    for form in forms(model):
+        seen.clear()
+        form(x)
+        calls.append(list(seen))
+    steps = geometry._FD_STEP * np.maximum(1.0, np.abs(x))
+    assert calls[0] == calls[1] == [
+        x.tolist(), (x + [steps[0], 0.0]).tolist(),
+        (x + [0.0, steps[1]]).tolist(), (x - [steps[0], 0.0]).tolist(),
+        (x - [0.0, steps[1]]).tolist()]
+    # a neighbour outside the chart raises before any callback runs, with
+    # the batch form's message
+    message, called = errors(model, np.array([0.5 - 1e-7, 0.3]))
+    assert message.startswith("point [0.500005") and not called
+    # so does a neighbour that is not finite, on a model without a domain
+    free = geometry.from_metric(2, metric)
+    big = np.finfo(float).max
+    with np.errstate(over="ignore"):  # the batch form's stencil overflows
+        message, called = errors(free, np.array([big, 0.3]))
+        assert "[inf" in message and not called
+        message, called = errors(free, np.array([0.3, -big]))
+        assert "-inf]" in message and not called
+    # a singular metric is a chart error too, naming the point
+    singular = geometry.from_metric(2, lambda x: np.diag([1.0, x[0] ** 2]))
+    assert errors(singular, np.array([0.0, 0.3]))[0] == (
+        "singular metric at point [0.  0.3]")
+
+
 def test_chord_bound_of_an_indefinite_metric_is_a_chart_error(monkeypatch):
     # h = diag(x1, 1) is indefinite left of x1 = 0: shooting from (-1, 0)
     # to (1, 0) fails, and the least eigenvalue along the chord is not
