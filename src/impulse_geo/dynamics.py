@@ -30,9 +30,11 @@ works on Python floats, where numpy's cost per call would outweigh the
 arithmetic of a 2-D state: it checks the chart on floats, reads the
 model's Christoffel symbols as the nested list of floats that every model
 gives, contracts ``-Gamma(xdot, xdot)`` in einsum's order
-(:func:`_christoffel_term`) and returns a list, while the products with the
-inverse metric and ``df`` stay numpy's, whose BLAS products round
-otherwise.
+(:func:`_christoffel_term`), takes ``grad f`` from the model's
+``_point_gradient`` as a list of floats and returns a list.  ``grad f`` is
+numpy's product ``h^-1(x) @ df`` except on the 2-D built-ins, whose
+inverse metric ``s(x) I`` lets floats keep its bits; ``df @ xdot`` stays
+numpy's, whose fused products round otherwise on floats.
 :func:`lagrangian_energy` takes one state or a batch: the energy
 diagnostics of a path and the energy column of its CSV are one call.  A
 batch of B velocities from one point (geodesic shooting) or of B widths
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationFailure
+from .errors import ChartDomainError, ConfigError, IntegrationFailure
 from .odesolve import PathDiagnostics, solve_rk45
 
 __all__ = [
@@ -275,13 +277,14 @@ def _system(model, profile, net, eps):
     """The geodesic field ``fun(u, y)`` on a raw state vector, as a list
     of floats; the background field when ``net`` or ``eps`` is None.  The
     forcing is skipped outside ``|u| < support_radius(eps)``, where it
-    vanishes identically.  The products with the inverse metric and
-    ``df`` stay numpy's, which a float loop need not round alike."""
+    vanishes identically.  ``grad f`` is the model's ``_point_gradient``
+    (see the module docstring); ``df @ xdot`` stays numpy's, which a float
+    sum need not round alike."""
     n = model.dim
     radius = 0.0 if net is None or eps is None else net.support_radius(eps)
     require_inside = model.require_inside
     christoffel = model._point_christoffel
-    inverse_metric = model._point_inverse_metric
+    gradient = model._point_gradient
 
     def fun(u, y):
         x = y[:n]
@@ -296,8 +299,7 @@ def _system(model, profile, net, eps):
             if d != 0.0 or dd != 0.0:
                 df = profile.df(x)
                 half = 0.5 * d
-                acc = [a + half * g for a, g in
-                       zip(acc, (inverse_metric(x) @ df).tolist())]
+                acc = [a + half * g for a, g in zip(acc, gradient(x, df))]
                 vdd = -float(df @ y[n:2 * n]) * d - 0.5 * profile.f(x) * dd
         return xd + acc + [state[2 * n + 1], vdd]
 
@@ -393,12 +395,19 @@ def _energy_diagnostics(path, model, profile, net, eps):
 
 def _initial_state(model, x0, xdot0, v0=0.0, vdot0=0.0):
     """The raw state of data posed at ``x0``: a vector for a ``(n,)``
-    velocity ``xdot0``, a ``(B, D)`` batch for ``(B, n)`` velocities."""
+    velocity ``xdot0``, a ``(B, D)`` batch for ``(B, n)`` velocities.
+
+    A start point outside the chart, or where the metric is not positive
+    definite (or not finite), raises :class:`ChartDomainError` naming it,
+    before any field is evaluated."""
     x0 = np.asarray(x0, dtype=float)
     xdot0 = np.asarray(xdot0, dtype=float)
     if xdot0.ndim > 2 or xdot0.shape[-1:] != x0.shape:
         raise ConfigError("xdot0 must have the shape of x0, or be (B, n)")
     model.require_inside(x0)
+    h = model._point_metric(x0)
+    if not (np.isfinite(h).all() and np.linalg.eigvalsh(h)[0] > 0.0):
+        raise ChartDomainError(f"metric not positive definite at point {x0}")
     n = model.dim
     y0 = np.empty(xdot0.shape[:-1] + (2 * n + 2,))
     y0[..., :n] = x0

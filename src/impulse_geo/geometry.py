@@ -19,16 +19,22 @@ callback, or the fallback from the metric, chosen when the model is
 built).  The geodesic fields check the chart once per call and then call
 the unchecked forms themselves.
 
-The built-in models evaluate batches in closed form.  Models given only by
-a metric take their Christoffel symbols from one batched central
-difference of the metric (:func:`central_difference`), and their inverse
-metrics from one batched inverse (or the inverse-metric callback per
-point); their chart test loops over ``contains``.  On a single point of a
-2-D model the difference runs on floats, bit for bit with its batch row;
-other dimensions take the point as a batch of one.  One evaluation of the
-Christoffel symbols calls the metric ``2n + 1`` times, on the point and
-its ``2n`` neighbours; the geodesic field calls it once more inside the
-strip, for the inverse metric at the point.
+The built-in models evaluate batches in closed form, their metrics
+included, each bit for bit with the point callback row by row.  The 2-D
+built-ins have the inverse metric ``s(x) I``; the per-point geodesic field
+takes ``grad f = h^-1 df`` from their ``_point_gradient``, which forms
+``s(x) I df`` on floats bit for bit with numpy's product (other models
+keep numpy's product).  Models given only by a metric take their
+Christoffel symbols from one batched central difference of the metric
+(:func:`central_difference`), their inverse metrics from one batched
+inverse (or the inverse-metric callback per point), and their batch
+metrics from the callback row by row; their chart test loops over
+``contains``.  On a single point of a 2-D model the difference runs on
+floats, bit for bit with its batch row; other dimensions take the point as
+a batch of one.  One evaluation of the Christoffel symbols calls the metric
+``2n + 1`` times, on the point and its ``2n`` neighbours; the geodesic
+field calls it once more inside the strip, for the inverse metric at the
+point.
 
 Built-in models
 ---------------
@@ -155,6 +161,11 @@ class ManifoldModel:
     def _point_inverse_metric(self, x):
         return self._inverted(self._point_metric(x), x)
 
+    def _point_gradient(self, x, df):
+        """``h^-1(x) df`` as a list of floats, for the ``(n,)`` array
+        ``df``; a conformal built-in replaces it (:func:`_scaled_gradient`)."""
+        return (self._point_inverse_metric(x) @ df).tolist()
+
     def _point_christoffel(self, x):
         return self._fd_christoffel(x[None])[0].tolist()
 
@@ -227,9 +238,11 @@ class ManifoldModel:
         ``(n, n, n)`` and converted to a nested list of floats."""
         return self._checked(self._christoffel(x), "Christoffel", 3).tolist()
 
+    def _batch_metric(self, xs):
+        return _stack_rows(self._point_metric, xs, (self.dim,) * 2)
+
     def _batch_inverse_metric(self, xs):
-        return self._inverted(
-            _stack_rows(self._point_metric, xs, (self.dim,) * 2), xs)
+        return self._inverted(self._batch_metric(xs), xs)
 
     def _batch_christoffel(self, xs):
         return self._fd_christoffel(xs)
@@ -255,9 +268,8 @@ class ManifoldModel:
             raise ChartDomainError(f"singular metric at point {x}") from None
 
     def _metrics(self, xs):
-        """The metric callback on a ``(B, n)`` batch inside the chart."""
-        xs = self._require_batch_inside(xs)
-        return _stack_rows(self._point_metric, xs, (self.dim, self.dim))
+        """The metrics ``(B, n, n)`` of a ``(B, n)`` batch inside the chart."""
+        return self._batch_metric(self._require_batch_inside(xs))
 
     def inside(self, xs):
         """Chart test on a ``(B, n)`` batch: a ``(B,)`` boolean mask."""
@@ -351,16 +363,51 @@ def _finite_rows(xs):
     return np.isfinite(xs).all(axis=1)
 
 
-def _with_batch_forms(model, christoffel, inverse_metric,
-                      chart_domain=_finite_rows):
+def _with_batch_forms(model, christoffel, inverse_metric, metric,
+                      chart_domain=_finite_rows, scale=None):
+    """``model`` with a built-in's closed batch forms; ``scale`` is the
+    float ``s(x)`` of a 2-D chart whose inverse metric is ``s(x) I``."""
     # a built-in's callbacks give their shapes: they serve unchecked
     model._point_metric = model._metric
     model._point_inverse_metric = model._inverse_metric
     model._point_christoffel = model._christoffel
     model._batch_christoffel = christoffel
     model._batch_inverse_metric = inverse_metric
+    model._batch_metric = metric
     model._batch_chart_domain = chart_domain
+    if scale is not None:
+        model._point_gradient = partial(_scaled_gradient, scale)
     return model
+
+
+def _scaled_identity(s):
+    """The 2-D inverse metric ``s I`` of a conformal chart."""
+    return np.array([[s, 0.0], [0.0, s]])
+
+
+def _scaled_gradient(scale, x, df):
+    """``_scaled_identity(scale(x)) @ df`` on floats, bit for bit.
+
+    numpy's product may fuse a multiply and an add, so a general 2x2
+    product rounds otherwise on floats; with zeros off the diagonal each
+    entry is rounded once either way.  The sum from 0.0 keeps numpy's
+    signed zeros: ``s * -0.0`` alone is -0.0 where numpy's product gives
+    0.0."""
+    s = scale(x)
+    a, b = df.tolist()
+    return [0.0 + (s * a + 0.0 * b), 0.0 + (0.0 * a + s * b)]
+
+
+def _order_of(xs):
+    """The memory order of the flat and hyperbolic batch Christoffel
+    symbols of the ``(B, n)`` batch ``xs``: ``dynamics.batch_acceleration``'s
+    einsum is an order of magnitude slower on the Fortran-ordered Picard
+    grids when the symbols are C-ordered.  A C-ordered batch, which a batch
+    of one row always is, keeps C order.  Each of their components sums at
+    most two nonzero terms, so the einsum gives the same bytes in either
+    order; on the difference fallback's symbols it does not, and they stay
+    C-ordered."""
+    return "F" if xs.flags.f_contiguous and not xs.flags.c_contiguous else "C"
 
 
 def euclidean(n):
@@ -377,10 +424,13 @@ def euclidean(n):
         name=f"euclidean({n})",
         exact_distance=lambda a, b: float(np.linalg.norm(np.subtract(a, b))),
     )
+    def identities(xs):
+        return np.tile(eye, (len(xs), 1, 1))
+
     return _with_batch_forms(
         model,
-        lambda xs: np.zeros((len(xs), n, n, n)),
-        lambda xs: np.tile(eye, (len(xs), 1, 1)),
+        lambda xs: np.zeros((len(xs), n, n, n), order=_order_of(xs)),
+        identities, identities, scale=(lambda x: 1.0) if n == 2 else None,
     )
 
 
@@ -389,13 +439,16 @@ def hyperbolic_half_plane():
     def metric(x):
         return np.diag([1.0, 1.0]) / (x[1] * x[1])
 
-    def inverse(x):
-        y2 = x[1] * x[1]
-        return np.array([[y2, 0.0], [0.0, y2]])
+    def scale(x):
+        x1 = x.item(1)
+        return x1 * x1
 
     def christoffel(x):
         inv_y = 1.0 / x.item(1)
         return [[[0.0, -inv_y], [-inv_y, 0.0]], [[inv_y, 0.0], [0.0, -inv_y]]]
+
+    def batch_metric(xs):
+        return np.diag([1.0, 1.0]) / (xs[:, 1] * xs[:, 1])[:, None, None]
 
     def batch_inverse(xs):
         out = np.zeros((len(xs), 2, 2))
@@ -404,7 +457,7 @@ def hyperbolic_half_plane():
 
     def batch_christoffel(xs):
         inv_y = 1.0 / xs[:, 1]
-        g = np.zeros((len(xs), 2, 2, 2))
+        g = np.zeros((len(xs), 2, 2, 2), order=_order_of(xs))
         g[:, 0, 0, 1] = g[:, 0, 1, 0] = -inv_y
         g[:, 1, 0, 0] = inv_y
         g[:, 1, 1, 1] = -inv_y
@@ -417,12 +470,14 @@ def hyperbolic_half_plane():
         return math.acosh(max(1.0, arg))
 
     model = ManifoldModel(
-        2, metric, inverse_metric=inverse, christoffel=christoffel,
-        chart_domain=lambda x: x[1] > 0.0, complete=True,
-        name="hyperbolic_half_plane", exact_distance=dist,
+        2, metric, inverse_metric=lambda x: _scaled_identity(scale(x)),
+        christoffel=christoffel, chart_domain=lambda x: x[1] > 0.0,
+        complete=True, name="hyperbolic_half_plane", exact_distance=dist,
     )
     return _with_batch_forms(model, batch_christoffel, batch_inverse,
-                             lambda xs: _finite_rows(xs) & (xs[:, 1] > 0.0))
+                             batch_metric,
+                             lambda xs: _finite_rows(xs) & (xs[:, 1] > 0.0),
+                             scale)
 
 
 def _sphere_embed(x):
@@ -440,11 +495,10 @@ def sphere_stereographic():
         c = 2.0 / (1.0 + (x0 * x0 + x1 * x1))
         return (c * c) * np.eye(2)
 
-    def inverse(x):
+    def scale(x):
         x0, x1 = x.tolist()
         c = 2.0 / (1.0 + (x0 * x0 + x1 * x1))
-        s = 1.0 / (c * c)
-        return np.array([[s, 0.0], [0.0, s]])
+        return 1.0 / (c * c)
 
     def christoffel(x):
         # conformal metric exp(2 phi) I with phi = log 2 - log(1 + |x|^2):
@@ -453,6 +507,10 @@ def sphere_stereographic():
         r = 1.0 + (x0 * x0 + x1 * x1)
         w0, w1 = -2.0 * x0 / r, -2.0 * x1 / r
         return [[[w0, w1], [w1, -w0]], [[-w1, w0], [w0, w1]]]
+
+    def batch_metric(xs):
+        c = 2.0 / (1.0 + np.einsum("bi,bi->b", xs, xs))
+        return (c * c)[:, None, None] * eye
 
     def batch_inverse(xs):
         c = 2.0 / (1.0 + np.einsum("bi,bi->b", xs, xs))
@@ -469,10 +527,12 @@ def sphere_stereographic():
         return math.acos(min(1.0, max(-1.0, float(pa @ pb))))
 
     model = ManifoldModel(
-        2, metric, inverse_metric=inverse, christoffel=christoffel,
-        complete=True, name="sphere_stereographic", exact_distance=dist,
+        2, metric, inverse_metric=lambda x: _scaled_identity(scale(x)),
+        christoffel=christoffel, complete=True, name="sphere_stereographic",
+        exact_distance=dist,
     )
-    return _with_batch_forms(model, batch_christoffel, batch_inverse)
+    return _with_batch_forms(model, batch_christoffel, batch_inverse,
+                             batch_metric, scale=scale)
 
 
 def from_metric(dim, metric, *, chart_domain=None, complete=False,

@@ -2,11 +2,12 @@
 
 A single Dormand-Prince 5(4) pair drives every trajectory in this package.
 The fifth-order solution is propagated, the embedded fourth-order solution
-provides the local error estimate, and each accepted step stores the
-pair's quartic dense-output polynomial (built from the already computed
-stages, so it costs no extra evaluations).  A plain cubic Hermite
-interpolant was tried first and could not hold the 1e-8 dense-measurement
-budget at the step sizes the controller selects.
+provides the local error estimate, and each accepted step stores its seven
+stage slopes.  When a path is made, the pair's quartic dense-output
+polynomials of all its steps are built from those slopes in one product
+(so they cost no extra evaluations, and a rejected step none at all).  A
+plain cubic Hermite interpolant was tried first and could not hold the
+1e-8 dense-measurement budget at the step sizes the controller selects.
 
 Two guards reflect how chart-based geometry fails in practice:
 
@@ -289,12 +290,13 @@ def _point_step(fun, check, t, y, f, h, t_new):
 class _Row:
     """The step controller of one trajectory, alone or as an ensemble row.
 
-    Its dense output sits in buffers (node i at ``[i]``, the step from node
-    i at ``[i]``) whose used part is the row's :class:`DensePath`."""
+    Its accepted steps sit in buffers (node i at ``[i]``, the seven stage
+    slopes of the step from node i at ``[i]``) whose used part
+    :meth:`path` turns into the row's :class:`DensePath`."""
 
     __slots__ = ("t0", "t1", "cap", "end_tol", "phase", "t", "h",
                  "stage_failed", "n_accepted", "n_rejected", "n_rhs", "ts",
-                 "ys", "coeffs")
+                 "ys", "slopes")
 
     def __init__(self, t0, t1, cap, y0, phase):
         self.t0, self.t1, self.cap = float(t0), float(t1), float(cap)
@@ -315,7 +317,7 @@ class _Row:
         nodes = 2 * int(span / max(self.cap, span / 1024)) + 16
         self.ts = np.empty(nodes)
         self.ys = np.empty((nodes, len(y0)))
-        self.coeffs = np.empty((nodes, len(y0), len(_P[0])))
+        self.slopes = np.empty((nodes, len(_P), len(y0)))
         self.ts[0] = self.t
         self.ys[0] = y0
 
@@ -371,10 +373,10 @@ class _Row:
         self.n_rejected += 1
         self.h *= 0.5
 
-    def accept(self, err_norm, t_new, y_new, dense, blown_up):
+    def accept(self, err_norm, t_new, y_new, slopes, blown_up):
         """Decide on a completed step by its scaled error norm; on
-        acceptance store it with its dense-output block ``dense``, or fail
-        if the new state has ``blown_up``.  Returns whether the step was
+        acceptance store it with its seven stage ``slopes``, or fail if the
+        new state has ``blown_up``.  Returns whether the step was
         accepted."""
         self.n_rhs += 7
         factor = _MAX_FACTOR if err_norm == 0.0 else min(
@@ -388,9 +390,9 @@ class _Row:
                                f"state magnitude exceeded {_BLOWUP:g}")
         n = self.n_accepted
         if n + 1 == len(self.ts):
-            self.ts, self.ys, self.coeffs = (
-                _grown(buf) for buf in (self.ts, self.ys, self.coeffs))
-        self.coeffs[n] = dense
+            self.ts, self.ys, self.slopes = (
+                _grown(buf) for buf in (self.ts, self.ys, self.slopes))
+        self.slopes[n] = slopes
         self.t = self.ts[n + 1] = t_new
         self.ys[n + 1] = y_new
         self.n_accepted = n + 1
@@ -398,8 +400,11 @@ class _Row:
         return True
 
     def path(self):
+        """The row's :class:`DensePath`, every step's quartic block built
+        from its slopes in one product."""
         n = self.n_accepted
-        return DensePath(self.ts[:n + 1], self.ys[:n + 1], self.coeffs[:n])
+        return DensePath(self.ts[:n + 1], self.ys[:n + 1],
+                         np.einsum("nsd,sj->ndj", self.slopes[:n], _P))
 
     def counts(self):
         return {"n_steps": self.n_accepted, "n_rejected": self.n_rejected,
@@ -483,8 +488,7 @@ def solve_rk45(fun, t0, t1, y0, *, rtol=1e-10, atol=1e-10, max_step=math.inf,
             row.stage_failure()
             continue
         if row.accept(_point_error_norm(err, y, y_new, rtol, atol), t_new,
-                      y_new, np.einsum("sd,sj->dj", k, _P),
-                      _blown_up(y_new)):
+                      y_new, k, _blown_up(y_new)):
             y, f = y_new, k[-1]
     return row.path(), row.counts()
 
@@ -583,13 +587,14 @@ def _solve_ensemble(fun, t0, t1, y0, rtol, atol, max_step, phase):
         ratio = err / (atol + rtol * np.maximum(np.abs(yv), size))
         # np.mean's sum and true divide, without its wrapper
         err_norms = np.sqrt(np.add.reduce(ratio * ratio, axis=1) / y.shape[1])
-        dense = np.einsum("sbd,sj->bdj", k, _P)
         blown = (size.max(axis=1) > _BLOWUP).tolist()
+        # each row's seven slopes; an int index is cheaper than k[:, j]
+        slopes = k.transpose(1, 0, 2)
         accepted = []
         for j, (r, err_norm, end) in enumerate(
                 zip(live, err_norms.tolist(), t_new[:, 0].tolist())):
             try:
-                if rows[r].accept(err_norm, end, y_new[j], dense[j],
+                if rows[r].accept(err_norm, end, y_new[j], slopes[j],
                                   blown[j]):
                     accepted.append(j)
             except IntegrationFailure as exc:

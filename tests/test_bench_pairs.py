@@ -36,8 +36,35 @@ def test_summary_of_canned_pairs():
     assert got["parent_iqr"] == 5.0
     assert got["change_lower_in"] == "3/4"
     assert got["rel_change"] == pytest.approx(297.0 / 379.0 - 1.0, abs=1e-4)
+    # lower in 3 of 4 pairs is short of 9 in 10
+    assert got["gain_shown"] is False
     assert out["peak_rss_mb"]["change_lower_in"] == "0/4"
     assert out["peak_rss_mb"]["rel_change"] == 0.0
+    assert out["peak_rss_mb"]["gain_shown"] is False
+
+
+@pytest.mark.parametrize("change, shown", [
+    # lower in 10 of 10, by 20 against an IQR of 3.5
+    ([80.0] * 10, True),
+    # lower in 9 of 10 is enough
+    ([80.0] * 9 + [110.0], True),
+    # lower in 8 of 10 is not
+    ([80.0] * 8 + [110.0] * 2, False),
+    # lower in 9 of 10, but the medians differ by 3, within the IQR
+    ([97.0] * 10, False),
+    # ... and by exactly the IQR is not more than it
+    ([96.5] * 10, False),
+    # ... by just over it is
+    ([96.4] * 10, True),
+], ids=["10of10", "9of10", "8of10", "within-iqr", "at-iqr", "over-iqr"])
+def test_gain_shown_follows_the_rule(change, shown):
+    # the parent's median is 100.0 and its linear quartiles 98.25 and 101.75
+    parent = [97.0, 103.0, 100.0, 98.0, 102.0, 99.0, 101.0, 95.0, 105.0,
+              100.0]
+    pairs = [(_line(p), _line(c)) for p, c in zip(parent, change)]
+    got = bench_pairs.summarize(pairs, ["round_rel"])["round_rel"]
+    assert got["parent_median"] == 100.0 and got["parent_iqr"] == 3.5
+    assert got["gain_shown"] is shown
 
 
 def test_summary_flags_incorrect_and_missing_runs():

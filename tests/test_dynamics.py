@@ -256,6 +256,87 @@ def test_non_finite_initial_state_fails_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("metric", [
+    lambda x: np.diag([x[0], 1.0]),
+    lambda x: np.diag([math.inf, 1.0]),
+    lambda x: np.diag([math.nan, 1.0]),
+], ids=["indefinite", "infinite", "nan"])
+def test_start_point_with_a_metric_not_positive_definite_is_refused(
+        monkeypatch, metric):
+    # h = diag(x1, 1) is indefinite at (-1, 0), yet inside the chart: every
+    # entry refuses the start point before any field call, reading the
+    # metric through the unchecked point form, not the traced metric_at
+    def fail(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(dynamics, "solve_rk45", fail)
+    monkeypatch.setattr(geometry.ManifoldModel, "metric_at", fail)
+    model = geometry.from_metric(2, metric)
+    x0 = np.array([-1.0, 0.0])
+    data = InitialData(x0, [1.0, 0.0])
+    for call in (
+            lambda: dynamics.background_path(model, x0, [1.0, 0.0], 0.0, 1.0),
+            lambda: dynamics.background_path(model, x0, np.eye(2), 0.0, 1.0),
+            lambda: integrate_impulsive_geodesic(model, LINEAR, NET, 0.1,
+                                                 data, 1.0),
+            lambda: integrate_impulsive_geodesic(model, LINEAR, NET,
+                                                 [0.1, 0.2], data, 1.0)):
+        with pytest.raises(ChartDomainError,
+                           match=r"metric not positive definite at point "
+                                 r"\[-1\.? +0\.?\]"):
+            call()
+
+
+def _assert_blocks_land_on_the_nodes(path):
+    # each step's quartic block at s = 1 is the step's propagated solution
+    # (the rows of the dense-output weights sum to the propagating weights),
+    # so it lands on the next node up to rounding
+    h = np.diff(path.ts)
+    ends = path.ys[:-1] + h[:, None] * path.coeffs.sum(axis=2)
+    assert path.coeffs.shape == (len(h), path.ys.shape[1], 4)
+    assert np.max(np.abs(ends - path.ys[1:])) <= 1e-13 * np.max(
+        np.abs(path.ys))
+
+
+def test_dense_blocks_survive_the_growth_of_the_step_buffers():
+    # an oscillator at rtol 1e-12 over [0, 60] takes about 3,500 steps, past
+    # the guessed buffer of 2 * 1024 + 16 nodes of a phase without a cap,
+    # so the buffers grow; the blocks of every step, stored before and
+    # after the growth, still land on their next nodes, in the 1-D loop
+    # and in an ensemble, and in the partial path of a failure
+    guess = 2 * 1024 + 16
+
+    def oscillator(t, y):
+        if t > 50.0 and escape:
+            raise ChartDomainError("past t = 50")
+        return [y[1], -y[0]]
+
+    def ensemble(t, ys, rows):
+        return np.array([oscillator(u, y) for u, y in zip(t.tolist(), ys)])
+
+    y0 = np.array([[1.0, 0.0], [-0.3, 2.0]])
+    escape = False
+    path, _ = solve_rk45(oscillator, 0.0, 60.0, y0[0], rtol=1e-12,
+                         atol=1e-12)
+    rows, _ = solve_rk45(ensemble, 0.0, 60.0, y0, rtol=1e-12, atol=1e-12)
+    assert len(path.ts) > guess
+    _assert_same_piece(rows[0], path)
+    for piece in (path, rows[1]):
+        assert len(piece.ts) > guess
+        _assert_blocks_land_on_the_nodes(piece)
+    escape = True
+    with pytest.raises(IntegrationFailure) as failure:
+        solve_rk45(oscillator, 0.0, 60.0, y0[0], rtol=1e-12, atol=1e-12)
+    rows, _ = solve_rk45(ensemble, 0.0, 60.0, y0, rtol=1e-12, atol=1e-12)
+    assert failure.value.reason == "chart_escape"
+    partials = [failure.value.partial] + [row.partial for row in rows]
+    assert all(row.reason == "chart_escape" for row in rows)
+    _assert_same_piece(partials[1], partials[0])
+    for piece in partials:
+        assert len(piece.ts) > guess and piece.t1 <= 50.0
+        _assert_blocks_land_on_the_nodes(piece)
+
+
 def _toy_point_field(t, y):
     """A forced pendulum, a state leaving a chart at y0 = 3 and, in the
     last component, y' = y^2, which blows up from y(0) > 0 at t = 1/y(0)."""

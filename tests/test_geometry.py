@@ -453,6 +453,100 @@ def test_batch_forms_match_point_forms(model):
     assert profiles.metric_gradient(bump, model, empty).shape == (0, 2)
 
 
+def _extreme_points(model, rng):
+    """Seeded points across each chart's range: the hyperbolic plane with
+    ``x2`` from 1e-150 to 1e3, the sphere with ``|x|`` up to 1e3, and exact
+    zeros."""
+    if model.name == "hyperbolic_half_plane":
+        x2 = 10.0 ** rng.uniform(-150.0, 3.0, 60)
+        pts = np.column_stack([rng.uniform(-5.0, 5.0, 60), x2])
+        return np.vstack([pts, [[0.0, 1e-3], [-0.0, 2.0]]])
+    r = 10.0 ** rng.uniform(-8.0, 3.0, 60)
+    phi = rng.uniform(0.0, 2.0 * math.pi, 60)
+    pts = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+    return np.vstack([pts, [[0.0, 0.0], [-0.0, 1e3], [1e3, -1e3]]])
+
+
+def _extreme_gradients(rng):
+    """``df`` vectors with signed zeros, subnormal, tiny and large entries."""
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e-300,
+               -1e300, 1e308, -1.7e308]
+    mags = 10.0 ** rng.uniform(-300.0, 300.0, (40, 2))
+    dfs = rng.choice([-1.0, 1.0], (40, 2)) * mags
+    pairs = [[a, b] for a in special for b in special[::3]]
+    return np.vstack([dfs, pairs, [[1.5, -0.0], [-0.0, -2.5], [0.0, 3.0]]])
+
+
+@pytest.mark.parametrize("model", models(), ids=lambda m: m.name)
+def test_conformal_gradient_is_numpys_product(model):
+    # the 2-D built-ins form h^-1 df = s(x) df on floats; it must keep the
+    # bytes of numpy's product, signed zeros and overflow included (a plain
+    # [s * a, s * b] gives -0.0 where numpy's sum from 0.0 gives 0.0)
+    assert model._point_gradient.func is geometry._scaled_gradient
+    rng = np.random.default_rng(27)
+    dfs = _extreme_gradients(rng)
+    with np.errstate(all="ignore"):
+        for x in _extreme_points(model, rng):
+            inv = model.inverse_metric_at(x)
+            for df in dfs:
+                got = np.array(model._point_gradient(x, df))
+                assert got.tobytes() == (inv @ df).tobytes(), (x, df)
+
+
+def test_other_models_keep_numpys_gradient_product():
+    # a from_metric model and a built-in of another dimension keep the
+    # product of numpy's inverse metric and df
+    rng = np.random.default_rng(28)
+    for model in (sphere_from_metric(), geometry.euclidean(3)):
+        for _ in range(20):
+            x = rng.uniform(-1.0, 1.0, model.dim)
+            df = rng.standard_normal(model.dim)
+            want = (model.inverse_metric_at(x) @ df).tolist()
+            assert model._point_gradient(x, df) == want
+
+
+@pytest.mark.parametrize("model", models() + [geometry.euclidean(3),
+                                              sphere_from_metric()],
+                         ids=lambda m: m.name)
+def test_batch_metric_is_the_point_callback_row_by_row(model):
+    # the node metrics of the energy diagnostics come from one batch call,
+    # which must give the point callback's bytes on every row
+    rng = np.random.default_rng(29)
+    if model.dim == 2:
+        xs = _extreme_points(model, rng)
+    else:
+        xs = rng.uniform(-3.0, 3.0, (20, model.dim))
+    with np.errstate(all="ignore"):
+        got = model._metrics(xs)
+        assert got.shape == (len(xs), model.dim, model.dim)
+        for x, h in zip(xs, got):
+            assert h.tobytes() == model.metric_at(x).tobytes(), x
+    assert model._metrics(np.empty((0, model.dim))).shape == (0,) + (
+        model.dim,) * 2
+
+
+@pytest.mark.parametrize("model", models(), ids=lambda m: m.name)
+def test_batch_christoffel_keeps_the_memory_order_of_the_batch(model):
+    # the Picard grids are Fortran-ordered; Christoffel symbols whose batch
+    # axis is contiguous there keep batch_acceleration's einsum on its fast
+    # path, and both layouts give the same bytes
+    rng = np.random.default_rng(30)
+    xs = np.array([random_point(model, rng) for _ in range(301)])
+    xd = rng.standard_normal((301, 2))
+    xd[::7] = 0.0
+    xd[3::7] = -0.0
+    fortran = np.asfortranarray(xs)
+    assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+    assert model.christoffel(fortran).strides[0] == 8
+    assert model.christoffel(xs).flags.c_contiguous
+    assert model.christoffel(xs[:1]).flags.c_contiguous
+    acc_c, _ = dynamics.batch_acceleration(model, None, xs, xd, None, None)
+    acc_f, _ = dynamics.batch_acceleration(model, None, fortran,
+                                           np.asfortranarray(xd), None, None)
+    assert acc_c.tobytes() == acc_f.tobytes()
+    assert np.array_equal(model.christoffel(fortran), model.christoffel(xs))
+
+
 def test_batch_forms_reject_points_outside_chart():
     hyp = geometry.hyperbolic_half_plane()
     xs = np.array([[0.0, 1.0], [0.5, 0.0], [1.0, 2.0]])
@@ -494,10 +588,11 @@ def test_singular_metric_is_a_chart_error():
     with pytest.raises(ChartDomainError, match="singular metric"):
         existence.certify(model, profiles.linear_profile([1.0, 0.0]),
                           [0.0, 0.0], [1.0, 0.0])
-    # the integrator meets it at the first stage, as it would a chart edge
-    with pytest.raises(IntegrationFailure) as failure:
+    # a start point there is refused before any integration, as a start
+    # point outside the chart is
+    with pytest.raises(ChartDomainError,
+                       match=r"not positive definite at point \[0\.? +0\.3\]"):
         geometry.background_geodesic(model, point, [1.0, 0.0], 0.0, 1.0)
-    assert failure.value.reason == "chart_escape"
     # off the line the inverse is the one of numpy, bit for bit
     x = np.array([0.7, -0.2])
     assert (model.inverse_metric_at(x).tobytes()

@@ -17,9 +17,12 @@ workloads share the machine's drift.
 The summary (printed as JSON, and written to FILE with ``--out``) holds,
 per workload and per end-to-end metric, each side's values in pair order,
 their medians, the parent's interquartile range (numpy's linear
-percentiles), how many pairs the change read lower in, and the change of
-the median relative to the parent's.  The exit code is 1 if any run was
-incorrect or failed, else 0.
+percentiles), how many pairs the change read lower in, the change of the
+median relative to the parent's, and ``gain_shown``: whether the change
+read lower in at least 9 of 10 pairs and its median lies below the
+parent's by more than the parent's interquartile range, the rule a claimed
+gain must meet (every end-to-end metric of ``BENCHMARK.json`` is better
+lower).  The exit code is 1 if any run was incorrect or failed, else 0.
 """
 
 import argparse
@@ -47,13 +50,15 @@ def _stats(parent, change):
     lower = sum(c < p for p, c in zip(parent, change))
     q1, q3 = np.percentile(parent, [25, 75])
     p_med, c_med = statistics.median(parent), statistics.median(change)
+    iqr = float(q3 - q1)
     return {"parent": [round(v, 4) for v in parent],
             "change": [round(v, 4) for v in change],
             "parent_median": round(p_med, 4),
             "change_median": round(c_med, 4),
-            "parent_iqr": round(float(q3 - q1), 4),
+            "parent_iqr": round(iqr, 4),
             "change_lower_in": f"{lower}/{len(parent)}",
-            "rel_change": round(c_med / p_med - 1.0, 4)}
+            "rel_change": round(c_med / p_med - 1.0, 4),
+            "gain_shown": 10 * lower >= 9 * len(parent) and p_med - c_med > iqr}
 
 
 def summarize(pairs, metrics):
