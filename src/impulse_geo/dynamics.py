@@ -30,19 +30,17 @@ works on Python floats, where numpy's cost per call would outweigh the
 arithmetic of a 2-D state: it checks the chart on floats, reads the
 model's Christoffel symbols as the nested list of floats that every model
 gives, contracts ``-Gamma(xdot, xdot)`` in einsum's order
-(:func:`_christoffel_term`), takes ``grad f`` from the model's
-``_point_gradient`` as a list of floats and returns a list.  ``grad f`` is
-numpy's product ``h^-1(x) @ df`` except on the 2-D built-ins, whose
-inverse metric ``s(x) I`` lets floats keep its bits; ``df @ xdot`` stays
-numpy's, whose fused products round otherwise on floats.
+(:func:`_christoffel_term`), takes ``grad f`` from the model's point form
+(``_point_gradient``) and returns a list; ``df @ xdot`` stays numpy's,
+whose fused products round otherwise on floats.
 :func:`lagrangian_energy` takes one state or a batch: the energy
 diagnostics of a path and the energy column of its CSV are one call.  A
 batch of B velocities from one point (geodesic shooting) or of B widths
 from one datum (a convergence study) has a ``(B, D)`` state and uses the
 ensemble field: the ``(B, n)`` batch forms
-of the model and the profile, a width and a ``u`` per row, and the
-acceleration that the Picard iteration integrates
-(:func:`batch_acceleration`).  It gives per row a path or the row's
+of the model (``grad f`` its ``_batch_gradient``) and the profile, a width
+and a ``u`` per row, and the acceleration that the Picard iteration
+integrates (:func:`batch_acceleration`).  It gives per row a path or the row's
 failure, which drops out alone.  Batch rows carry no energy diagnostics:
 no caller reads them, and they would add 4-6% to a sweep.  Each field
 checks the chart once per call, then evaluates the model's unchecked forms.
@@ -277,9 +275,7 @@ def _system(model, profile, net, eps):
     """The geodesic field ``fun(u, y)`` on a raw state vector, as a list
     of floats; the background field when ``net`` or ``eps`` is None.  The
     forcing is skipped outside ``|u| < support_radius(eps)``, where it
-    vanishes identically.  ``grad f`` is the model's ``_point_gradient``
-    (see the module docstring); ``df @ xdot`` stays numpy's, which a float
-    sum need not round alike."""
+    vanishes identically (see the module docstring)."""
     n = model.dim
     radius = 0.0 if net is None or eps is None else net.support_radius(eps)
     require_inside = model.require_inside
@@ -308,8 +304,8 @@ def _system(model, profile, net, eps):
 
 def batch_acceleration(model, profile, x, xd, forced, delta):
     """``-Gamma(xd, xd)`` on a ``(B, n)`` batch, plus ``1/2 delta grad f``
-    on the rows ``forced``, where ``delta`` holds the impulse values.  One
-    chart check covers the batch.
+    on the rows ``forced``, where ``delta`` holds the impulse values and
+    ``grad f`` is the model's batch form.  One chart check covers the batch.
 
     ``forced`` is an index array of rows, ``slice(None)`` for every row (the
     forcing then works on views of the batch, with no gathered copies) or
@@ -324,8 +320,7 @@ def batch_acceleration(model, profile, x, xd, forced, delta):
         return acc, None
     xf = x[forced]
     df = profile.df(xf)
-    grad = np.einsum("bkm,bm->bk", model._batch_inverse_metric(xf), df)
-    acc[forced] += (0.5 * delta)[:, None] * grad
+    acc[forced] += (0.5 * delta)[:, None] * model._batch_gradient(xf, df)
     return acc, df
 
 

@@ -19,22 +19,25 @@ callback, or the fallback from the metric, chosen when the model is
 built).  The geodesic fields check the chart once per call and then call
 the unchecked forms themselves.
 
+Every model gives ``grad f = h^-1 df`` in one point form,
+``_point_gradient``, and one batch form, ``_batch_gradient``, which
+``profiles.metric_gradient``, the geodesic fields and the Picard iteration
+read.  The point form is numpy's product (on floats, with its bits, on the
+2-D built-ins); its fused multiply-adds may round a non-diagonal inverse
+metric otherwise than the batch einsum does.
+
 The built-in models evaluate batches in closed form, their metrics
-included, each bit for bit with the point callback row by row.  The 2-D
-built-ins have the inverse metric ``s(x) I``; the per-point geodesic field
-takes ``grad f = h^-1 df`` from their ``_point_gradient``, which forms
-``s(x) I df`` on floats bit for bit with numpy's product (other models
-keep numpy's product).  Models given only by a metric take their
-Christoffel symbols from one batched central difference of the metric
-(:func:`central_difference`), their inverse metrics from one batched
-inverse (or the inverse-metric callback per point), and their batch
-metrics from the callback row by row; their chart test loops over
-``contains``.  On a single point of a 2-D model the difference runs on
-floats, bit for bit with its batch row; other dimensions take the point as
-a batch of one.  One evaluation of the Christoffel symbols calls the metric
-``2n + 1`` times, on the point and its ``2n`` neighbours; the geodesic
-field calls it once more inside the strip, for the inverse metric at the
-point.
+included, each bit for bit with the point callback row by row.  Models
+given only by a metric take their Christoffel symbols from one batched
+central difference of the metric (:func:`central_difference`), their
+inverse metrics from one batched inverse (or the inverse-metric callback
+per point), and their batch metrics from the callback row by row; their
+chart test loops over ``contains``.  On a single point of a 2-D model the
+difference runs on floats, bit for bit with its batch row; other
+dimensions take the point as a batch of one.  One evaluation of the
+Christoffel symbols calls the metric ``2n + 1`` times, on the point and
+its ``2n`` neighbours; the geodesic field calls it once more inside the
+strip, for the inverse metric at the point.
 
 Built-in models
 ---------------
@@ -246,6 +249,11 @@ class ManifoldModel:
 
     def _batch_christoffel(self, xs):
         return self._fd_christoffel(xs)
+
+    def _batch_gradient(self, xs, df):
+        """``h^-1 df`` on a ``(B, n)`` batch, for the ``(B, n)`` array
+        ``df``: the batch form of :meth:`_point_gradient`."""
+        return np.einsum("bkm,bm->bk", self._batch_inverse_metric(xs), df)
 
     def _fd_christoffel(self, xs):
         """Christoffel symbols of a checked ``(B, n)`` batch from the metric."""

@@ -3,10 +3,11 @@ regularizations.
 
 A :class:`WaveProfile` is a scalar function ``f`` on chart coordinates
 together with its coordinate differential ``df``; both also take ``(B, n)``
-batches of points.  A :class:`DeltaNet` is a
-family ``delta_eps`` of smooth functions regularizing the unit impulse at
-``u = 0``; the built-in nets satisfy the three strict-net properties by
-construction:
+batches of points.  :func:`metric_gradient` turns ``df`` into ``grad f`` by
+the model's own point and batch forms, which the geodesic fields read too.
+A :class:`DeltaNet` is a family ``delta_eps`` of smooth functions
+regularizing the unit impulse at ``u = 0``; the built-in nets satisfy the
+three strict-net properties by construction:
 
 (i)   supports shrink to zero, ``supp(delta_eps) in (-eps, eps)``;
 (ii)  integrals tend to one;
@@ -63,17 +64,15 @@ def _bump_array(s, prime):
 class WaveProfile:
     """Scalar profile ``f`` with its coordinate differential.
 
-    When no analytic gradient is supplied, ``df`` falls back to central
-    finite differences of ``f`` with the usual cube-root step; the accuracy
-    loss is acceptable for ``f`` but would not be for the impulse family,
-    whose derivative is therefore always analytic for built-in nets.
-
     ``f`` maps a point ``(n,)`` to a float and a batch ``(B, n)`` to
     ``(B,)``; ``df`` maps a point to ``(n,)`` and a batch to ``(B, n)``.
-    Which batch form serves a profile is chosen once, when it is built:
-    built-in profiles evaluate a batch in closed form; other profiles
-    evaluate ``f`` and ``df`` point by point, or ``f`` on the points of one
-    batched central difference, with the same results.
+    Its forms are chosen once, when the profile is built: the ``df``
+    callback at a point and row by row on a batch, or without one the
+    central difference of ``f`` with the usual cube-root step, on a batch
+    (of one row, for a point); built-in profiles evaluate a batch in closed
+    form.  The difference's accuracy loss is acceptable for ``f`` but would
+    not be for the impulse family, whose derivative is therefore always
+    analytic for built-in nets.
 
     ``dim`` is the dimension the profile's parameters fix (a linear
     profile's coefficients, a bump's centre), or None where they fix none;
@@ -81,13 +80,13 @@ class WaveProfile:
     :class:`ConfigError` before anything is evaluated.
     """
 
-    def __init__(self, f, df=None, *, name="custom", params=None, dim=None):
+    def __init__(self, f, df=None, *, name="custom", dim=None):
         self._f = f
-        self._df = df
         self.analytic_grad = df is not None
         self.name = name
-        self.params = dict(params or {})
         self.dim = dim
+        self._df = self._difference_at if df is None else df
+        self._batch_df = self._difference if df is None else self._df_rows
 
     def __repr__(self):
         return f"WaveProfile({self.name!r})"
@@ -105,17 +104,20 @@ class WaveProfile:
     def df(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
-            return np.asarray(self._batch_df(x), dtype=float)
-        if self._df is None:
-            return self._batch_df(np.atleast_2d(x))[0]
+            return self._batch_df(x)
         return np.asarray(self._df(x), dtype=float)
 
-    def _batch_df(self, xs):
-        """``df`` row by row, or the central difference of ``f``."""
-        if self._df is None:
-            return geometry.central_difference(self._batch_f, xs)[1]
+    def _df_rows(self, xs):
+        """The ``df`` callback row by row."""
         return np.array([self._df(p) for p in xs],
                         dtype=float).reshape(xs.shape)
+
+    def _difference(self, xs):
+        """``df`` of a batch as the central difference of ``f``."""
+        return geometry.central_difference(self._batch_f, xs)[1]
+
+    def _difference_at(self, x):
+        return self._difference(np.atleast_2d(x))[0]
 
 
 def _vector(key, values, size=None):
@@ -138,7 +140,7 @@ def _with_batch_forms(profile, batch_f, batch_df):
 def constant_profile(value=1.0):
     v = float(value)
     prof = WaveProfile(lambda x: v, lambda x: np.zeros_like(x),
-                       name="constant", params={"value": v})
+                       name="constant")
     return _with_batch_forms(prof, lambda xs: np.full(len(xs), v),
                              np.zeros_like)
 
@@ -147,8 +149,7 @@ def linear_profile(coeffs, offset=0.0):
     a = _vector("linear coeffs", coeffs)
     b = float(offset)
     prof = WaveProfile(lambda x: float(a @ x) + b, lambda x: a.copy(),
-                       name="linear", params={"coeffs": tuple(a), "offset": b},
-                       dim=len(a))
+                       name="linear", dim=len(a))
     return _with_batch_forms(prof,
                              lambda xs: np.einsum("bi,i->b", xs, a) + b,
                              lambda xs: np.tile(a, (len(xs), 1)))
@@ -180,11 +181,7 @@ def quadratic_form_profile(matrix, center=None):
     def batch_df(xs):
         return 2.0 * np.einsum("kj,bj->bk", q, xs - c)
 
-    prof = WaveProfile(f, df, name="quadratic_form",
-                       params={"matrix": tuple(map(tuple, q)),
-                               "center": None if center is None
-                               else tuple(c)},
-                       dim=len(q))
+    prof = WaveProfile(f, df, name="quadratic_form", dim=len(q))
     return _with_batch_forms(prof, batch_f, batch_df)
 
 
@@ -215,9 +212,6 @@ def radial_power_profile(amplitude, exponent, center=None):
         return out
 
     prof = WaveProfile(f, df, name="radial_power",
-                       params={"amplitude": a, "exponent": p,
-                               "center": None if center is None
-                               else tuple(center)},
                        dim=None if center is None else len(c))
     return _with_batch_forms(prof, batch_f, batch_df)
 
@@ -247,23 +241,24 @@ def gaussian_bump_profile(amplitude, center, width):
         r2 = np.einsum("bi,bi->b", ys, ys)
         return ((-a / (w * w)) * np.exp(-0.5 * r2 / (w * w)))[:, None] * ys
 
-    prof = WaveProfile(f, df, name="gaussian_bump",
-                       params={"amplitude": a, "center": tuple(c), "width": w},
-                       dim=len(c))
+    prof = WaveProfile(f, df, name="gaussian_bump", dim=len(c))
     return _with_batch_forms(prof, batch_f, batch_df)
 
 
 def metric_gradient(profile, model, x):
     """Metric gradient ``(grad f)^k = h^{km} d_m f`` at ``x``.
 
-    ``x`` is a point ``(n,)`` or a batch ``(B, n)``; a batch goes through
-    the batch forms of the model and the profile.
+    ``x`` is a point ``(n,)`` or a batch ``(B, n)``, checked against the
+    chart; ``grad f`` is the model's point or batch form, which the
+    geodesic fields and the Picard iteration read too.
     """
     dynamics.require_profile_fits(model, profile)
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
-        return np.einsum("bkm,bm->bk", model.inverse_metric(x), profile.df(x))
-    return model.inverse_metric_at(x) @ profile.df(x)
+        xs = model._require_batch_inside(x)
+        return model._batch_gradient(xs, profile.df(xs))
+    model.require_inside(x)
+    return np.array(model._point_gradient(x, profile.df(x)))
 
 
 class DeltaNet:

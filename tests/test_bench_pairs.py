@@ -1,7 +1,13 @@
 """``tools/bench_pairs.py`` summarizes alternating benchmark pairs."""
 
+import contextlib
+import json
 import os
+import shutil
+import signal
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -81,3 +87,86 @@ def test_summary_flags_incorrect_and_missing_runs():
     assert out["round_rel"]["parent"] == [310.0]
     out = bench_pairs.summarize([(None, None)], metrics)
     assert out["round_rel"] is None and not out["correct"]
+
+
+# a benchmark call that starts one worker, records both pids and sleeps
+_STUB_RUN = """
+import os, subprocess, sys, time
+worker = subprocess.Popen([sys.executable, "-c",
+                           "import time; time.sleep(60)"])
+path = os.environ["STUB_PIDS"]
+with open(path + ".part", "w") as fh:
+    fh.write(f"{os.getpid()} {worker.pid}")
+os.replace(path + ".part", path)
+time.sleep(60)
+"""
+
+
+def _stub_repo(root):
+    """A git repository with the files ``bench_pairs.py`` reads, whose
+    ``perfbench/run.py`` is :data:`_STUB_RUN`."""
+    for sub in ("src", "perfbench", "tools"):
+        os.makedirs(os.path.join(root, sub))
+    with open(os.path.join(root, "src", "stub.py"), "w") as fh:
+        fh.write("")
+    with open(os.path.join(root, "perfbench", "run.py"), "w") as fh:
+        fh.write(_STUB_RUN)
+    with open(os.path.join(root, "BENCHMARK.json"), "w") as fh:
+        json.dump({"end_to_end": [{"name": "round_rel"}]}, fh)
+    shutil.copy(bench_pairs.__file__, os.path.join(root, "tools"))
+    git = ["git", "-C", root, "-c", "user.name=stub", "-c",
+           "user.email=stub@localhost"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "stub"], check=True)
+
+
+def _alive(pid):
+    """Whether ``pid`` runs: neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+def _wait_until(test, seconds, what):
+    deadline = time.monotonic() + seconds
+    while not test():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.05)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_sigterm_leaves_no_tree_and_no_benchmark_process(tmp_path):
+    root = str(tmp_path / "repo")
+    _stub_repo(root)
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    pids = tmp_path / "pids"
+    env = dict(os.environ, TMPDIR=str(tmp), STUB_PIDS=str(pids))
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(root, "tools", "bench_pairs.py"),
+         "HEAD", "--pairs", "1", "--workloads", "cli_sweep"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    stubs = []
+    try:
+        _wait_until(lambda: pids.exists() or proc.poll() is not None, 30,
+                    "the stub benchmark never started")
+        assert proc.poll() is None
+        stubs = [int(p) for p in pids.read_text().split()]
+        assert len(os.listdir(tmp)) == 1  # the trees of the run
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        assert os.listdir(tmp) == []
+        for pid in stubs:
+            _wait_until(lambda: not _alive(pid), 10, f"{pid} still runs")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in stubs:  # had SIGTERM not ended them
+            if _alive(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)

@@ -505,6 +505,112 @@ def test_other_models_keep_numpys_gradient_product():
             assert model._point_gradient(x, df) == want
 
 
+def _diagonal_gradient_models():
+    """One model of each kind that forms ``grad f``, each with a diagonal
+    inverse metric: the built-ins, 2-D and 3-D ``from_metric`` models, and
+    models with only a Christoffel or only an inverse-metric callback."""
+    sph = geometry.sphere_stereographic()
+    return models() + [
+        geometry.euclidean(3),
+        sphere_from_metric(),
+        geometry.from_metric(
+            3, lambda x: np.diag([2.0 + np.sin(x[0]), 1.0 + x[1] * x[1],
+                                  1.5 + x[2] * x[2]]), name="diagonal3"),
+        geometry.ManifoldModel(2, sph._metric, christoffel=sph._christoffel,
+                               name="christoffel_callback"),
+        geometry.ManifoldModel(2, sph._metric,
+                               inverse_metric=sph._inverse_metric,
+                               name="inverse_callback"),
+    ]
+
+
+def _skew3_metric(x):
+    return (np.diag([2.0 + np.sin(x[0]), 1.0 + x[1] * x[1], 1.5])
+            + 0.1 * np.outer(x, x))
+
+
+def _skew_gradient_models():
+    """The same kinds with off-diagonal inverse metrics."""
+    return [
+        geometry.from_metric(2, _skew_metric, name="skew"),
+        geometry.from_metric(3, _skew3_metric, name="skew3"),
+        geometry.ManifoldModel(
+            2, _skew_metric,
+            inverse_metric=lambda x: np.linalg.inv(_skew_metric(x)),
+            name="skew_inverse_callback"),
+    ]
+
+
+def _gradient_inputs(model, rng):
+    """Seeded points and ``df`` rows: signed zeros, subnormals, magnitudes
+    near e^+-300 and, on a 2-D model, the extremes of
+    :func:`_extreme_gradients`."""
+    n = model.dim
+    if n == 2:
+        xs = np.array([random_point(model, rng) for _ in range(40)]
+                      + [[0.0, 1.0], [-0.0, 0.5]])
+    else:
+        xs = rng.uniform(-1.0, 1.0, (42, n))
+    dfs = (rng.choice([-1.0, 1.0], (60, n))
+           * np.exp(rng.uniform(-300.0, 300.0, (60, n))))
+    dfs[::6, 0] = -0.0
+    dfs[1::6, n - 1] = 0.0
+    dfs[2::6, 0] = 5e-324
+    dfs[3::6, n - 1] = -1e-310
+    if n == 2:
+        dfs = np.vstack([dfs, _extreme_gradients(rng)])
+    return xs, dfs
+
+
+def _point_and_batch_gradients(model, xs, dfs):
+    """``(point, row)`` pairs of both forms on each point with a drawn
+    ``df``, and on the first point with every ``df`` as one batch."""
+    picks = dfs[np.arange(len(xs)) % len(dfs)]
+    tiled = np.tile(xs[0], (len(dfs), 1))
+    for pts, rows in ((xs, picks), (tiled, dfs)):
+        for x, df, row in zip(pts, rows, model._batch_gradient(pts, rows)):
+            point = model._point_gradient(x, df)
+            assert all(type(g) is float for g in point)
+            yield x, df, np.array(point), row
+
+
+@pytest.mark.parametrize("model", _diagonal_gradient_models(),
+                         ids=lambda m: m.name)
+def test_point_and_batch_gradient_agree_bit_for_bit(model):
+    # grad f has one point form and one batch form per model; given the
+    # same df each batch row is the point form's bytes, and metric_gradient
+    # returns exactly these (the profile's point and batch df may differ)
+    xs, dfs = _gradient_inputs(model, np.random.default_rng(43))
+    assert model.inside(xs).all()
+    with np.errstate(all="ignore"):
+        for x, df, point, row in _point_and_batch_gradients(model, xs, dfs):
+            assert point.tobytes() == row.tobytes(), (x, df)
+    n = model.dim
+    bump = profiles.gaussian_bump_profile(1.0, [0.1] * n, 0.8)
+    grads = profiles.metric_gradient(bump, model, xs)
+    assert grads.tobytes() == model._batch_gradient(xs, bump.df(xs)).tobytes()
+    for x in xs:
+        got = profiles.metric_gradient(bump, model, x)
+        assert got.dtype == float and got.shape == (n,)
+        want = np.array(model._point_gradient(x, bump.df(x)))
+        assert got.tobytes() == want.tobytes(), x
+
+
+@pytest.mark.parametrize("model", _skew_gradient_models(),
+                         ids=lambda m: m.name)
+def test_point_and_batch_gradient_of_a_skew_inverse_agree_to_rounding(model):
+    # with terms off the diagonal numpy's point product may fuse a multiply
+    # and an add that the batch einsum rounds apart: the two forms then
+    # agree to the rounding of the sum, not bit for bit
+    xs, dfs = _gradient_inputs(model, np.random.default_rng(44))
+    dfs = dfs[np.abs(dfs).max(axis=1) < 1e300]
+    tiny = np.finfo(float).tiny
+    for x, df, point, row in _point_and_batch_gradients(model, xs, dfs):
+        terms = np.abs(model._point_inverse_metric(x)) @ np.abs(df)
+        bound = 4.0 * np.finfo(float).eps * terms + 4.0 * tiny
+        assert np.all(np.abs(point - row) <= bound), (x, df)
+
+
 @pytest.mark.parametrize("model", models() + [geometry.euclidean(3),
                                               sphere_from_metric()],
                          ids=lambda m: m.name)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from impulse_geo import dynamics, geometry, limits, profiles
+from impulse_geo import dynamics, geometry, limits, profiles, scenarios
 from impulse_geo.dynamics import InitialData, integrate_impulsive_geodesic
 from impulse_geo.errors import ConfigError, IntegrationFailure
 
@@ -371,3 +372,67 @@ def test_limit_vdot_drops_by_the_kink():
     assert vd[:2].tolist() == [0.3, 0.3]
     assert vd[2:].tolist() == [0.3 + lg.kink_coeff] * 2
     assert lg.kink_coeff == pytest.approx(-0.625, abs=1e-12)
+
+
+# the strip widths of the velocity-jump property, each half the one before
+_JUMP_WIDTHS = [0.02, 0.01, 0.005]
+# the quadratic in eps through the three widths, evaluated at eps = 0:
+# Lagrange weights of the nodes 4h, 2h and h at 0
+_AT_ZERO = np.array([1.0 / 3.0, -2.0, 8.0 / 3.0])
+
+
+def _jump_defects(model, prof, net, data):
+    """``xdot(eps) - xdot(-eps) - grad f(x(0)) / 2`` at each width, and
+    ``grad f(x(0)) / 2`` at each, from one ensemble over the widths."""
+    paths = integrate_impulsive_geodesic(model, prof, net, _JUMP_WIDTHS,
+                                         data, [1.5 * e for e in _JUMP_WIDTHS])
+    defects, halves = [], []
+    for eps, path in zip(_JUMP_WIDTHS, paths):
+        half = 0.5 * profiles.metric_gradient(prof, model, path.x_at(0.0))
+        defects.append(path.xdot_at(eps) - path.xdot_at(-eps) - half)
+        halves.append(half)
+    return np.array(defects), np.array(halves)
+
+
+@settings(max_examples=6, deadline=None, database=None)
+@given(offset=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+       speed=st.floats(0.0, 0.6), angle=st.floats(0.0, 2.0 * np.pi),
+       amplitude=st.floats(-2.0, 2.0),
+       shift=st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+       width=st.floats(0.5, 1.5), net=st.sampled_from(["mollifier",
+                                                       "asymmetric",
+                                                       "signed"]))
+@pytest.mark.parametrize("model, base", [
+    (EU, [0.0, 0.0]), (HYP, [0.0, 1.2]),
+    (geometry.sphere_stereographic(), [0.2, -0.1]),
+], ids=["flat", "hyperbolic", "sphere"])
+def test_velocity_jump_is_half_the_metric_gradient(model, base, offset,
+                                                   speed, angle, amplitude,
+                                                   shift, width, net):
+    # across the strip the velocity jumps by grad f(x(0)) / 2 up to a
+    # defect of order eps: the impulse's variation over the strip and the
+    # background term, each integrated over a width 2 eps.  A defect may
+    # change sign between widths, so "at least linearly" is checked in
+    # Richardson's form: the quadratic in eps through the three halvings
+    # must vanish at eps = 0.  Worst measured on 300 seeded draws: 2.1e-5
+    # of |grad f / 2| + |defect|; a jump off by 1% reads about 1e-2
+    x = np.add(base, offset)
+    v = speed * np.array([np.cos(angle), np.sin(angle)])
+    prof = profiles.gaussian_bump_profile(amplitude, x + shift, width)
+    defects, halves = _jump_defects(model, prof,
+                                    scenarios.builtin_nets()[net],
+                                    InitialData(x - v, v))
+    at_zero = np.linalg.norm(_AT_ZERO @ defects)
+    scale = (np.linalg.norm(halves, axis=1).max()
+             + np.linalg.norm(defects, axis=1).max())
+    assert at_zero <= 1e-3 * scale + 1e-9, (defects, halves)
+
+
+def test_velocity_jump_on_a_flat_linear_profile_is_exact():
+    # with Gamma = 0 and grad f constant the jump is grad f / 2 times the
+    # integral of delta_eps, which the integrator resolves to its tolerance
+    prof = profiles.linear_profile([0.7, -1.3])
+    defects, halves = _jump_defects(EU, prof, NET,
+                                    InitialData([0.1, 0.2], [0.5, 0.3]))
+    assert np.all(halves == [0.35, -0.65])
+    assert np.abs(defects).max() <= 1e-9

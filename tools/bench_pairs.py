@@ -23,12 +23,18 @@ read lower in at least 9 of 10 pairs and its median lies below the
 parent's by more than the parent's interquartile range, the rule a claimed
 gain must meet (every end-to-end metric of ``BENCHMARK.json`` is better
 lower).  The exit code is 1 if any run was incorrect or failed, else 0.
+
+SIGTERM stops the script as an exit does: the benchmark call it waits on
+(run in a session of its own, with its workers) is killed and the
+temporary trees are removed.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -105,13 +111,29 @@ def _run(tree, workload, seed, seconds):
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+    # its own session, so that the call and its workers die as one group
+    proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate()
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    lines = out.strip().splitlines()
     try:
         return json.loads(lines[-1])
     except (IndexError, ValueError):
-        sys.stderr.write(proc.stderr)
+        sys.stderr.write(err)
         return None
+
+
+def _exit_on_sigterm(signum, frame):
+    """SIGTERM as :class:`SystemExit`, which runs the cleanup on the way
+    out."""
+    raise SystemExit(128 + signum)
 
 
 def main(argv=None):
@@ -124,6 +146,7 @@ def main(argv=None):
     parser.add_argument("--seconds", type=int, default=25)
     parser.add_argument("--out", help="also write the summary to this file")
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     sha = subprocess.run(["git", "-C", ROOT, "rev-parse", args.ref],
                          check=True, capture_output=True,
                          text=True).stdout.strip()

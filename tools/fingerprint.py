@@ -65,7 +65,14 @@ It takes no options.  The groups:
     stage retries on a plane cut at ``x1 < 0.5``, heading out, in the
     background, strip and post phases; and two failures at the initial
     state, where the field is undefined (its difference stencil leaves
-    the cut plane) and where the state is not finite.
+    the cut plane) and where the state is not finite;
+``gradients``
+    the bytes of ``grad f = h^-1 df`` as its callers read it, for each
+    scenario's model and profile and the models of ``point_fields``, at 6
+    seeded points near the datum: ``profiles.metric_gradient`` at each
+    point and on the batch (C- and Fortran-ordered), and
+    ``dynamics.batch_acceleration`` with rows 0, 2 and 5 forced and with
+    every row forced.
 
 A failed trajectory or row enters its digest by its reason, phase, ``u``,
 state, message, partial path and counts.  ``tools/fingerprint_against.sh
@@ -380,6 +387,28 @@ def failures():
     return h.hexdigest()
 
 
+def gradients():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(31)
+    runs = [(scen.model, scen.profile, scen.data)
+            for scen in scenarios.builtin_scenarios()]
+    for model, prof, data in runs + _field_models():
+        n = model.dim
+        xs = data.x0 + rng.uniform(-0.05, 0.05, (6, n))
+        xds = data.xdot0 + rng.uniform(-0.15, 0.15, (6, n))
+        delta = rng.uniform(-50.0, 50.0, 6)
+        for x in xs:
+            h.update(profiles.metric_gradient(prof, model, x).tobytes())
+        for batch in (xs, np.asfortranarray(xs)):
+            h.update(profiles.metric_gradient(prof, model, batch).tobytes())
+        for forced in (np.array([0, 2, 5]), slice(None)):
+            acc, df = dynamics.batch_acceleration(model, prof, xs, xds,
+                                                  forced, delta[forced])
+            h.update(acc.tobytes())
+            h.update(df.tobytes())
+    return h.hexdigest()
+
+
 GROUPS = {
     "trajectories": trajectories,
     "width_ensembles": width_ensembles,
@@ -392,6 +421,7 @@ GROUPS = {
     "point_fields": point_fields,
     "three_d": three_d,
     "failures": failures,
+    "gradients": gradients,
 }
 
 
