@@ -21,7 +21,10 @@ It takes no options.  The groups:
     each scenario's ``certify`` report at the shock anchor of its background
     path and, on the three scenarios of ``perfbench``'s ``picard_certify``,
     the nodes, positions and velocities of one ``picard_solve`` from that
-    anchor at ``eps0 / 2``;
+    anchor at ``eps0 / 2``; then the same for the round sphere given only by
+    its metric, with a Gaussian bump given without ``df`` (the difference
+    fallbacks of the model and the profile), at ``b = 0.3``, ``c = 1``,
+    ``K = 1``;
 ``growth``
     ``classify_growth`` reports as hex (exponent, stderr, ``r1``, ``r2``,
     class, every sample and the dropped directions): 3-4 rays on each
@@ -179,14 +182,21 @@ def certificates():
 
     h = hashlib.sha256()
     net = scenarios.builtin_nets()["mollifier"]
-    for scen in scenarios.builtin_scenarios():
+    bump = profiles.gaussian_bump_profile(1.0, [0.3, -0.2], 0.7)
+    fallback = scenarios.Scenario(
+        "sphere-fallback", geometry.from_metric(
+            2, lambda x: 4.0 / (1.0 + float(x @ x)) ** 2 * np.eye(2)),
+        profiles.WaveProfile(bump.f),
+        dynamics.InitialData([0.0, 0.2], [0.5, 0.3]), 0.3, 1.0)
+    solved = set(workloads.PicardCertify.SCENARIOS) | {fallback.name}
+    for scen in scenarios.builtin_scenarios() + [fallback]:
         base = dynamics.background_path(scen.model, scen.data.x0,
                                         scen.data.xdot0, -1.0, 0.0)
         x, xdot = base.x_at(0.0), base.xdot_at(0.0)
         cert = existence.certify(scen.model, scen.profile, x, xdot, b=scen.b,
                                  c=scen.c, k=net.l1_bound)
         h.update(artifacts.certificate_text(cert).encode())
-        if scen.name in workloads.PicardCertify.SCENARIOS:
+        if scen.name in solved:
             res = existence.picard_solve(scen.model, scen.profile, net,
                                          cert.eps0 / 2.0, x, xdot, cert.alpha)
             for a in (res.t, res.x, res.xdot):
