@@ -27,9 +27,8 @@ points too.  A single trajectory (one velocity, one width) has a 1-D state:
 it uses the per-point field (:func:`_system`) and the 1-D loop, raises its
 failure and gets energy diagnostics.  Like that loop, the per-point field
 works on Python floats, where numpy's cost per call would outweigh the
-arithmetic of a 2-D state: it checks the chart on floats, reads the
-model's Christoffel symbols as the nested list of floats that every model
-gives, contracts ``-Gamma(xdot, xdot)`` in einsum's order
+arithmetic of a 2-D state: it checks the chart on floats, contracts the
+model's Christoffel symbols, a nested list of floats, in einsum's order
 (:func:`_christoffel_term`), takes ``grad f`` from the model's point form
 (``_point_gradient``) and returns a list; ``df @ xdot`` stays numpy's,
 whose fused products round otherwise on floats.
@@ -37,13 +36,15 @@ whose fused products round otherwise on floats.
 diagnostics of a path and the energy column of its CSV are one call.  A
 batch of B velocities from one point (geodesic shooting) or of B widths
 from one datum (a convergence study) has a ``(B, D)`` state and uses the
-ensemble field: the ``(B, n)`` batch forms
-of the model (``grad f`` its ``_batch_gradient``) and the profile, a width
-and a ``u`` per row, and the acceleration that the Picard iteration
-integrates (:func:`batch_acceleration`).  It gives per row a path or the row's
+ensemble field: the ``(B, n)`` batch forms of the model (``grad f`` its
+``_batch_gradient``) and the profile, a width and a ``u`` per row, and the
+acceleration that the Picard iteration integrates
+(:func:`batch_acceleration`).  It gives per row a path or the row's
 failure, which drops out alone.  Batch rows carry no energy diagnostics:
 no caller reads them, and they would add 4-6% to a sweep.  Each field
-checks the chart once per call, then evaluates the model's unchecked forms.
+checks the chart only, once per call, then evaluates the model's unchecked
+forms.  Every entry admits its start point first, by the model's one rule
+for posed data (``_require_riemannian``), before any field is evaluated.
 
 The raw state vector layout is ``[x (n), xdot (n), v, vdot]``.
 """
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDomainError, ConfigError, IntegrationFailure
+from .errors import ConfigError, IntegrationFailure
 from .odesolve import PathDiagnostics, solve_rk45
 
 __all__ = [
@@ -175,20 +176,16 @@ class GeodesicPath:
         return _state_from_vector(self.n, u, self.sample(u))
 
     def x_at(self, u):
-        s = self.sample(u)
-        return s[..., :self.n]
+        return self.sample(u)[..., :self.n]
 
     def xdot_at(self, u):
-        s = self.sample(u)
-        return s[..., self.n:2 * self.n]
+        return self.sample(u)[..., self.n:2 * self.n]
 
     def v_at(self, u):
-        s = self.sample(u)
-        return s[..., 2 * self.n]
+        return self.sample(u)[..., 2 * self.n]
 
     def vdot_at(self, u):
-        s = self.sample(u)
-        return s[..., 2 * self.n + 1]
+        return self.sample(u)[..., 2 * self.n + 1]
 
     def node_parameters(self):
         """Parameters of all accepted integration nodes, in order."""
@@ -389,20 +386,14 @@ def _energy_diagnostics(path, model, profile, net, eps):
 
 
 def _initial_state(model, x0, xdot0, v0=0.0, vdot0=0.0):
-    """The raw state of data posed at ``x0``: a vector for a ``(n,)``
-    velocity ``xdot0``, a ``(B, D)`` batch for ``(B, n)`` velocities.
-
-    A start point outside the chart, or where the metric is not positive
-    definite (or not finite), raises :class:`ChartDomainError` naming it,
-    before any field is evaluated."""
+    """The raw state of data posed at ``x0``, which the model admits (see
+    the module docstring): a vector for a ``(n,)`` velocity ``xdot0``, a
+    ``(B, D)`` batch for ``(B, n)`` velocities."""
     x0 = np.asarray(x0, dtype=float)
     xdot0 = np.asarray(xdot0, dtype=float)
     if xdot0.ndim > 2 or xdot0.shape[-1:] != x0.shape:
         raise ConfigError("xdot0 must have the shape of x0, or be (B, n)")
-    model.require_inside(x0)
-    h = model._point_metric(x0)
-    if not (np.isfinite(h).all() and np.linalg.eigvalsh(h)[0] > 0.0):
-        raise ChartDomainError(f"metric not positive definite at point {x0}")
+    model._require_riemannian(x0)
     n = model.dim
     y0 = np.empty(xdot0.shape[:-1] + (2 * n + 2,))
     y0[..., :n] = x0

@@ -19,7 +19,9 @@ the contraction scale is
 with the convention ``c / 0 = +inf``, and the IVP has a unique solution on
 ``[-eps, alpha - eps]`` staying inside ``I1 x I2``.  Choosing
 ``eps0 = alpha / 2`` guarantees the solution crosses the strip whenever
-``eps <= eps0``.
+``eps <= eps0``.  The argument presumes ``h`` positive definite at the
+anchor, which every entry here admits as the integrators admit their
+start point (``ManifoldModel._require_riemannian``).
 
 Sup norms and Lipschitz constants are estimated by sampling over the balls
 enlarged by the fixed safety factor 1.1; this is a declared heuristic, not
@@ -115,9 +117,9 @@ def _ball_grid(center, radius, per_axis):
 
 
 def _anchor(model, x0, xdot0):
-    """The anchor, checked by :class:`InitialData`, ``x0`` in the chart."""
+    """The anchor, checked by :class:`InitialData`, ``x0`` admitted."""
     anchor = InitialData(x0, xdot0)
-    model.require_inside(anchor.x0)
+    model._require_riemannian(anchor.x0)
     return anchor.x0, anchor.xdot0
 
 

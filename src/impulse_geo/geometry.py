@@ -17,7 +17,12 @@ and ``christoffel``/``inverse_metric`` are the checked public forms: each
 checks the chart, then calls the model's unchecked form (the closed-form
 callback, or the fallback from the metric, chosen when the model is
 built).  The geodesic fields check the chart once per call and then call
-the unchecked forms themselves.
+the unchecked forms themselves.  All these check the chart only.  Where
+data are posed or ``h`` is read as a Riemannian metric (the integrations,
+the certificate anchors, ``norm_at``, the chord of :func:`distance_estimate`)
+one rule, ``ManifoldModel._require_riemannian``, admits the point: inside
+the chart, with a finite, positive-definite metric, read through the
+unchecked point form.
 
 Every model gives ``grad f = h^-1 df`` in one point form,
 ``_point_gradient``, and one batch form, ``_batch_gradient``, which
@@ -132,6 +137,18 @@ class ManifoldModel:
                     f"dimension {self.dim} of {self.name}")
             raise ChartDomainError(
                 f"point {np.asarray(x)} outside chart domain of {self.name}")
+
+    def _require_riemannian(self, x):
+        """The least eigenvalue of the metric at ``x``, a point admitted by
+        the rule of the module docstring; :class:`ChartDomainError` names
+        any other point."""
+        x = np.asarray(x, dtype=float)
+        self.require_inside(x)
+        h = self._point_metric(x)
+        least = np.linalg.eigvalsh(h)[0] if np.isfinite(h).all() else math.nan
+        if least > 0.0:
+            return float(least)
+        raise ChartDomainError(f"metric not positive definite at point {x}")
 
     def metric_at(self, x):
         x = np.asarray(x, dtype=float)
@@ -311,16 +328,14 @@ class ManifoldModel:
         return self._batch_christoffel(self._require_batch_inside(xs))
 
     def norm_at(self, x, w):
-        """Riemannian norm ``sqrt(h(w, w))`` of a tangent vector at ``x``."""
-        h = self.metric_at(x)
+        """Riemannian norm ``sqrt(h(w, w))`` of a tangent vector at ``x``,
+        a point admitted by :meth:`_require_riemannian`."""
+        self._require_riemannian(x)
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.dim,):
-            raise ConfigError(
-                f"tangent vector of shape {w.shape} does not match the "
-                f"dimension {self.dim} of {self.name}")
-        if not np.isfinite(w).all():
-            raise ConfigError(f"tangent vector {w} is not finite")
-        return math.sqrt(max(0.0, float(w @ h @ w)))
+        if w.shape != (self.dim,) or not np.isfinite(w).all():
+            raise ConfigError(f"tangent vector {w} is not finite or not of "
+                              f"the dimension {self.dim} of {self.name}")
+        return math.sqrt(max(0.0, float(w @ self.metric_at(x) @ w)))
 
 
 def central_difference(field, pts, inside=None):
@@ -617,10 +632,8 @@ def distance_estimate(model, x, xbar):
     misses, the ``2n`` velocities of its central-difference Jacobian as one
     background ensemble.  When shooting fails the chord lower bound
     ``|x - xbar| * sqrt(min eigenvalue of h along the chord)`` is returned
-    with ``lower_bound=True``; a metric that is not positive definite (or
-    not finite) on the chord raises :class:`ChartDomainError` naming the
-    point, as a singular metric does.  The estimate feeds the growth
-    classifier only, never the integrator.
+    with ``lower_bound=True``, its least eigenvalues from the admission of
+    each chord point.  The estimate feeds the growth classifier only.
     """
     x = np.asarray(x, dtype=float)
     xbar = np.asarray(xbar, dtype=float)
@@ -637,10 +650,6 @@ def distance_estimate(model, x, xbar):
     except (ShootingFailure, IntegrationFailure):
         chord = x + np.linspace(0.0, 1.0, 33)[:, None] * (xbar - x)
         chord = chord[model.inside(chord)]  # holds x, which is inside
-        lams = np.linalg.eigvalsh(model._metrics(chord)).min(axis=1)
-        bad = ~(np.isfinite(lams) & (lams > 0.0))
-        if bad.any():
-            raise ChartDomainError(f"metric not positive definite at point "
-                                   f"{chord[np.argmax(bad)]}")
-        value = float(np.linalg.norm(xbar - x)) * math.sqrt(float(lams.min()))
+        least = min(map(model._require_riemannian, chord))
+        value = float(np.linalg.norm(xbar - x)) * math.sqrt(least)
         return DistanceEstimate(value, "chord_lower_bound", True)

@@ -59,8 +59,7 @@ class LimitGeodesic(dynamics.GeodesicPath):
         self.jump_coeff = float(jump_coeff)
         self.kink_coeff = float(kink_coeff)
         self.grad_at_break = np.asarray(grad_at_break, dtype=float)
-        self.x_break = base_path.x_at(0.0)
-        self.xdot_minus = base_path.xdot_at(0.0)
+        self.x_break, self.xdot_minus = np.split(base_path.sample(0.0)[:-2], 2)
         self.xdot_plus = refracted_path.xdot_at(0.0)
 
     def sample(self, us):
@@ -84,8 +83,7 @@ def limit_geodesic(model, profile, data, *, u_end=1.5, rtol=1e-10,
     dynamics.require_profile_fits(model, profile)
     base = dynamics.background_path(model, data.x0, data.xdot0, -1.0, 0.0,
                                     rtol=rtol, atol=atol)
-    xb = base.x_at(0.0)
-    xd_minus = base.xdot_at(0.0)
+    xb, xd_minus = np.split(base.sample(0.0)[:-2], 2)
     grad = metric_gradient(profile, model, xb)
     refracted = dynamics.background_path(model, xb, xd_minus + 0.5 * grad,
                                          0.0, u_end, rtol=rtol, atol=atol)
@@ -208,7 +206,8 @@ def _study(model, profile, net, data, eps_schedule, u_probes, rtol, atol):
     if np.any(u_probes < -1.0):
         raise ConfigError("probes must lie at u >= -1, where data is posed")
     eps_max = max(eps_schedule)
-    probes_out = u_probes[np.abs(u_probes) > eps_max]
+    clear = np.abs(u_probes) > eps_max
+    probes_out = u_probes[clear]
     if probes_out.size == 0:
         raise ConfigError(
             "no probe clears the widest strip; the velocity and v errors "
@@ -223,14 +222,13 @@ def _study(model, profile, net, data, eps_schedule, u_probes, rtol, atol):
         rtol=rtol, atol=atol)
     n = limit.n
     at_probes = limit.sample(u_probes)
-    out_probes = limit.sample(probes_out)
     rows = []
     for path in paths:
         if isinstance(path, IntegrationFailure):
             rows.append(path)
             continue
         dx = path.sample(u_probes) - at_probes
-        dout = path.sample(probes_out) - out_probes
+        dout = dx[clear]
         rows.append((float(np.max(np.linalg.norm(dx[:, :n], axis=1))),
                      float(np.max(np.linalg.norm(dout[:, n:2 * n], axis=1))),
                      float(np.max(np.abs(dout[:, 2 * n])))))

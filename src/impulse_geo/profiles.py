@@ -483,16 +483,15 @@ def classify_growth(profile, model, xbar, ray_directions, radii, *,
     (below ``2 - margin``), ``superquadratic`` (above ``2 + margin``) or
     ``at-most-quadratic`` in between.
 
-    The rays run as one background batch, each row the ray alone bit for
+    The ray speeds come from ``model.norm_at``, which admits ``xbar``.  The
+    rays run as one background batch, each row the ray alone bit for
     bit; a direction whose ray fails to integrate is dropped and reported,
     and if every direction fails, a :class:`NumericalError` is raised.
     """
     dynamics.require_profile_fits(model, profile)
-    xbar = np.asarray(xbar, dtype=float)
     margin = float(margin)
     if not 0.0 <= margin < math.inf:
         raise ConfigError(f"margin must be finite and >= 0, got {margin}")
-    model.require_inside(xbar)
     radii = [float(r) for r in radii]
     if len(radii) < 2 or not all(b > a for a, b in zip(radii, radii[1:])):
         raise ConfigError("radii must be increasing with at least two values")

@@ -264,13 +264,18 @@ def test_non_finite_initial_state_fails_at_once():
 def test_start_point_with_a_metric_not_positive_definite_is_refused(
         monkeypatch, metric):
     # h = diag(x1, 1) is indefinite at (-1, 0), yet inside the chart: every
-    # entry refuses the start point before any field call, reading the
+    # entry that poses data there (the integrations, the certificate and
+    # Picard anchors) or reads h as a Riemannian metric there (norm_at, so
+    # the growth rays) refuses the point before any field call, reading the
     # metric through the unchecked point form, not the traced metric_at
     def fail(*args, **kwargs):
         raise AssertionError("called")
 
-    monkeypatch.setattr(dynamics, "solve_rk45", fail)
-    monkeypatch.setattr(geometry.ManifoldModel, "metric_at", fail)
+    for owner, name in ((dynamics, "solve_rk45"),
+                        (existence, "batch_acceleration"),
+                        (existence, "central_difference"),
+                        (geometry.ManifoldModel, "metric_at")):
+        monkeypatch.setattr(owner, name, fail)
     model = geometry.from_metric(2, metric)
     x0 = np.array([-1.0, 0.0])
     data = InitialData(x0, [1.0, 0.0])
@@ -280,7 +285,18 @@ def test_start_point_with_a_metric_not_positive_definite_is_refused(
             lambda: integrate_impulsive_geodesic(model, LINEAR, NET, 0.1,
                                                  data, 1.0),
             lambda: integrate_impulsive_geodesic(model, LINEAR, NET,
-                                                 [0.1, 0.2], data, 1.0)):
+                                                 [0.1, 0.2], data, 1.0),
+            lambda: existence.certify(model, LINEAR, x0, [1.0, 0.0], b=0.3),
+            lambda: existence.estimate_sup_norms(model, LINEAR, x0,
+                                                 [1.0, 0.0], 0.3, 1.0),
+            lambda: existence.picard_solve(model, LINEAR, NET, 0.05, x0,
+                                           [1.0, 0.0], 0.2),
+            lambda: model.norm_at(x0, [1.0, 0.0]),
+            lambda: model.norm_at(x0, [0.0, 1.0]),
+            lambda: profiles.classify_growth(LINEAR, model, x0, [[1.0, 0.0]],
+                                             [0.5, 1.0]),
+            lambda: profiles.classify_growth(LINEAR, model, x0, [[0.0, 1.0]],
+                                             [0.5, 1.0])):
         with pytest.raises(ChartDomainError,
                            match=r"metric not positive definite at point "
                                  r"\[-1\.? +0\.?\]"):

@@ -691,11 +691,12 @@ def test_singular_metric_is_a_chart_error():
     with pytest.raises(ChartDomainError, match="singular metric") as err:
         model.inverse_metric(np.array([[1.0, 0.3], point]))
     assert str(err.value).endswith(str(point))
-    with pytest.raises(ChartDomainError, match="singular metric"):
+    # an anchor or a start point there is refused before any field call,
+    # as a point outside the chart is
+    with pytest.raises(ChartDomainError,
+                       match=r"not positive definite at point \[0\.? +0\.\]"):
         existence.certify(model, profiles.linear_profile([1.0, 0.0]),
                           [0.0, 0.0], [1.0, 0.0])
-    # a start point there is refused before any integration, as a start
-    # point outside the chart is
     with pytest.raises(ChartDomainError,
                        match=r"not positive definite at point \[0\.? +0\.3\]"):
         geometry.background_geodesic(model, point, [1.0, 0.0], 0.0, 1.0)
@@ -729,6 +730,39 @@ def test_background_hyperbolic_vertical_exponential():
     us = np.linspace(0.0, 1.0, 21)
     assert np.max(np.abs(path.x_at(us)[:, 1] - np.exp(us))) < 1e-7
     assert np.max(np.abs(path.x_at(us)[:, 0])) < 1e-12
+
+
+def hyperbolic_semicircle_oracle(x0, xdot0, us):
+    """Closed-form geodesic of the half-plane from ``x0 = (a, b)`` with
+    velocity ``(p, q)``, ``p != 0``: the semicircle about ``(a + b q / p,
+    0)`` through ``x0``, run at the arclength ``s = |xdot0|_h u`` as
+    ``x1 = c +- R tanh(s + s0)``, ``x2 = R sech(s + s0)``; the sign of
+    ``p`` is the direction of travel."""
+    (a, b), (p, q) = x0, xdot0
+    c = a + b * q / p
+    radius = math.hypot(a - c, b)
+    sign = math.copysign(1.0, p)
+    s0 = math.atanh(sign * (a - c) / radius)
+    t = math.hypot(p, q) / b * np.asarray(us) + s0
+    return np.stack([c + sign * radius * np.tanh(t), radius / np.cosh(t)], 1)
+
+
+def test_background_hyperbolic_semicircles():
+    # single paths and batch rows from one point, both directions of
+    # travel, at the nodes and between them; 1e-9 is about ten times the
+    # largest error measured (8.5e-11)
+    model = geometry.hyperbolic_half_plane()
+    x0 = np.array([0.3, 0.8])
+    velocities = np.array([[1.0, 0.5], [-0.7, 0.2], [0.4, -0.9],
+                           [-0.2, -0.3], [1.5, 0.0]])
+    rows = geometry.background_geodesic(model, x0, velocities, 0.0, 2.0)
+    for xdot0, row in zip(velocities, rows):
+        path = geometry.background_geodesic(model, x0, xdot0, 0.0, 2.0)
+        for p in (path, row):
+            for us in (p.node_parameters(), np.linspace(0.0, 2.0, 41)):
+                np.testing.assert_allclose(
+                    p.x_at(us), hyperbolic_semicircle_oracle(x0, xdot0, us),
+                    rtol=0.0, atol=1e-9)
 
 
 def sphere_circle_oracle(x0, speed, us):
@@ -947,6 +981,66 @@ def test_background_geodesics_follow_isometries(model, isometry, unit, span,
     image = geometry.background_geodesic(model, a @ x0 + b, a @ v0, 0.0, span)
     np.testing.assert_allclose(image.x_at(us), path.x_at(us) @ a.T + b,
                                rtol=0.0, atol=1e-7)
+
+
+def _quadratic_image(a, b):
+    q, c = np.array([[0.5, 0.2], [0.2, -0.3]]), np.array([0.3, -0.2])
+    return profiles.quadratic_form_profile(a @ q @ a.T, a @ c + b)
+
+
+def _linear_image(a, b):
+    # f(x - b) for f = 0.3 x1 + 0.5 x2 + 0.1, with a = I
+    return profiles.linear_profile([0.3, 0.5], 0.1 - 0.3 * b[0] - 0.5 * b[1])
+
+
+def _bump_image(a, b):
+    # a is a rotation or a dilation lam I: the bump about a c + b, its
+    # width scaled by |det a|^(1/2), which is lam or 1
+    scale = math.sqrt(abs(np.linalg.det(a)))
+    return profiles.gaussian_bump_profile(1.0, a @ [0.3, 0.6] + b,
+                                          0.7 * scale)
+
+
+# the bound on the difference between an impulsive trajectory's image and
+# the trajectory of the image data, in units of the integrator's rtol: 15
+# seeded draws per chart and net gave at most 1.8
+_ISOMETRY_MARGIN = 20.0
+
+
+@settings(max_examples=5, deadline=None, database=None)
+@given(unit=_UNIT, p=st.floats(0.0, 1.0))
+@pytest.mark.parametrize("net", [profiles.mollifier_net(),
+                                 profiles.signed_net()], ids=lambda n: n.name)
+@pytest.mark.parametrize("model, isometry, image", [
+    (geometry.euclidean(2), _rotation, _quadratic_image),
+    (geometry.sphere_stereographic(), _rotation, _bump_image),
+    (geometry.hyperbolic_half_plane(), _translation_x1, _linear_image),
+    (geometry.hyperbolic_half_plane(), _dilation, _bump_image),
+], ids=["euclidean-rotation", "sphere-rotation", "hyperbolic-translation",
+        "hyperbolic-dilation"])
+def test_impulsive_geodesics_follow_isometries(model, isometry, image, net,
+                                               unit, p):
+    # an isometry phi(x) = A x + b of the chart carries the impulsive system
+    # of f to the one of f o phi^-1, a built-in profile with its centre,
+    # coefficients, matrix or width mapped along: the data (A x0 + b, A
+    # xdot0, v0, vdot0) give A x(u) + b, A xdot(u), v(u) and vdot(u)
+    a, b = isometry(p)
+    lo, hi, vmax = _DRAWS[model.name]
+    x0 = np.array(lo) + np.array(unit[:2]) * (np.array(hi) - lo)
+    xdot0 = vmax * (2.0 * np.array(unit[2:]) - 1.0)
+    data = dynamics.InitialData(x0, xdot0, 0.2, -0.1)
+    moved = dynamics.InitialData(a @ x0 + b, a @ xdot0, 0.2, -0.1)
+    eps, rtol = 0.1, 1e-10
+    us = np.array([-1.0, -0.5, -0.15, 0.15, 0.5, 1.0])
+    path = dynamics.integrate_impulsive_geodesic(
+        model, image(np.eye(2), np.zeros(2)), net, eps, data, 1.0, rtol=rtol)
+    twin = dynamics.integrate_impulsive_geodesic(
+        model, image(a, b), net, eps, moved, 1.0, rtol=rtol)
+    y = path.sample(us)
+    want = np.concatenate([y[:, :2] @ a.T + b, y[:, 2:4] @ a.T, y[:, 4:]], 1)
+    np.testing.assert_allclose(twin.sample(us), want,
+                               rtol=_ISOMETRY_MARGIN * rtol,
+                               atol=_ISOMETRY_MARGIN * rtol)
 
 
 def test_distance_euclidean():
