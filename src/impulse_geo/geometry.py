@@ -593,33 +593,43 @@ def _shooting_endpoint(model, x, w):
 
 
 # the shooting stops when the miss is below _SHOOTING_TOL * (1 + |xbar|),
-# and fails after _SHOOTING_MAX_ITER Newton steps
+# and fails after _SHOOTING_MAX_ITER centre geodesics; it re-differences
+# its Jacobian when a step cuts the miss by less than _SHOOTING_REFRESH
 _SHOOTING_TOL = 1e-9
 _SHOOTING_MAX_ITER = 40
+_SHOOTING_REFRESH = 0.3
 
 
 def _shooting_distance(model, x, xbar):
-    # Newton iteration on the initial velocity of a unit-time geodesic;
-    # the geodesic has constant speed, so its length is sqrt(h(w, w)).
+    # quasi-Newton iteration on the initial velocity of a unit-time
+    # geodesic; the geodesic has constant speed, so its length is
+    # sqrt(h(w, w)).  The Jacobian of the endpoint map is taken by forward
+    # differences against the centre just integrated, and between those
+    # refreshes follows Broyden's rank-1 ("good") update along each step.
     w = xbar - x
     scale = 1.0 + float(np.linalg.norm(xbar))
-    axes = np.arange(model.dim)
+    jac = None
     for _ in range(_SHOOTING_MAX_ITER):
-        miss = _shooting_endpoint(model, x, w) - xbar
-        if float(np.linalg.norm(miss)) <= _SHOOTING_TOL * scale:
+        end = _shooting_endpoint(model, x, w)
+        miss = end - xbar
+        size = float(np.linalg.norm(miss))
+        if size <= _SHOOTING_TOL * scale:
             return model.norm_at(x, w)
-        # the central-difference stencil, rows w + dw_0 e_0, w - dw_0 e_0,
-        # w + dw_1 e_1, ..., integrated as one batch
-        dw = 1e-6 * np.maximum(1.0, np.abs(w))
-        stencil = np.tile(w, (2 * model.dim, 1))
-        stencil[2 * axes, axes] += dw
-        stencil[2 * axes + 1, axes] -= dw
-        ends = _shooting_endpoint(model, x, stencil)
-        jac = (ends[0::2] - ends[1::2]).T / (2.0 * dw)
+        if jac is None or size >= _SHOOTING_REFRESH * last_size:
+            # the forward-difference stencil, rows w + dw_i e_i,
+            # integrated as one batch
+            dw = 1e-6 * np.maximum(1.0, np.abs(w))
+            ends = _shooting_endpoint(model, x, w + np.diag(dw))
+            jac = (ends - end).T / dw
+        else:
+            jac += (np.outer(miss - last_miss - jac @ step, step)
+                    / (step @ step))
         try:
-            w = w - np.linalg.solve(jac, miss)
+            step = -np.linalg.solve(jac, miss)
         except np.linalg.LinAlgError:
             raise ShootingFailure("singular shooting Jacobian") from None
+        w = w + step
+        last_miss, last_size = miss, size
     raise ShootingFailure("shooting did not converge")
 
 
@@ -627,10 +637,14 @@ def distance_estimate(model, x, xbar):
     """Estimate the Riemannian distance ``d(x, xbar)``.
 
     Exact for models declaring a closed form; a geodesic shooting estimate
-    otherwise.  Shooting is a Newton iteration on the initial velocity: a
-    step integrates the geodesic of the current velocity and, when it
-    misses, the ``2n`` velocities of its central-difference Jacobian as one
-    background ensemble.  When shooting fails the chord lower bound
+    otherwise.  Shooting is a quasi-Newton iteration on the initial
+    velocity: a step integrates the geodesic of the current velocity and,
+    when it misses, moves the velocity by the Jacobian of the endpoint map.
+    That Jacobian is taken by forward differences, the ``n`` velocities
+    ``w + dw_i e_i`` integrated as one background ensemble, at the first
+    miss and whenever a step cuts the miss by less than a factor 0.3;
+    between these refreshes Broyden's rank-1 update carries it along each
+    step at no integration.  When shooting fails the chord lower bound
     ``|x - xbar| * sqrt(min eigenvalue of h along the chord)`` is returned
     with ``lower_bound=True``, its least eigenvalues from the admission of
     each chord point.  The estimate feeds the growth classifier only.

@@ -111,9 +111,10 @@ def test_tracer_counts_every_step_of_a_study():
 
 
 def test_tracer_counts_the_work_of_one_shooting_distance(monkeypatch):
-    # the sphere given by its metric alone shoots; each Newton step that
-    # misses integrates its 2n-velocity stencil as one ensemble, whose
-    # rows do the work of single background paths on the same velocities
+    # the sphere given by its metric alone shoots: a centre geodesic per
+    # step, and on each Jacobian refresh the n-row forward-difference
+    # stencil about the centre just integrated, as one ensemble whose rows
+    # do the work of single background paths on the same velocities
     model = geometry.from_metric(
         2, lambda x: 4.0 / (1.0 + float(x @ x)) ** 2 * np.eye(2))
     x, xbar = np.array([0.1, -0.2]), np.array([0.45, 0.15])
@@ -132,11 +133,15 @@ def test_tracer_counts_the_work_of_one_shooting_distance(monkeypatch):
     finally:
         tracer.uninstall()
     assert est.method == "shooting"
-    centres = [w for w in velocities if len(w) == 1]
-    misses = len(centres) - 1
-    assert misses > 0 and len(velocities) == 1 + 2 * misses
-    assert [len(w) for w in velocities[1::2]] == [4] * misses
-    assert tracer.calls("geometry.shooting_integration") == 1 + 2 * misses
+    stencils = [k for k, w in enumerate(velocities) if len(w) > 1]
+    assert len(velocities) - len(stencils) > 1 and stencils[0] == 1
+    for k in stencils:
+        centre = velocities[k - 1][0]
+        dw = 1e-6 * np.maximum(1.0, np.abs(centre))
+        assert len(velocities[k - 1]) == 1
+        assert np.array_equal(velocities[k], centre + np.diag(dw))
+    assert len(velocities[-1]) == 1
+    assert tracer.calls("geometry.shooting_integration") == len(velocities)
     paths = [dynamics.background_path(model, x, w, 0.0, 1.0)
              for w in np.concatenate(velocities)]
     assert tracer.counts["odesolve.steps"] == sum(

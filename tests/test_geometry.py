@@ -1070,16 +1070,28 @@ def test_distance_sphere_quarter_circle():
 
 
 def test_distance_shooting_matches_closed_form():
+    # the hyperbolic half-plane given by its metric alone shoots: the pair
+    # (0, 1), (0.5, 1.2) and seeded pairs 0.5 apart with the start at x2 in
+    # [0.8, 1.5], so the target has x2 >= 0.3.  The endpoint miss of the
+    # stop rule, up to 1e-9 (1 + |xbar|) < 2.6e-9, moves the distance by at
+    # most that over xbar's x2: the bound 1e-8.  Measured up to 2.1e-9 over
+    # 60 such pairs
     analytic = geometry.hyperbolic_half_plane()
     user = geometry.from_metric(2, analytic._metric,
                                 chart_domain=lambda x: x[1] > 0,
                                 name="hyperbolic-user")
-    a = np.array([0.0, 1.0])
-    b = np.array([0.5, 1.2])
-    est = geometry.distance_estimate(user, a, b)
-    exact = geometry.distance_estimate(analytic, a, b)
-    assert est.method == "shooting"
-    assert est.value == pytest.approx(exact.value, abs=1e-6)
+    rng = np.random.default_rng(7)
+    pairs = [(np.array([0.0, 1.0]), np.array([0.5, 1.2]))]
+    for _ in range(20):
+        a = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.8, 1.5)])
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        pairs.append((a, a + 0.5 * np.array([math.cos(angle),
+                                             math.sin(angle)])))
+    for a, b in pairs:
+        est = geometry.distance_estimate(user, a, b)
+        exact = geometry.distance_estimate(analytic, a, b)
+        assert est.method == "shooting"
+        assert abs(est.value - exact.value) <= 1e-8
 
 
 @pytest.mark.parametrize("failure", [
@@ -1119,6 +1131,44 @@ def test_shooting_failures(monkeypatch, endpoint, message):
                                     np.array([0.3, 0.4]))
 
 
+def test_flat_shooting_meets_the_stop_rule_at_once(monkeypatch):
+    # the flat metric's endpoint map is x + w, so the chord guess hits the
+    # target with the first centre; an affine endpoint x + A w has an exact
+    # forward-difference Jacobian, so its first step hits it: 2 centres and
+    # 1 stencil of n rows
+    model = geometry.from_metric(2, lambda x: np.eye(2))
+    x, xbar = np.array([0.3, -0.2]), np.array([1.1, 0.4])
+    calls = _record_endpoints(monkeypatch)
+    est = geometry.distance_estimate(model, x, xbar)
+    assert calls == [((2,), None)]
+    assert est.method == "shooting"
+    assert est.value == pytest.approx(1.0, abs=1e-12)
+    A = np.array([[2.0, 0.5], [-0.3, 1.5]])
+    monkeypatch.setattr(geometry, "_shooting_endpoint",
+                        lambda model, x, w: x + np.asarray(w) @ A.T)
+    calls = _record_endpoints(monkeypatch)
+    value = geometry._shooting_distance(model, x, xbar)
+    assert calls == [((2,), None), ((2, 2), None), ((2,), None)]
+    assert value == pytest.approx(
+        np.linalg.norm(np.linalg.solve(A, xbar - x)), abs=1e-9)
+
+
+def test_nonlinear_endpoint_refreshes_and_converges(monkeypatch):
+    # x + sinh(3 w) bends too much for Broyden's update to keep up: some
+    # step cuts the miss by less than _SHOOTING_REFRESH and the Jacobian is
+    # differenced again, yet the iteration reaches w = arcsinh(xbar - x) / 3
+    monkeypatch.setattr(geometry, "_shooting_endpoint",
+                        lambda model, x, w: x + np.sinh(3.0 * np.asarray(w)))
+    calls = _record_endpoints(monkeypatch)
+    model = geometry.from_metric(2, lambda x: np.eye(2))
+    xbar = np.array([2.0, -1.5])
+    value = geometry._shooting_distance(model, np.zeros(2), xbar)
+    stencils = [shape for shape, _ in calls if shape == (2, 2)]
+    assert len(stencils) >= 2
+    assert value == pytest.approx(np.linalg.norm(np.arcsinh(xbar) / 3.0),
+                                  abs=1e-9)
+
+
 def hyperbolic_callbacks(chart_domain):
     """The hyperbolic half-plane through its point callbacks alone, on the
     chart ``chart_domain``: no closed-form distance, so distance_estimate
@@ -1152,16 +1202,17 @@ def _record_endpoints(monkeypatch):
 def test_stencil_row_leaving_the_chart_gives_the_chord_bound(monkeypatch):
     # the first centre from (0, 1) towards (0.5, 1.2) misses and ends near
     # x1 = 0.5588; x1 grows along it, and the chart ends between that end
-    # and the end of the stencil row w + dw e_0 (about 9e-7 further), so
-    # only that row leaves it.  h = I / x2^2 on the chord, whose highest
-    # point is the target: the bound is |xbar - x| / 1.2
+    # and the end of the forward-difference row w + dw e_0 (about 9e-7
+    # further), so only that row of the n-row stencil leaves it.  h = I /
+    # x2^2 on the chord, whose highest point is the target: the bound is
+    # |xbar - x| / 1.2
     x, xbar = np.array([0.0, 1.0]), np.array([0.5, 1.2])
     free = hyperbolic_callbacks(lambda p: p[1] > 0.0)
     edge = geometry._shooting_endpoint(free, x, xbar - x)[0] + 5e-7
     model = hyperbolic_callbacks(lambda p: p[1] > 0.0 and p[0] < edge)
     calls = _record_endpoints(monkeypatch)
     est = geometry.distance_estimate(model, x, xbar)
-    assert calls == [((2,), None), ((4, 2), "chart_escape")]
+    assert calls == [((2,), None), ((2, 2), "chart_escape")]
     assert est.method == "chord_lower_bound" and est.lower_bound
     assert est.value == pytest.approx(np.linalg.norm(xbar - x) / 1.2,
                                       rel=1e-15)
